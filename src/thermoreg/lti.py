@@ -7,9 +7,16 @@ BLAS-3 speed; LAPACK's unblocked ``trsyl`` is only called on small
 diagonal blocks.  Riccati equations are solved by Newton-Kleinman
 iteration with exact line search, started from zero gain when the
 (shifted) drift is already stable and otherwise from a gain computed on
-the unstable invariant subspace.  A Hamiltonian-subspace Riccati solver
-is kept as an independent oracle for desk-scale problems and as the
-inner solver of the subspace initializer.
+the unstable invariant subspace.  Only the first Newton step is a full
+Bartels-Stewart solve.  Each later step solves for a correction whose
+right-hand side has the rank of B, by a Galerkin projection onto an
+extended Krylov space that needs one LU factorization and no Schur form.
+An exact correction step (Schur form plus Bartels-Stewart on the full
+residual) polishes the iterate when the low-rank steps stop halving the
+residual, and is the fallback whenever the projection does not deliver.
+A Hamiltonian-subspace Riccati solver is kept as an independent oracle
+for desk-scale problems and as the inner solver of the subspace
+initializer.
 """
 
 import warnings
@@ -22,6 +29,10 @@ from scipy.linalg import lapack
 from .errors import ConvergenceError
 
 _TRSYL_BLOCK = 96
+# Largest extended Krylov basis of a low-rank Newton-Kleinman correction, and
+# the inner tolerance of its projected residual relative to |W W^T|_F.
+_KRYLOV_MAX_DIM = 300
+_INNER_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +218,11 @@ def _subspace_stabilizing_gain(ash, b, r, margin=1e-8):
         z1t = z.T
     else:
         t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-        y = sla.solve_sylvester(t11, -t22, -t12)
+        # t11 and t22 are already quasi-triangular: solve t11 Y - Y t22 = -t12.
+        y, scale, info = lapack.dtrsyl(t11, t22, -t12, isgn=-1)
+        if info < 0:
+            raise RuntimeError(f"trsyl failed with info={info}")
+        y = y / scale
         bz = z.T @ b
         b1 = bz[:k] - y @ bz[k:]
         z1t = z[:, :k].T - y @ z[:, k:].T
@@ -222,17 +237,30 @@ def _subspace_stabilizing_gain(ash, b, r, margin=1e-8):
     return k_u @ z1t
 
 
-def _riccati_residual(ash, s, q, x):
-    return ash.T @ x + x @ ash - x @ s @ x + q
+def _is_positive_definite(x):
+    """Whether the Cholesky factorization of symmetric ``x`` succeeds."""
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
-def _line_search_step(res_prev, delta, s):
+def _riccati_residual(ash, bl, q, x):
+    """R(X) = ash^T X + X ash - X S X + Q for symmetric X, with S = bl bl^T."""
+    g = ash.T @ x
+    xb = x @ bl
+    return g + g.T - xb @ xb.T + q
+
+
+def _line_search_step(res_prev, delta, bl):
     """Exact Benner-Byers line search for X + t * delta.
 
     The residual along the Newton direction is
     ``(1 - t) R - t^2 delta S delta``; minimize its Frobenius norm on (0, 2].
     """
-    v = delta @ s @ delta
+    db = delta @ bl
+    v = db @ db.T
     aa = float(np.sum(res_prev * res_prev))
     bb = float(np.sum(res_prev * v))
     cc = float(np.sum(v * v))
@@ -249,14 +277,105 @@ def _line_search_step(res_prev, delta, s):
     return min(candidates, key=objective)
 
 
+def _orthonormal_block(u, scale):
+    """Orthonormal basis of the columns of ``u``, or None if they are dependent.
+
+    ``scale`` is the size of the columns before they were orthogonalized
+    against the basis; a remainder below 1e-12 of it is noise.
+    """
+    v, rr = np.linalg.qr(u)
+    if np.min(np.abs(np.diag(rr))) <= 1e-12 * scale:
+        return None
+    return v
+
+
+def _lowrank_lyap(a, w):
+    """Galerkin solution of A E + E A^T = W W^T for stable A and thin W.
+
+    The basis is the extended Krylov space of (A, W) (Simoncini, SIAM J.
+    Sci. Comput. 2007): each step appends one block [A v1, A^-1 v2] built
+    from the last one, so the only factorization is one LU of A.  The
+    projected equation is solved densely.  A maps the first j blocks into
+    the first j + 1, so the Galerkin residual norm on j blocks is
+    ``sqrt(2) |T[new, old] Y|_F``, read off the projected matrix T.  Iteration
+    stops when that norm is at most ``_INNER_TOL |W W^T|_F``.
+
+    Returns None, so that the caller takes an exact step, when a new block
+    is numerically dependent on the basis, or when no stable projected
+    equation meets the tolerance before the basis would exceed
+    ``min(_KRYLOV_MAX_DIM, n // 2)`` columns.
+    """
+    n, m = w.shape
+    cap = min(_KRYLOV_MAX_DIM, n // 2)
+    if 4 * m > cap:
+        return None
+    lu = sla.lu_factor(a)
+    v = np.empty((n, cap))
+    av = np.empty((n, cap))
+    u = np.hstack([w, sla.lu_solve(lu, w)])
+    block = _orthonormal_block(u, np.linalg.norm(u))
+    if block is None:
+        return None
+    v[:, : 2 * m] = block
+    av[:, : 2 * m] = a @ block
+    t = block.T @ av[:, : 2 * m]
+    w_hat = block.T @ w
+    rhs = np.zeros((cap, cap))
+    rhs[: 2 * m, : 2 * m] = w_hat @ w_hat.T
+    target = _INNER_TOL * np.linalg.norm(w.T @ w)
+    k = 2 * m
+    while k + 2 * m <= cap:
+        u = np.hstack([av[:, k - 2 * m : k - m], sla.lu_solve(lu, v[:, k - m : k])])
+        scale = np.linalg.norm(u)
+        for _ in range(2):
+            u -= v[:, :k] @ (v[:, :k].T @ u)
+        block = _orthonormal_block(u, scale)
+        if block is None:
+            return None
+        ablock = a @ block
+        t = np.block([[t, v[:, :k].T @ ablock], [block.T @ av[:, :k], block.T @ ablock]])
+        v[:, k : k + 2 * m] = block
+        av[:, k : k + 2 * m] = ablock
+        # A non-normal A can have unstable projections, whose projected
+        # equation has no meaningful solution; the basis then grows on.
+        if np.max(np.linalg.eigvals(t[:k, :k]).real) < 0.0:
+            y = sla.solve_continuous_lyapunov(t[:k, :k], -rhs[:k, :k])
+            if np.sqrt(2.0) * np.linalg.norm(t[k:, :k] @ y) <= target:
+                e = -(v[:, :k] @ y @ v[:, :k].T)
+                return 0.5 * (e + e.T)
+        k += 2 * m
+    return None
+
+
 def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
     """Stabilizing solution of the shifted control Riccati equation.
 
     Solves ``(A + aI)^T X + X (A + aI) - X B R^-1 B^T X + Q = 0`` by
-    Newton-Kleinman iteration with Bartels-Stewart inner solves.  Zero
-    initial gain is used when ``A + aI`` is stable; otherwise the gain is
-    initialized on the unstable invariant subspace.  Line search engages
-    if a full step fails to reduce the residual.
+    Newton-Kleinman iteration in correction form, with exact line search
+    when a full step fails to reduce the residual.  Zero initial gain is
+    used when ``A + aI`` is stable; otherwise the gain is initialized on
+    the unstable invariant subspace.
+
+    - The first step is exact: a real Schur form of the closed loop ``A_0``
+      of the initial gain, whose abscissa certifies stability, and a
+      Bartels-Stewart solve.
+    - Each later step from ``X_k`` solves ``A_k^T E + E A_k = -R(X_k)`` and
+      sets ``X <- X + E``.  After a full step the residual is
+      ``-W W^T`` with ``W = (K_k - K_{k-1})^T chol(R)``, which has as few
+      columns as B, so ``E`` is a Galerkin solution on an extended Krylov
+      space of ``(A_k^T, W)`` (one LU of ``A_k``, no Schur form).  When
+      ``Q`` and ``X + E`` are positive definite, the Lyapunov inertia
+      theorem certifies that ``A_k`` is stable.
+    - An exact step (Schur form, abscissa check, Bartels-Stewart with the
+      full ``-R(X_k)``) is taken instead when the step is damped by the
+      line search, when the previous low-rank step failed to halve the
+      residual (inner errors add up; this is the polish), or when the
+      Krylov space reaches its dimension cap, its projected matrix is not
+      stable, or the certificate fails.
+
+    Convergence is judged on the dense relative residual
+    ``|R(X)|_F / |X|_F``, and ``closed_loop_decay`` on the eigenvalues of
+    the final closed loop.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -265,54 +384,74 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
     n = a.shape[0]
     ash = a + alpha * np.eye(n)
     rinv_bt = np.linalg.solve(r, b.T)
-    s = b @ rinv_bt
+    try:
+        r_chol = np.linalg.cholesky(r)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("weight R must be symmetric positive definite") from exc
+    bl = sla.solve_triangular(r_chol, b.T, lower=True).T  # S = B R^-1 B^T = bl bl^T
+    q_definite = _is_positive_definite(q)
 
     gain = _subspace_stabilizing_gain(ash, b, r)
-    x = res = last_full_x = None
-    gain_is_damped = False
+    x = res = w = last_full = None
+    damped = False
     best = np.inf
     stalled = 0
     patience = 8
     for it in range(1, max_iter + 1):
-        acl = ash - b @ gain
-        rhs = q + gain.T @ r @ gain
-        t, z = sla.schur(acl.T, output="real")
-        abscissa = float(np.max(_quasi_tri_eigs_real(t)))
-        if abscissa >= 0.0:
-            if gain_is_damped and last_full_x is not None:
-                # A damped step left the stabilizing cone; full steps never do.
-                gain = rinv_bt @ last_full_x
-                gain_is_damped = False
-                continue
-            raise ConvergenceError(
-                f"Newton-Kleinman iterate lost closed-loop stability (abscissa {abscissa:.3e})"
-            )
-        x_full = _lyap_from_schur(t, z, rhs)
-        res_full = _riccati_residual(ash, s, q, x_full)
-        gain_is_damped = False
-        if x is None or np.linalg.norm(res_full) <= np.linalg.norm(res):
+        acl_t = (ash - b @ gain).T
+        x_full = None
+        if w is not None and q_definite:
+            e = _lowrank_lyap(acl_t, w)
+            # Inertia: A_k^T (X + E) + (X + E) A_k = -(Q + K_k^T R K_k), up to
+            # the inner and carried-over residuals, so X + E > 0 and Q > 0
+            # certify that A_k is stable.
+            if e is not None and _is_positive_definite(x + e):
+                x_full = x + e
+        lowrank = x_full is not None
+        if not lowrank:
+            t, z = sla.schur(acl_t, output="real")
+            abscissa = float(np.max(_quasi_tri_eigs_real(t)))
+            if abscissa >= 0.0:
+                if damped:
+                    # A damped step left the stabilizing cone; full steps never do.
+                    x, res = last_full
+                    gain = rinv_bt @ x
+                    damped = False
+                    continue
+                raise ConvergenceError(
+                    f"Newton-Kleinman iterate lost closed-loop stability (abscissa {abscissa:.3e})"
+                )
+            if x is None:
+                x_full = _lyap_from_schur(t, z, q + gain.T @ r @ gain)
+            else:
+                x_full = x + _lyap_from_schur(t, z, res)
+        res_full = _riccati_residual(ash, bl, q, x_full)
+        last_full = (x_full, res_full)
+        prev_norm = np.inf if res is None else np.linalg.norm(res)
+        damped = False
+        if np.linalg.norm(res_full) <= prev_norm:
             x, res = x_full, res_full
         else:
-            step = _line_search_step(res, x_full - x, s)
+            step = _line_search_step(res, x_full - x, bl)
             x_cand = x + step * (x_full - x)
-            res_cand = _riccati_residual(ash, s, q, x_cand)
+            res_cand = _riccati_residual(ash, bl, q, x_cand)
             if np.linalg.norm(res_cand) < np.linalg.norm(res_full):
                 x, res = x_cand, res_cand
-                gain_is_damped = True
+                damped = True
             else:
                 x, res = x_full, res_full
-        last_full_x = x_full
-        rel = np.linalg.norm(res) / max(np.linalg.norm(x), 1e-300)
+        res_norm = np.linalg.norm(res)
+        rel = res_norm / max(np.linalg.norm(x), 1e-300)
         if rel <= tol:
-            shifted_abscissa = spectral_abscissa(ash - s @ x)
+            shifted_abscissa = spectral_abscissa(ash - b @ (rinv_bt @ x))
             return RiccatiSolution(
                 x=x,
                 residual_norm=rel,
                 closed_loop_decay=shifted_abscissa - alpha,
                 iterations=it,
             )
-        if np.linalg.norm(res) < 0.9 * best:
-            best = np.linalg.norm(res)
+        if res_norm < 0.9 * best:
+            best = res_norm
             stalled = 0
         else:
             stalled += 1
@@ -322,7 +461,14 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
                     residual=rel,
                     iterations=it,
                 )
-        gain = rinv_bt @ x
+        next_gain = rinv_bt @ x
+        # R(X) = -W W^T holds after a full step; a damped step or a stalled
+        # low-rank step hands the full residual to an exact step instead.
+        if damped or (lowrank and res_norm > 0.5 * prev_norm):
+            w = None
+        else:
+            w = (next_gain - gain).T @ r_chol
+        gain = next_gain
     raise ConvergenceError(
         f"Newton-Kleinman did not reach {tol:g} in {max_iter} iterations",
         residual=np.linalg.norm(res) / max(np.linalg.norm(x), 1e-300),

@@ -216,22 +216,25 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
         u[i] = k_mat @ z
 
     record(0)
-    for i in range(nsteps):
-        b1 = e_plus @ x + 0.5 * b_mat @ (k_mat @ z) + bd_mat @ w_d_half[:, i]
-        b2 = gz_plus @ z + g2 @ (0.5 * (c_mat @ x) - y_ref_half[:, i])
-        y1 = lu.solve(b1)
-        rhs_z = b2 + 0.5 * g2 @ (c_mat @ y1)
-        # No scipy finiteness scan: a blow-up passes through to z and x and
-        # is reported by the guard below with its step.
-        z = sla.lu_solve(schur_lu, rhs_z, check_finite=False)
-        x = y1 + 0.5 * w_cols @ (k_mat @ z)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-            raise ConvergenceError(f"non-finite state at step {i + 1} (t={times[i + 1]:.3f})")
-        theta_min = min(theta_min, x.min())
-        theta_max = max(theta_max, x.max())
-        record(i + 1)
-        while snap_left and snap_left[0] <= times[i + 1] + 1e-12:
-            snapshots[snap_left.pop(0)] = plant.reduction.inflate(x)
+    # During a blow-up the step products meet 0 * inf before the guard below
+    # reports the step; numpy's warnings about that would only be noise.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(nsteps):
+            b1 = e_plus @ x + 0.5 * b_mat @ (k_mat @ z) + bd_mat @ w_d_half[:, i]
+            b2 = gz_plus @ z + g2 @ (0.5 * (c_mat @ x) - y_ref_half[:, i])
+            y1 = lu.solve(b1)
+            rhs_z = b2 + 0.5 * g2 @ (c_mat @ y1)
+            # No scipy finiteness scan: a blow-up passes through to z and x and
+            # is reported by the guard below with its step.
+            z = sla.lu_solve(schur_lu, rhs_z, check_finite=False)
+            x = y1 + 0.5 * w_cols @ (k_mat @ z)
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+                raise ConvergenceError(f"non-finite state at step {i + 1} (t={times[i + 1]:.3f})")
+            theta_min = min(theta_min, x.min())
+            theta_max = max(theta_max, x.max())
+            record(i + 1)
+            while snap_left and snap_left[0] <= times[i + 1] + 1e-12:
+                snapshots[snap_left.pop(0)] = plant.reduction.inflate(x)
 
     y_ref = y_ref_all.T
     return SimulationResult(

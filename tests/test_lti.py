@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from thermoreg import lti
 from thermoreg.errors import ConvergenceError
@@ -129,6 +130,11 @@ def test_riccati_solution_psd(rng):
     assert np.min(np.linalg.eigvalsh(sol.x)) >= -1e-8 * np.linalg.norm(sol.x)
 
 
+def test_riccati_rejects_indefinite_weight():
+    with pytest.raises(ValueError, match="positive definite"):
+        lti.solve_riccati_control(np.array([[-1.0]]), np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]))
+
+
 def test_riccati_unstabilizable_raises():
     # Unstable mode not reachable from B.
     a = np.diag([1.0, -2.0])
@@ -155,6 +161,101 @@ def test_filter_scalar_dual():
         np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]])
     )
     assert sol.x == pytest.approx(np.array([[1.0]]), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Newton-Kleinman with low-rank corrections (order above _TRSYL_BLOCK)
+
+LOWRANK_ALPHA = 1.05
+
+
+def nonnormal_problem(seed, n=150, m=2):
+    """Non-normal drift with spectrum in [-10, -1], random B (n x m) and C.
+
+    Four eigenvalues of A + LOWRANK_ALPHA I are unstable, so the subspace
+    initializer engages.
+    """
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    tri = np.diag(-np.logspace(0.0, 1.0, n)) + 0.5 / np.sqrt(n) * np.triu(rng.standard_normal((n, n)), 1)
+    return basis @ tri @ basis.T, rng.standard_normal((n, m)), rng.standard_normal((m, n))
+
+
+@pytest.fixture
+def schur_orders(monkeypatch):
+    """Orders of the matrices handed to scipy's Schur decomposition."""
+    orders = []
+    schur = sla.schur
+
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", counting)
+    return orders
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_riccati_lowrank_matches_hamiltonian_oracle(seed):
+    a, b, c = nonnormal_problem(seed)
+    n, m = b.shape
+    alpha = LOWRANK_ALPHA
+    assert n > lti._TRSYL_BLOCK
+    assert np.any(lti._subspace_stabilizing_gain(a + alpha * np.eye(n), b, np.eye(m)))
+    solutions = [
+        (lti.solve_riccati_control(a, b, np.eye(m), np.eye(n), alpha=alpha),
+         lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=alpha)),
+        (lti.solve_riccati_filter(a, c, np.eye(m), np.eye(n), alpha=alpha),
+         lti.riccati_hamiltonian(a.T, c.T, np.eye(m), np.eye(n), alpha=alpha)),
+    ]
+    for sol, x_ref in solutions:
+        assert sol.residual_norm <= 1e-9
+        assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+        assert sol.closed_loop_decay < -alpha + 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_riccati_lowrank_needs_few_schur_forms(seed, schur_orders):
+    # Initializer, first exact step and at most one polish; the full-Schur
+    # loop needed one decomposition per iteration.
+    a, b, c = nonnormal_problem(seed)
+    n, m = b.shape
+    for solve, op in ((lti.solve_riccati_control, b), (lti.solve_riccati_filter, c)):
+        schur_orders.clear()
+        sol = solve(a, op, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+        assert sol.residual_norm <= 1e-9
+        assert sum(k >= n for k in schur_orders) <= 3 < sol.iterations + 1
+
+
+@pytest.mark.parametrize("denial", ["krylov_cap", "indefinite_correction"])
+def test_riccati_falls_back_to_exact_steps(denial, monkeypatch, schur_orders):
+    if denial == "krylov_cap":
+        monkeypatch.setattr(lti, "_KRYLOV_MAX_DIM", 2)
+    else:
+        # X + E is indefinite, so the step carries no inertia certificate.
+        monkeypatch.setattr(lti, "_lowrank_lyap", lambda a, w: -1e6 * np.eye(a.shape[0]))
+    a, b, _ = nonnormal_problem(0)
+    n, m = b.shape
+    sol = lti.solve_riccati_control(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+    # The initializer plus one exact step per iteration.
+    assert sum(k >= n for k in schur_orders) == sol.iterations + 1
+    x_ref = lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+    assert sol.residual_norm <= 1e-9
+    assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+
+
+def test_riccati_semidefinite_q_takes_exact_steps(schur_orders):
+    # Q is singular, so the inertia certificate of a low-rank step is
+    # unavailable and every step is exact (Schur abscissa check).
+    a, b, _ = nonnormal_problem(0)
+    n, m = b.shape
+    q = np.diag(np.r_[0.0, np.ones(n - 1)])
+    sol = lti.solve_riccati_control(a, b, np.eye(m), q, alpha=LOWRANK_ALPHA)
+    assert sum(k >= n for k in schur_orders) == sol.iterations + 1
+    x_ref = lti.riccati_hamiltonian(a, b, np.eye(m), q, alpha=LOWRANK_ALPHA)
+    assert sol.residual_norm <= 1e-9
+    assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+    assert sol.closed_loop_decay < -LOWRANK_ALPHA + 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,13 @@ def test_nan_detection_reports_step():
         sim.simulate(cl, spec, t_end=400.0, dt=0.5, x0=np.array([1.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blowup_reports_step_without_runtime_warning():
+    # The same blow-up, with numpy's RuntimeWarning raised as an error: the
+    # typed error must still be the first thing the caller sees.
+    test_nan_detection_reports_step()
+
+
 def test_steady_state_matches_dc_transfer(plant11):
     # Constant disturbance drive: C x_infinity = P_d(0) * amplitude.
     import dataclasses
