@@ -208,7 +208,11 @@ def _subspace_stabilizing_gain(ash, b, r, margin=1e-8):
     so its spectrum is the stabilized block plus the untouched stable part.
     """
     n = ash.shape[0]
-    t, z, k = sla.schur(ash, output="real", sort=lambda wr, wi: wr >= -margin)
+    try:
+        t, z, k = sla.schur(ash, output="real", sort=lambda wr, wi: wr >= -margin)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK's reordering can fail on ill-conditioned eigenvalues.
+        raise ConvergenceError(f"subspace initializer: ordered Schur form failed: {exc}") from exc
     if k == 0:
         return np.zeros((b.shape[1], n))
     if k == n:

@@ -1,20 +1,23 @@
 """Closed-loop assembly, time integration, and tracking diagnostics.
 
 The closed loop couples the sparse generalized plant with a small dense
-controller.  Time stepping is the trapezoidal rule; the step matrix is
-factorized once, and because the plant/controller coupling blocks have
-rank equal to the input/output dimensions, each step costs one sparse
-back-substitution plus small dense algebra (block Schur complement on
-the controller part).
+controller.  Time stepping is the trapezoidal rule; the plant block of the
+step matrix is factorized once by sparse LU with minimum-degree ordering on
+its symmetric pattern (``MMD_AT_PLUS_A``), and because the plant/controller
+coupling blocks have rank equal to the input/output dimensions, each step
+costs one sparse back-substitution plus small dense algebra (block Schur
+complement on the controller part).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .errors import ConvergenceError
+from .plant import PENCIL_ORDERING
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +166,28 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     """Trapezoidal integration of the closed loop over [0, t_end].
 
     The step system is solved through a block Schur complement: the plant
-    block ``M/dt - A/2`` is factorized sparsely once, the controller-size
-    complement densely once.  Exogenous signals are sampled at half-steps.
+    block ``M/dt - A/2`` is factorized sparsely once, with the minimum-degree
+    ordering on its symmetric pattern (``plant.PENCIL_ORDERING``), and the
+    controller-size complement densely once.  Each step then costs one
+    sparse solve, one sparse product and a few dense matrix-vector products.
+    Exogenous signals are sampled at half-steps.  A snapshot at time ``ts``
+    holds the field at the first step time at or after ``ts``.
 
-    Raises :class:`ConvergenceError` with the index and time of the first
-    step whose plant or controller state is non-finite.  Non-finite initial
-    states ``x0`` or ``z0`` raise ``ValueError``.
+    ``t_end`` must be a whole number of steps and every snapshot time must
+    lie in ``[0, t_end]``; otherwise, and for non-finite initial states
+    ``x0`` or ``z0``, ``ValueError`` is raised.  Raises
+    :class:`ConvergenceError` with the index and time of the first step
+    whose plant or controller state is non-finite.
     """
-    if dt <= 0 or t_end < dt:
-        raise ValueError("need dt > 0 and t_end >= dt")
+    if not (0.0 < dt <= t_end < np.inf):
+        raise ValueError("need dt > 0 and finite t_end >= dt")
+    steps = t_end / dt
+    nsteps = int(round(steps))
+    if abs(steps - nsteps) > 1e-9 * steps:
+        raise ValueError(f"t_end={t_end} is not a whole number of steps dt={dt}")
+    snap_left = sorted(float(ts) for ts in snapshot_times)
+    if not all(0.0 <= ts <= t_end for ts in snap_left):
+        raise ValueError(f"snapshot times must lie in [0, t_end={t_end}]")
     plant, ctrl = cl.plant, cl.ctrl
     n, nz = cl.dims
     m = plant.control.shape[1]
@@ -184,55 +200,67 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
         raise ValueError("initial state must be finite")
 
-    nsteps = int(round(t_end / dt))
     times = dt * np.arange(nsteps + 1)
     half_times = times[:-1] + 0.5 * dt
-    y_ref_all, w_d_all = eval_signals(signals, times)
+    y_ref_all, _ = eval_signals(signals, times)
     y_ref_half, w_d_half = eval_signals(signals, half_times)
 
     b_mat = plant.control            # (n, m)
-    bd_mat = plant.disturbance       # (n, d)
     c_mat = plant.observation        # (p, n)
     g1, g2, k_mat = ctrl.g1, ctrl.g2, ctrl.k
 
     e_minus = (plant.mass / dt - 0.5 * plant.drift).tocsc()
     e_plus = (plant.mass / dt + 0.5 * plant.drift).tocsr()
-    lu = spla.splu(e_minus)
-    w_cols = lu.solve(b_mat)         # E11^-1 B, (n, m)
+    lu = spla.splu(e_minus, permc_spec=PENCIL_ORDERING)
+    # x+ = E-^-1 b1 + (E-^-1 B) K z+ / 2, and b1 = E+ x + F [z; w_d].  Both
+    # tall blocks are column-major, which is what BLAS gemv streams fastest.
+    wk_half = np.asfortranarray(0.5 * lu.solve(b_mat) @ k_mat)               # (n, nz)
+    f_mat = np.asfortranarray(np.hstack([0.5 * b_mat @ k_mat, plant.disturbance]))  # (n, nz + d)
     eye_z = np.eye(nz)
-    schur = (eye_z / dt - 0.5 * g1) - 0.25 * g2 @ (c_mat @ w_cols) @ k_mat
-    schur_lu = sla.lu_factor(schur)
+    schur = (eye_z / dt - 0.5 * g1) - 0.5 * g2 @ (c_mat @ wk_half)
+    schur_lu, schur_piv, info = lapack.dgetrf(schur)
+    if info > 0:
+        raise ValueError(f"controller step matrix is singular for dt={dt}")
     gz_plus = eye_z / dt + 0.5 * g1
+    g2_half = 0.5 * g2
+    g2_ref = (g2 @ y_ref_half).T                         # (nsteps, nz)
+    zw = np.empty(f_mat.shape[1])
+    zw_dist = w_d_half.T                                 # (nsteps, d)
 
     y = np.empty((nsteps + 1, p))
     u = np.empty((nsteps + 1, m))
+    cx = c_mat @ x
+    y[0] = cx
+    u[0] = k_mat @ z
     theta_min = min(0.0, x.min())
     theta_max = max(0.0, x.max())
     snapshots = {}
-    snap_left = sorted(float(ts) for ts in snapshot_times)
+    while snap_left and snap_left[0] <= 1e-12:
+        snapshots[snap_left.pop(0)] = plant.reduction.inflate(x)
 
-    def record(i):
-        y[i] = c_mat @ x
-        u[i] = k_mat @ z
-
-    record(0)
     # During a blow-up the step products meet 0 * inf before the guard below
     # reports the step; numpy's warnings about that would only be noise.
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(nsteps):
-            b1 = e_plus @ x + 0.5 * b_mat @ (k_mat @ z) + bd_mat @ w_d_half[:, i]
-            b2 = gz_plus @ z + g2 @ (0.5 * (c_mat @ x) - y_ref_half[:, i])
+            zw[:nz] = z
+            zw[nz:] = zw_dist[i]
+            b1 = blas.dgemv(1.0, f_mat, zw, beta=1.0, y=e_plus @ x, overwrite_y=True)
             y1 = lu.solve(b1)
-            rhs_z = b2 + 0.5 * g2 @ (c_mat @ y1)
-            # No scipy finiteness scan: a blow-up passes through to z and x and
-            # is reported by the guard below with its step.
-            z = sla.lu_solve(schur_lu, rhs_z, check_finite=False)
-            x = y1 + 0.5 * w_cols @ (k_mat @ z)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+            rhs_z = gz_plus @ z + g2_half @ (cx + c_mat @ y1) - g2_ref[i]
+            # LAPACK carries a blow-up through to z and x without a check of
+            # its own; the guard below reports it with its step.
+            z = lapack.dgetrs(schur_lu, schur_piv, rhs_z)[0]
+            x = blas.dgemv(1.0, wk_half, z, beta=1.0, y=y1, overwrite_y=True)
+            # NaN propagates through min and +-inf shows in min or max, so
+            # the extrema double as the finiteness check on x.
+            x_lo, x_hi = x.min(), x.max()
+            if not (math.isfinite(x_lo) and math.isfinite(x_hi) and np.isfinite(z).all()):
                 raise ConvergenceError(f"non-finite state at step {i + 1} (t={times[i + 1]:.3f})")
-            theta_min = min(theta_min, x.min())
-            theta_max = max(theta_max, x.max())
-            record(i + 1)
+            theta_min = min(theta_min, x_lo)
+            theta_max = max(theta_max, x_hi)
+            cx = c_mat @ x
+            y[i + 1] = cx
+            u[i + 1] = k_mat @ z
             while snap_left and snap_left[0] <= times[i + 1] + 1e-12:
                 snapshots[snap_left.pop(0)] = plant.reduction.inflate(x)
 
@@ -275,7 +303,9 @@ def tracking_metrics(res, tail_fraction=0.2):
     """Sup of the tail error, fitted envelope decay rate, state extrema.
 
     The decay rate is the least-squares slope of log peak-envelope of
-    |e(t)|; identically zero error reports an infinite rate.
+    |e(t)|, or of log |e(t)| itself when fewer than two peaks stand out;
+    identically zero error reports an infinite rate.  ``ValueError`` is
+    raised when fewer than two samples carry a nonzero error.
     """
     if res.t.size == 0:
         raise ValueError("empty simulation result")
@@ -290,13 +320,11 @@ def tracking_metrics(res, tail_fraction=0.2):
         interior = (enorm[1:-1] >= enorm[:-2]) & (enorm[1:-1] >= enorm[2:])
         idx = np.flatnonzero(interior) + 1
         idx = idx[enorm[idx] > emax * 1e-12]
-        if idx.size >= 2:
-            slope = np.polyfit(res.t[idx], np.log(enorm[idx]), 1)[0]
-            rate = float(-slope)
-        else:
-            good = enorm > emax * 1e-12
-            slope = np.polyfit(res.t[good], np.log(enorm[good]), 1)[0]
-            rate = float(-slope)
+        if idx.size < 2:
+            idx = np.flatnonzero(enorm > emax * 1e-12)
+        if idx.size < 2:
+            raise ValueError("envelope fit needs at least two samples with nonzero error")
+        rate = float(-np.polyfit(res.t[idx], np.log(enorm[idx]), 1)[0])
     return TrackingMetrics(
         sup_tail=sup_tail,
         decay_rate=rate,

@@ -143,6 +143,21 @@ def test_riccati_unstabilizable_raises():
         lti.solve_riccati_control(a, b, np.eye(1), np.eye(2))
 
 
+def test_initializer_schur_reordering_failure_is_typed(monkeypatch):
+    # LAPACK's eigenvalue reordering can fail on ill-conditioned spectra;
+    # the caller must see the typed error naming the initializer.
+    schur = sla.schur
+
+    def failing(a, *args, **kwargs):
+        if kwargs.get("sort") is not None:
+            raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", failing)
+    with pytest.raises(ConvergenceError, match="initializer.*sort condition"):
+        lti.solve_riccati_control(np.diag([1.0, -2.0]), np.ones((2, 1)), np.eye(1), np.eye(2))
+
+
 def test_filter_duality(rng):
     a = random_stable(rng, 6)
     c = rng.standard_normal((2, 6))

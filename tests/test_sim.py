@@ -168,6 +168,80 @@ def test_trapezoidal_second_order():
     assert 3.2 < ratio < 4.8
 
 
+def test_matches_dense_monolithic_trapezoid(plant11):
+    # The block-eliminated step loop against the trapezoidal rule on the
+    # whole closed loop, (diag(M, I)/dt - A_e/2) xi+ = (diag(M, I)/dt + A_e/2) xi
+    # + forcing, solved densely; reference and disturbance both act.
+    rng = np.random.default_rng(7)
+    nz = 3
+    ctrl = ControllerRealization(
+        g1=rng.standard_normal((nz, nz)) - 2.0 * np.eye(nz),
+        g2=rng.standard_normal((nz, 1)),
+        k=rng.standard_normal((1, nz)),
+        label="dense",
+    )
+    spec = sim.SignalSpec(
+        frequencies=(1.0, 2.5), ref_cos=[[0.7], [0.0]], ref_sin=[[0.0], [-1.2]],
+        dist_cos=[[0.0], [0.4]], dist_sin=[[1.5], [0.0]],
+    )
+    t_end, dt = 1.0, 0.01
+    z0 = rng.standard_normal(nz)
+    res = sim.simulate(sim.assemble_closed_loop(plant11, ctrl), spec, t_end=t_end, dt=dt, z0=z0)
+
+    n = plant11.drift.shape[0]
+    mass_e = sla.block_diag(plant11.mass.toarray(), np.eye(nz))
+    a_e = np.block([
+        [plant11.drift.toarray(), plant11.control @ ctrl.k],
+        [ctrl.g2 @ plant11.observation, ctrl.g1],
+    ])
+    lhs, rhs = mass_e / dt - 0.5 * a_e, mass_e / dt + 0.5 * a_e
+    y_ref, w_d = sim.eval_signals(spec, dt * (np.arange(100) + 0.5))
+    forcing = np.vstack([plant11.disturbance @ w_d, -ctrl.g2 @ y_ref])
+    xi = np.concatenate([sim.default_initial_state(plant11), z0])
+    states = [xi]
+    for i in range(100):
+        xi = np.linalg.solve(lhs, rhs @ xi + forcing[:, i])
+        states.append(xi)
+    states = np.array(states)
+    plant_states = states[:, :n]
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    assert close(res.y, plant_states @ plant11.observation.T)
+    assert close(res.u, states[:, n:] @ ctrl.k.T)
+    assert close(res.state_final, states[-1, :n])
+    assert close(res.controller_final, states[-1, n:])
+    assert res.theta_min == pytest.approx(min(0.0, plant_states.min()), rel=1e-10, abs=1e-12)
+    assert res.theta_max == pytest.approx(max(0.0, plant_states.max()), rel=1e-10)
+
+
+def test_partial_step_horizon_rejected(plant11):
+    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    with pytest.raises(ValueError, match="whole number of steps"):
+        sim.simulate(cl, sim.paper_signals(), t_end=0.105, dt=0.01)
+
+
+@pytest.mark.parametrize("snap", [-0.01, 0.21])
+def test_snapshot_outside_horizon_rejected(plant11, snap):
+    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    with pytest.raises(ValueError, match="snapshot"):
+        sim.simulate(cl, sim.paper_signals(), t_end=0.2, dt=0.01, snapshot_times=[0.1, snap])
+
+
+def test_snapshot_at_zero_is_initial_field(plant11):
+    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    res = sim.simulate(cl, sim.paper_signals(), t_end=0.1, dt=0.01, snapshot_times=[0.0])
+    assert np.array_equal(res.snapshots[0.0], plant11.reduction.inflate(sim.default_initial_state(plant11)))
+
+
+def test_singular_controller_step_rejected(plant11):
+    # I/dt - G1/2 vanishes for G1 = 2/dt, and G2 = 0 leaves no coupling term.
+    ctrl = ControllerRealization(g1=np.array([[200.0]]), g2=np.zeros((1, 1)), k=np.zeros((1, 1)), label="singular")
+    with pytest.raises(ValueError, match="singular"):
+        sim.simulate(sim.assemble_closed_loop(plant11, ctrl), sim.paper_signals(), t_end=0.1, dt=0.01)
+
+
 def test_nan_detection_reports_step():
     a = sp.csr_matrix(np.array([[5.0]]))  # unstable with big dt: finite blowup to inf
     plant = plant_mod.GeneralizedPlant(
@@ -237,6 +311,16 @@ def test_metrics_pure_exponential():
     m = sim.tracking_metrics(res)
     assert abs(m.decay_rate - 1.0) < 0.05
     assert m.sup_tail == pytest.approx(np.exp(-16.0), rel=1e-6)
+
+
+def test_metrics_reject_single_point_envelope():
+    # The error is nonzero at one sample only: no envelope can be fitted.
+    t = np.linspace(0.0, 1.0, 11)
+    e = np.zeros((11, 1))
+    e[0] = 1.0
+    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e), theta_min=0.0, theta_max=1.0)
+    with pytest.raises(ValueError, match="two"):
+        sim.tracking_metrics(res)
 
 
 def test_window_max_error():
