@@ -1,10 +1,14 @@
 """P1/P2 finite element assembly on structured triangle meshes.
 
-Element matrices are computed for all triangles at once with einsum
-contractions and scattered into CSR matrices, so no Python-level loop
-runs over elements.  Quadrature rules are exact for every product of
-P2 basis functions that appears in the weak forms (degree 5 suffices
-for mass, stiffness, and advection with a P2 velocity field).
+Element matrices are computed for all triangles at once and scattered
+into CSR matrices, so no Python-level loop runs over elements.  Mass,
+stiffness and divergence are einsum contractions over quadrature points.
+The convection forms (advection and the velocity-gradient blocks of its
+Newton linearization) are one matrix product of per-element ``v . J^-1``
+factors with reference tensors precontracted over the quadrature rule.
+Quadrature rules are exact for every product of P2 basis functions that
+appears in the weak forms (degree 5 suffices for mass, stiffness, and
+advection with a P2 velocity field).
 """
 
 import warnings
@@ -209,34 +213,67 @@ def assemble_stiffness(mesh, space="P2"):
     return _scatter(local, conn, conn, (ndof, ndof))
 
 
+def _convection_kernel():
+    """Reference tensors of the convection forms, precontracted over the degree-5 rule.
+
+    Rows 0-11 give the advection form: row (k, r) holds, for every (i, j),
+    sum_q w_q phi_i phi_k dphi_j/dr.  Rows 12-23 give the velocity-gradient
+    form: sum_q w_q phi_i phi_j dphi_k/dr.  Both integrands are degree 5, so
+    the contraction is exact.
+    """
+    rule = triangle_rule(5)
+    phi = p2_basis(rule.points)
+    ghat = p2_grads_reference(rule.points)
+    adv = np.einsum("q,qi,qk,qjr->krij", rule.weights, phi, phi, ghat)
+    grad = np.einsum("q,qi,qj,qkr->krij", rule.weights, phi, phi, ghat)
+    return np.concatenate([adv.reshape(12, 36), grad.reshape(12, 36)])
+
+
+_CONVECTION_KERNEL = _convection_kernel()
+
+
+def _velocity_factors(mesh, velocity):
+    """Per-element factors det_e v_kc (J_e^-1)_rd; shape (ne, 2, 2, 12) over (c, d, (k, r))."""
+    velocity = np.asarray(velocity, dtype=float)
+    if velocity.shape != (mesh.num_p2, 2):
+        raise ValueError(f"velocity shape {velocity.shape} does not match mesh ({mesh.num_p2}, 2)")
+    det, jinv = element_jacobians(mesh)
+    ve = velocity[mesh.triangles] * det[:, None, None]  # (ne, k, c)
+    f = ve.transpose(0, 2, 1)[:, :, None, :, None] * jinv.transpose(0, 2, 1)[:, None, :, None, :]
+    return f.reshape(det.size, 2, 2, 12)
+
+
 def assemble_advection(mesh, velocity):
     """Transport matrix N_ij = integral((v . grad phi_j) phi_i) for a P2 field.
 
     ``velocity`` has shape (num_p2, 2).  The integrand is degree 5, which
     the rule integrates exactly.
     """
-    velocity = np.asarray(velocity, dtype=float)
-    if velocity.shape != (mesh.num_p2, 2):
-        raise ValueError(f"velocity shape {velocity.shape} does not match mesh ({mesh.num_p2}, 2)")
-    rule = triangle_rule(5)
-    basis = p2_basis(rule.points)
-    gp = physical_grads(mesh, rule, "P2")
-    det, _ = element_jacobians(mesh)
-    vq = np.einsum("eid,qi->eqd", velocity[mesh.triangles], basis)
-    local = np.einsum("q,qi,eqd,eqjd,e->eij", rule.weights, basis, vq, gp, det)
-    return _scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
+    f = _velocity_factors(mesh, velocity)
+    local = (f[:, 0, 0] + f[:, 1, 1]) @ _CONVECTION_KERNEL[:12]
+    return _scatter(local.reshape(-1, 6, 6), mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
 
 
-def assemble_weighted_mass(mesh, weight_at_quad, rule):
-    """Mass matrix weighted by per-quadrature-point values (ne, nq).
+def assemble_convection(mesh, velocity):
+    """Advection matrix N(v) and the velocity-gradient blocks of its Newton linearization.
 
-    Used for the Newton linearization of the convective term, where the
-    weight is a derivative of the current velocity iterate.
+    Returns ``(N, G)`` with ``G[c, d]_ij = integral((d_d v_c) phi_i phi_j)``,
+    so that the derivative of ``N(v) v_c`` in direction ``w`` is
+    ``N(v) w_c + sum_d G[c, d] w_d``.  All five element matrices come from
+    one product of the per-element factors with the precontracted kernel.
     """
-    basis = p2_basis(rule.points)
-    det, _ = element_jacobians(mesh)
-    local = np.einsum("q,qi,qj,eq,e->eij", rule.weights, basis, basis, weight_at_quad, det)
-    return _scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
+    f = _velocity_factors(mesh, velocity)
+    ne = f.shape[0]
+    # Row 0 of each element pairs the advection factor with the advection
+    # rows of the kernel; rows 1-4 pair each G[c, d] factor with the
+    # velocity-gradient rows.
+    rows = np.zeros((ne, 5, 24))
+    rows[:, 0, :12] = f[:, 0, 0] + f[:, 1, 1]
+    rows[:, 1:, 12:] = f.reshape(ne, 4, 12)
+    local = (rows @ _CONVECTION_KERNEL).reshape(ne, 5, 6, 6)
+    shape = (mesh.num_p2, mesh.num_p2)
+    mats = [_scatter(local[:, b], mesh.triangles, mesh.triangles, shape) for b in range(5)]
+    return mats[0], {(c, d): mats[1 + 2 * c + d] for c in range(2) for d in range(2)}
 
 
 def assemble_divergence(mesh):

@@ -139,6 +139,32 @@ def test_advection_constant_velocity_linear_field(mesh11):
 def test_advection_dimension_mismatch(mesh11):
     with pytest.raises(ValueError):
         fem.assemble_advection(mesh11, np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        fem.assemble_convection(mesh11, np.zeros((3, 2)))
+
+
+def test_precontracted_convection_matches_quadrature(mesh11, rng):
+    # Direct degree-5 quadrature of N(v) and G_cd(v) at the physical points.
+    vel = rng.standard_normal((mesh11.num_p2, 2))
+    rule = fem.triangle_rule(5)
+    phi = fem.p2_basis(rule.points)
+    grads = fem.physical_grads(mesh11, rule, "P2")
+    det, _ = fem.element_jacobians(mesh11)
+    tri = mesh11.triangles
+    shape = (mesh11.num_p2, mesh11.num_p2)
+    vq = np.einsum("eid,qi->eqd", vel[tri], phi)
+    local = np.einsum("q,qi,eqd,eqjd,e->eij", rule.weights, phi, vq, grads, det)
+    n_ref = fem._scatter(local, tri, tri, shape).toarray()
+    n, g = fem.assemble_convection(mesh11, vel)
+    scale = np.abs(n_ref).max()
+    assert np.abs(n.toarray() - n_ref).max() <= 1e-13 * scale
+    assert np.abs(fem.assemble_advection(mesh11, vel).toarray() - n_ref).max() <= 1e-13 * scale
+    for c in range(2):
+        dv = np.einsum("ei,eqid->eqd", vel[tri, c], grads)
+        for d in range(2):
+            local = np.einsum("q,qi,qj,eq,e->eij", rule.weights, phi, phi, dv[:, :, d], det)
+            g_ref = fem._scatter(local, tri, tri, shape).toarray()
+            assert np.abs(g[c, d].toarray() - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
 
 # ---------------------------------------------------------------------------

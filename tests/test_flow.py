@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from thermoreg import flow
+from thermoreg import fem, flow
 from thermoreg.errors import ConvergenceError
 from thermoreg.mesh import INLET, OUTLET, BoundarySegment, Geometry, build_structured_mesh
 
@@ -123,6 +127,58 @@ def test_ns_outlet_free(ns41):
     assert np.max(np.abs(ns.velocity[outlet])) > 1e-3
 
 
+@pytest.mark.parametrize("n", [11, 21, 41])
+def test_saddle_order_is_permutation_of_unknowns(geometry, n):
+    mesh = build_structured_mesh(geometry, n)
+    prob = flow._SaddleProblem(mesh, 100.0)
+    np2 = mesh.num_p2
+    unknown = np.ones(2 * np2 + mesh.num_p1, dtype=bool)
+    unknown[prob.fixed] = False
+    unknown[np2 + prob.fixed] = False
+    assert np.array_equal(np.sort(prob.order), np.flatnonzero(unknown))
+
+
+def test_ns_matches_colamd_reference(ns41):
+    # The same Newton iteration on the unpermuted system, solved with
+    # SuperLU's default COLAMD column ordering.
+    mesh, ns = ns41
+    prob = flow._SaddleProblem(mesh, 100.0)
+    prob.order = np.sort(prob.order)
+    v, p = prob.initial_state()
+    v, p = prob.apply_update(v, p, spla.spsolve(prob.jacobian(), -prob.residual(v, p)))
+    for _ in range(ns.newton_iterations):
+        adv, g = fem.assemble_convection(mesh, v)
+        v, p = prob.apply_update(v, p, spla.spsolve(prob.jacobian(adv, g), -prob.residual(v, p, adv)))
+    assert np.linalg.norm(ns.velocity - v) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(ns.pressure - p) <= 1e-12 * np.linalg.norm(p)
+
+
+def test_singular_stokes_system_is_typed(mesh11, geometry, monkeypatch):
+    # A viscous operator with its pattern but zero values: SuperLU finds an
+    # exactly zero pivot, which spsolve reports only as a warning.
+    stiffness = fem.assemble_stiffness(mesh11, "P2")
+    zero = sp.csr_matrix((np.zeros(stiffness.nnz), stiffness.indices, stiffness.indptr), shape=stiffness.shape)
+    monkeypatch.setattr(fem, "assemble_stiffness", lambda mesh, space: zero)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError, match="Stokes: saddle system is singular"):
+            flow.solve_stokes(mesh11, geometry, re=1.0)
+    assert not caught
+
+
+def test_singular_newton_jacobian_reports_step(mesh11, geometry, monkeypatch):
+    # A convection matrix that cancels the viscous block leaves the Jacobian
+    # without a velocity block.
+    visc = fem.assemble_stiffness(mesh11, "P2") / 100.0
+    zero = sp.csr_matrix(visc.shape)
+    blocks = (-visc, {(c, d): zero for c in range(2) for d in range(2)})
+    monkeypatch.setattr(fem, "assemble_convection", lambda mesh, v: blocks)
+    with pytest.raises(ConvergenceError, match="Newton step 1: saddle system is singular") as exc:
+        flow.solve_navier_stokes(mesh11, geometry, re=100.0)
+    assert exc.value.iterations == 1
+    assert exc.value.residual == 1.0
+
+
 def test_ns_nonconvergence_reports_residual(mesh11, geometry):
     with pytest.raises(ConvergenceError) as exc:
         flow.solve_navier_stokes(mesh11, geometry, re=100.0, max_iter=1)
@@ -166,6 +222,20 @@ def test_evaluate_p2_reproduces_quadratics(mesh11):
     vals = flow.evaluate_p2(mesh11, coeffs, pts)
     exact = 1.0 + 2 * pts[:, 0] - pts[:, 1] + pts[:, 0] * pts[:, 1] + 0.5 * pts[:, 0] ** 2
     assert np.allclose(vals, exact, atol=1e-13)
+
+
+@pytest.mark.parametrize("point", [[-1e-12, 0.5], [0.5, 1.0 + 1e-12], [1.5, 0.2], [np.nan, 0.5]])
+def test_evaluate_p2_rejects_points_outside_square(mesh11, point):
+    coeffs = np.ones(mesh11.num_p2)
+    with pytest.raises(ValueError):
+        flow.evaluate_p2(mesh11, coeffs, np.array([[0.5, 0.5], point]))
+
+
+def test_evaluate_p2_top_right_edges_use_last_cell(mesh11):
+    pts = np.array([[1.0, 1.0], [1.0, 0.37], [0.61, 1.0]])
+    x, y = mesh11.p2_nodes[:, 0], mesh11.p2_nodes[:, 1]
+    vals = flow.evaluate_p2(mesh11, x * y - y**2, pts)
+    assert np.allclose(vals, pts[:, 0] * pts[:, 1] - pts[:, 1] ** 2, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from thermoreg.mesh import (
     Geometry,
     build_structured_mesh,
     classify_boundary,
+    nested_dissection_order,
     save_mesh,
     triangle_areas,
 )
@@ -137,3 +138,23 @@ def test_save_mesh(tmp_path, mesh5):
     assert len(lines) == 1 + mesh5.num_p2
     tri_lines = tris.read_text().strip().splitlines()
     assert len(tri_lines) == 1 + mesh5.triangles.shape[0]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 11, 21, 41])
+def test_nested_dissection_order_is_permutation(n):
+    # n <= 3 is one leaf: the grid is numbered row by row.
+    order = nested_dissection_order(n)
+    assert np.array_equal(np.sort(order), np.arange(n * n))
+    if n * n <= 16:
+        assert np.array_equal(order, np.arange(n * n))
+
+
+def test_nested_dissection_top_separator_is_middle_vertex_line():
+    # At n=41 the first cut is the vertical line x = 20: its nodes come last,
+    # after every node left of it and then every node right of it.
+    n = 41
+    order = nested_dissection_order(n)
+    ix = order % n
+    assert np.array_equal(order[-n:], np.arange(n) * n + 20)
+    half = (n * n - n) // 2
+    assert np.all(ix[:half] < 20) and np.all(ix[half:-n] > 20)
