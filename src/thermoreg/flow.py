@@ -109,6 +109,8 @@ class _SaddleProblem:
     """Assembled Taylor-Hood operators, boundary data and the solve order."""
 
     def __init__(self, mesh, re, inlet_data=None, remap_inlet=True):
+        if not (np.isfinite(re) and re > 0):
+            raise ValueError(f"Reynolds number must be positive and finite, got {re!r}")
         self.mesh = mesh
         self.visc = fem.assemble_stiffness(mesh, "P2") / re
         self.dx, self.dy = fem.assemble_divergence(mesh)
@@ -192,8 +194,9 @@ def solve_stokes(mesh, geometry=None, re=1.0, inlet_data=None, remap_inlet=True)
 
     The saddle-point system is solved directly; the stress-free outlet
     leaves no pressure nullspace.  ``geometry`` is accepted for interface
-    symmetry but the boundary data comes from the mesh tags.  A singular
-    system raises :class:`ConvergenceError`.
+    symmetry but the boundary data comes from the mesh tags.  ``re`` must
+    be positive and finite (``ValueError``).  A singular system raises
+    :class:`ConvergenceError`.
     """
     return _solve_stokes(_SaddleProblem(mesh, re, inlet_data, remap_inlet))
 
@@ -205,12 +208,11 @@ def solve_navier_stokes(mesh, geometry=None, re=100.0, initial=None, tol=1e-10,
     Starts from ``initial`` (default: the Stokes solution) and stops when
     the nonlinear residual has dropped by ``tol`` relative to the first
     iterate or below the absolute floor ``atol`` (the initial guess may
-    already solve the problem).  Raises :class:`ConvergenceError` carrying
-    the last residual after ``max_iter`` steps, or carrying the step and
-    its residual when a Jacobian is singular.
+    already solve the problem); convergence is tested after every step,
+    the last allowed one included.  Raises :class:`ConvergenceError`
+    carrying the last residual when ``max_iter`` steps do not converge, or
+    carrying the step and its residual when a Jacobian is singular.
     """
-    if re <= 0:
-        raise ValueError("Reynolds number must be positive")
     prob = _SaddleProblem(mesh, re, inlet_data, remap_inlet)
     if initial is None:
         initial = _solve_stokes(prob)
@@ -225,20 +227,20 @@ def solve_navier_stokes(mesh, geometry=None, re=100.0, initial=None, tol=1e-10,
     res = prob.residual(v, p, adv)
     scale = max(np.linalg.norm(res), atol_eff)
     history = [np.linalg.norm(res) / scale]
-    for step in range(1, max_iter + 1):
-        if history[-1] <= tol or history[-1] * scale <= atol_eff:
-            break
+    step = 0
+    while not (history[-1] <= tol or history[-1] * scale <= atol_eff):  # a NaN residual keeps stepping
+        if step == max_iter:
+            raise ConvergenceError(
+                f"Navier-Stokes Newton did not reach {tol:g} in {max_iter} iterations",
+                residual=history[-1],
+                iterations=max_iter,
+            )
+        step += 1
         delta = prob.solve(prob.jacobian(adv, g), -res, f"Newton step {step}", residual=history[-1], iterations=step)
         v, p = prob.apply_update(v, p, delta)
         adv, g = fem.assemble_convection(mesh, v)
         res = prob.residual(v, p, adv)
         history.append(np.linalg.norm(res) / scale)
-    else:
-        raise ConvergenceError(
-            f"Navier-Stokes Newton did not reach {tol:g} in {max_iter} iterations",
-            residual=history[-1],
-            iterations=max_iter,
-        )
     return FlowState(
         mesh=mesh,
         velocity=v,

@@ -4,19 +4,29 @@ The Lyapunov solver is Bartels-Stewart: one real Schur decomposition
 followed by a quasi-triangular back-substitution.  The back-substitution
 is a blocked recursion whose updates are matrix products, so it runs at
 BLAS-3 speed; LAPACK's unblocked ``trsyl`` is only called on small
-diagonal blocks.  Riccati equations are solved by Newton-Kleinman
-iteration with exact line search, started from zero gain when the
-(shifted) drift is already stable and otherwise from a gain computed on
-the unstable invariant subspace.  Only the first Newton step is a full
-Bartels-Stewart solve.  Each later step solves for a correction whose
-right-hand side has the rank of B, by a Galerkin projection onto an
-extended Krylov space that needs one LU factorization and no Schur form.
-An exact correction step (Schur form plus Bartels-Stewart on the full
-residual) polishes the iterate when the low-rank steps stop halving the
-residual, and is the fallback whenever the projection does not deliver.
-A Hamiltonian-subspace Riccati solver is kept as an independent oracle
-for desk-scale problems and as the inner solver of the subspace
-initializer.
+diagonal blocks.
+
+Riccati equations are solved by Newton-Kleinman iteration with exact line
+search.  The initial gain comes from the ordered real Schur form of the
+transposed shifted drift, unstable block first: a small Riccati equation
+stabilizes the pair projected onto that block, and because the lifted
+closed loop stays block triangular in the same Schur basis, a Schur form
+of the small stabilized block completes the Schur form of the first
+closed loop.  The first Newton step is then a Bartels-Stewart solve with
+no further order-N decomposition.  Each later step solves for a correction
+whose right-hand side has the rank of B, and its residual is evaluated in
+factored form.  An exact correction step (Schur form plus Bartels-Stewart
+on the full residual) polishes the iterate when the low-rank steps stop
+halving the residual, and is the fallback whenever the projection does not
+deliver.  A Hamiltonian-subspace Riccati solver is kept as an independent
+oracle for desk-scale problems and as the inner solver of the initializer.
+
+One low-rank Lyapunov kernel serves both the Newton-Kleinman corrections
+and balanced truncation: a Galerkin projection onto the extended Krylov
+space of (A, W) that returns a factor Z of the solution.  Balanced
+truncation is the low-rank square-root method on the two Gramian factors;
+when the requested order reaches the Hankel values they resolve, both
+bases grow to the full space, where the Galerkin solution is exact.
 """
 
 import warnings
@@ -33,6 +43,11 @@ _TRSYL_BLOCK = 96
 # the inner tolerance of its projected residual relative to |W W^T|_F.
 _KRYLOV_MAX_DIM = 300
 _INNER_TOL = 1e-12
+# Inner tolerance of the Gramian factors of balanced truncation.  At 1e-12 the
+# leading Hankel values were accurate to about 1e-7 only.  1e-15 is below the
+# rounding floor of the residual: on a 373-state dual design the basis of the
+# observability factor grew from 64 to 187 columns.
+_BT_INNER_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +128,16 @@ def _lyap_from_schur(t, z, q):
     return 0.5 * (x + x.T)
 
 
-def _lyap_dual_from_schur(t, z, q):
-    """Solution of A^T X + X A + Q = 0 from the Schur pair of A.
+def _real_schur(a):
+    """Real Schur pair (T, Z) and eigenvalue real parts of a small matrix.
 
-    Flipping rows and columns turns the transposed Schur factor back into
-    quasi-upper-triangular form, so the same back-substitution applies.
+    Calls LAPACK ``dgees`` directly; ``scipy.linalg.schur`` is kept for the
+    order-N forms.
     """
-    chat = -(z.T @ q @ z)
-    chat = 0.5 * (chat + chat.T)
-    y = _lyap_tri(np.ascontiguousarray(t.T[::-1, ::-1]), np.ascontiguousarray(chat[::-1, ::-1]))[::-1, ::-1]
-    x = z @ y @ z.T
-    return 0.5 * (x + x.T)
+    t, _, wr, _, z, _, info = lapack.dgees(lambda wr, wi: 0, a)
+    if info != 0:
+        raise ConvergenceError(f"real Schur form failed (dgees info={info})")
+    return t, z, wr
 
 
 # ---------------------------------------------------------------------------
@@ -199,46 +213,50 @@ def riccati_hamiltonian(a, b, r, q, alpha=0.0):
 
 
 def _subspace_stabilizing_gain(ash, b, r, margin=1e-8):
-    """Gain K0 with ``ash - b K0`` stable, acting on the unstable subspace.
+    """Gain K0 with ``ash - b K0`` stable, and the Schur pair of its transpose.
 
-    Ordered Schur form isolates the eigenvalues with real part above
-    ``-margin``; a Sylvester solve block-diagonalizes, a small Riccati
-    stabilizes the projected pair, and the gain is lifted back.  In the
-    block-diagonalizing coordinates the closed loop is block triangular,
-    so its spectrum is the stabilized block plus the untouched stable part.
+    The ordered real Schur form ``ash^T = Z T Z^T`` puts the k eigenvalues
+    with real part at least ``-margin`` first, so ``Z1^T`` spans the left
+    unstable invariant subspace of ``ash`` and ``(T11^T, Z1^T b)`` is the
+    projected pair.  A small Riccati equation stabilizes it with gain
+    ``k_u``, and ``K0 = k_u Z1^T``.  In the basis Z the transposed closed
+    loop is ``[[T11 - k_u^T b1^T, T12 - k_u^T b2^T], [0, T22]]``, so a Schur
+    form ``U S U^T`` of the k x k block turns ``(T, Z)`` into a real Schur
+    pair of ``(ash - b K0)^T``: the first Newton-Kleinman step needs no
+    decomposition of its own.  For k = 0 the ordered form already is that
+    pair.
+
+    Raises ConvergenceError when the stabilized block (the eigenvalues of S)
+    is not stable, which happens when the small Riccati solve is
+    ill-conditioned.
     """
-    n = ash.shape[0]
     try:
-        t, z, k = sla.schur(ash, output="real", sort=lambda wr, wi: wr >= -margin)
+        t, z, k = sla.schur(ash.T, output="real", sort=lambda wr, wi: wr >= -margin)
     except np.linalg.LinAlgError as exc:
         # LAPACK's reordering can fail on ill-conditioned eigenvalues.
         raise ConvergenceError(f"subspace initializer: ordered Schur form failed: {exc}") from exc
     if k == 0:
-        return np.zeros((b.shape[1], n))
-    if k == n:
-        y = np.zeros((n, 0))
-        t11 = t
-        b1 = z.T @ b
-        z1t = z.T
-    else:
-        t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-        # t11 and t22 are already quasi-triangular: solve t11 Y - Y t22 = -t12.
-        y, scale, info = lapack.dtrsyl(t11, t22, -t12, isgn=-1)
-        if info < 0:
-            raise RuntimeError(f"trsyl failed with info={info}")
-        y = y / scale
-        bz = z.T @ b
-        b1 = bz[:k] - y @ bz[k:]
-        z1t = z[:, :k].T - y @ z[:, k:].T
-    q_small = np.eye(k)
+        return np.zeros((b.shape[1], ash.shape[0])), t, z
+    bz = z.T @ b
     try:
-        x_u = riccati_hamiltonian(t11, b1, r, q_small, alpha=margin)
+        x_u = riccati_hamiltonian(t[:k, :k].T, bz[:k], r, np.eye(k), alpha=margin)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"no stabilizing initializer: unstable block of order {k} is not controllable"
         ) from exc
-    k_u = np.linalg.solve(r, b1.T @ x_u)
-    return k_u @ z1t
+    k_u = np.linalg.solve(r, bz[:k].T @ x_u)
+    top = t[:k] - k_u.T @ bz.T
+    s, u, wr = _real_schur(top[:, :k])
+    abscissa = float(np.max(wr))
+    if abscissa >= 0.0:
+        raise ConvergenceError(
+            f"no stabilizing initializer: the stabilized block of order {k} has abscissa {abscissa:.3e}"
+        )
+    t[:k, :k] = s
+    t[:k, k:] = u.T @ top[:, k:]
+    gain = k_u @ z[:, :k].T
+    z[:, :k] = z[:, :k] @ u
+    return gain, t, z
 
 
 def _is_positive_definite(x):
@@ -281,74 +299,127 @@ def _line_search_step(res_prev, delta, bl):
     return min(candidates, key=objective)
 
 
-def _orthonormal_block(u, scale):
-    """Orthonormal basis of the columns of ``u``, or None if they are dependent.
+def _new_directions(basis, u):
+    """Orthonormal basis of the part of span(u) orthogonal to ``basis``.
 
-    ``scale`` is the size of the columns before they were orthogonalized
-    against the basis; a remainder below 1e-12 of it is noise.
+    Two passes of classical Gram-Schmidt, then an SVD.  A direction whose
+    remainder is below 1e-12 of the size of ``u`` before the projection
+    already lies in the span of ``basis`` and is dropped.
     """
-    v, rr = np.linalg.qr(u)
-    if np.min(np.abs(np.diag(rr))) <= 1e-12 * scale:
-        return None
-    return v
+    scale = np.linalg.norm(u)
+    for _ in range(2):
+        u = u - basis @ (basis.T @ u)
+    q, sv, _ = np.linalg.svd(u, full_matrices=False)
+    return q[:, sv > 1e-12 * scale]
 
 
-def _lowrank_lyap(a, w):
-    """Galerkin solution of A E + E A^T = W W^T for stable A and thin W.
+def _lowrank_lyap(a, w, cap=None, tol=None):
+    """Factor Z, with Z Z^T = P, of the Galerkin solution of A P + P A^T + W W^T = 0.
 
     The basis is the extended Krylov space of (A, W) (Simoncini, SIAM J.
-    Sci. Comput. 2007): each step appends one block [A v1, A^-1 v2] built
-    from the last one, so the only factorization is one LU of A.  The
-    projected equation is solved densely.  A maps the first j blocks into
-    the first j + 1, so the Galerkin residual norm on j blocks is
-    ``sqrt(2) |T[new, old] Y|_F``, read off the projected matrix T.  Iteration
-    stops when that norm is at most ``_INNER_TOL |W W^T|_F``.
+    Sci. Comput. 2007).  Each step appends the new directions of
+    ``[A V+, A^-1 V-]``, where V+ and V- are the directions the step before
+    added from A and from A^-1, so the only factorization is one LU of A.
+    The basis, its image under A and the projected matrix T grow in place.
+    A maps the basis of the step before into the current one, so the
+    Galerkin residual norm on the old basis is ``sqrt(2) |T[new, old] Y|_F``,
+    read off T.  One real Schur form of T[old, old] per step gives both the
+    stability test and the projected Bartels-Stewart solve.
 
-    Returns None, so that the caller takes an exact step, when a new block
-    is numerically dependent on the basis, or when no stable projected
-    equation meets the tolerance before the basis would exceed
-    ``min(_KRYLOV_MAX_DIM, n // 2)`` columns.
+    Iteration stops when that norm is at most ``tol |W W^T|_F``, or when no
+    new direction is left: the basis then spans an invariant subspace (up
+    to directions below 1e-12 of their size), on which the Galerkin
+    solution is exact.  ``tol = 0`` grows the basis to that subspace and
+    then completes it to the full space, so the solution is exact also
+    where the Krylov directions became numerically dependent.  Returns None
+    when the basis would exceed ``cap`` columns (default
+    ``min(_KRYLOV_MAX_DIM, n // 2)``) first, or when the projection onto the
+    invariant subspace is not stable.  ``tol`` defaults to ``_INNER_TOL``.
     """
-    n, m = w.shape
-    cap = min(_KRYLOV_MAX_DIM, n // 2)
-    if 4 * m > cap:
-        return None
+    n = a.shape[0]
+    if cap is None:
+        cap = min(_KRYLOV_MAX_DIM, n // 2)
+    if tol is None:
+        tol = _INNER_TOL
     lu = sla.lu_factor(a)
-    v = np.empty((n, cap))
-    av = np.empty((n, cap))
-    u = np.hstack([w, sla.lu_solve(lu, w)])
-    block = _orthonormal_block(u, np.linalg.norm(u))
-    if block is None:
-        return None
-    v[:, : 2 * m] = block
-    av[:, : 2 * m] = a @ block
-    t = block.T @ av[:, : 2 * m]
-    w_hat = block.T @ w
-    rhs = np.zeros((cap, cap))
-    rhs[: 2 * m, : 2 * m] = w_hat @ w_hat.T
-    target = _INNER_TOL * np.linalg.norm(w.T @ w)
-    k = 2 * m
-    while k + 2 * m <= cap:
-        u = np.hstack([av[:, k - 2 * m : k - m], sla.lu_solve(lu, v[:, k - m : k])])
-        scale = np.linalg.norm(u)
-        for _ in range(2):
-            u -= v[:, :k] @ (v[:, :k].T @ u)
-        block = _orthonormal_block(u, scale)
-        if block is None:
+    target = tol * np.linalg.norm(w.T @ w)
+    v = np.empty((n, 0))
+    av = np.empty((n, 0))
+    t = np.empty((0, 0))
+    k = 0
+
+    def append(block):
+        # Returns the column range of the block, or None past the cap.
+        nonlocal v, av, t, k
+        end = k + block.shape[1]
+        if end > cap:
             return None
+        if end > v.shape[1]:
+            size = min(max(2 * v.shape[1], end), cap)
+            v = np.hstack([v[:, :k], np.empty((n, size - k))])
+            av = np.hstack([av[:, :k], np.empty((n, size - k))])
+            grown = np.empty((size, size))
+            grown[:k, :k] = t[:k, :k]
+            t = grown
         ablock = a @ block
-        t = np.block([[t, v[:, :k].T @ ablock], [block.T @ av[:, :k], block.T @ ablock]])
-        v[:, k : k + 2 * m] = block
-        av[:, k : k + 2 * m] = ablock
+        v[:, k:end] = block
+        av[:, k:end] = ablock
+        t[:k, k:end] = v[:, :k].T @ ablock
+        t[k:end, :end] = block.T @ av[:, :end]
+        span = slice(k, end)
+        k = end
+        return span
+
+    plus = append(_new_directions(v, w))
+    minus = None if plus is None else append(_new_directions(v[:, :k], sla.lu_solve(lu, w)))
+    if minus is None:
+        return None
+    if k == 0:
+        return np.zeros((n, 0))
+    w_hat = v[:, :k].T @ w
+    while True:
+        old = k
+        plus = append(_new_directions(v[:, :k], av[:, plus]))
+        minus = None if plus is None else append(_new_directions(v[:, :k], sla.lu_solve(lu, v[:, minus])))
+        if minus is None:
+            return None
+        invariant = k == old
+        if invariant and target == 0 and k < n:
+            # Complete the basis to the full space, where the solution is exact.
+            append(_new_directions(v[:, :k], np.eye(n)))
+            old = k
+        elif not (invariant or target > 0):
+            continue
+        s, u, wr = _real_schur(t[:old, :old])
         # A non-normal A can have unstable projections, whose projected
         # equation has no meaningful solution; the basis then grows on.
-        if np.max(np.linalg.eigvals(t[:k, :k]).real) < 0.0:
-            y = sla.solve_continuous_lyapunov(t[:k, :k], -rhs[:k, :k])
-            if np.sqrt(2.0) * np.linalg.norm(t[k:, :k] @ y) <= target:
-                e = -(v[:, :k] @ y @ v[:, :k].T)
-                return 0.5 * (e + e.T)
-        k += 2 * m
-    return None
+        if np.max(wr) >= 0.0:
+            if invariant:
+                return None
+            continue
+        rhs = np.zeros((old, old))
+        rhs[: w_hat.shape[0], : w_hat.shape[0]] = w_hat @ w_hat.T
+        y = _lyap_from_schur(s, u, rhs)
+        if invariant or np.sqrt(2.0) * np.linalg.norm(t[old:k, :old] @ y) <= target:
+            lam, phi = np.linalg.eigh(y)
+            keep = lam > 0.0
+            return v[:, :old] @ (phi[:, keep] * np.sqrt(lam[keep]))
+
+
+def _lowrank_residual_norm(a, z, w, g=None):
+    """|A Z Z^T + Z Z^T A^T + W W^T + Z G G^T Z^T|_F, from the thin factors.
+
+    The matrix is U M U^T with U = [A Z, Z, W], so its norm is that of
+    R M R^T with R the triangular factor of U.
+    """
+    j, m = z.shape[1], w.shape[1]
+    mid = np.zeros((2 * j + m, 2 * j + m))
+    mid[:j, j : 2 * j] = mid[j : 2 * j, :j] = np.eye(j)
+    mid[2 * j :, 2 * j :] = np.eye(m)
+    if g is not None:
+        mid[j : 2 * j, j : 2 * j] = g @ g.T
+    rr = np.linalg.qr(np.hstack([a @ z, z, w]), mode="r")
+    return float(np.linalg.norm(rr @ mid @ rr.T))
 
 
 def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
@@ -360,16 +431,18 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
     used when ``A + aI`` is stable; otherwise the gain is initialized on
     the unstable invariant subspace.
 
-    - The first step is exact: a real Schur form of the closed loop ``A_0``
-      of the initial gain, whose abscissa certifies stability, and a
-      Bartels-Stewart solve.
+    - The first step is exact: the initializer hands over a real Schur form
+      of the closed loop ``A_0`` of the initial gain, whose abscissa
+      certifies stability, and a Bartels-Stewart solve follows.
     - Each later step from ``X_k`` solves ``A_k^T E + E A_k = -R(X_k)`` and
       sets ``X <- X + E``.  After a full step the residual is
       ``-W W^T`` with ``W = (K_k - K_{k-1})^T chol(R)``, which has as few
-      columns as B, so ``E`` is a Galerkin solution on an extended Krylov
-      space of ``(A_k^T, W)`` (one LU of ``A_k``, no Schur form).  When
-      ``Q`` and ``X + E`` are positive definite, the Lyapunov inertia
-      theorem certifies that ``A_k`` is stable.
+      columns as B, so ``E = -Z Z^T`` is a Galerkin solution on an extended
+      Krylov space of ``(A_k^T, W)`` (one LU of ``A_k``, no Schur form).
+      When ``Q`` and ``X + E`` are positive definite, the Lyapunov inertia
+      theorem certifies that ``A_k`` is stable.  The new residual
+      ``R(X + E) = -W W^T + A_k^T E + E A_k - E S E`` has rank at most
+      ``2 rank(Z) + rank(B)`` and is evaluated in that factored form.
     - An exact step (Schur form, abscissa check, Bartels-Stewart with the
       full ``-R(X_k)``) is taken instead when the step is damped by the
       line search, when the previous low-rank step failed to halve the
@@ -377,9 +450,13 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
       Krylov space reaches its dimension cap, its projected matrix is not
       stable, or the certificate fails.
 
-    Convergence is judged on the dense relative residual
-    ``|R(X)|_F / |X|_F``, and ``closed_loop_decay`` on the eigenvalues of
-    the final closed loop.
+    The factored residual does not see the Galerkin residuals that earlier
+    low-rank steps left behind.  So the dense residual ``R(X)`` is formed
+    after exact steps, for the line search, and before returning:
+    convergence is judged on the dense relative residual
+    ``|R(X)|_F / |X|_F``, and when that check fails an exact step follows.
+    ``closed_loop_decay`` comes from the eigenvalues of the final closed
+    loop.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -395,8 +472,12 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
     bl = sla.solve_triangular(r_chol, b.T, lower=True).T  # S = B R^-1 B^T = bl bl^T
     q_definite = _is_positive_definite(q)
 
-    gain = _subspace_stabilizing_gain(ash, b, r)
+    # The initializer's Schur pair of the first closed loop serves the first step.
+    gain, *seed = _subspace_stabilizing_gain(ash, b, r)
+    # ``res`` is the dense residual of ``x``, or None after a low-rank step,
+    # whose factored norm is ``res_norm``.
     x = res = w = last_full = None
+    res_norm = np.inf
     damped = False
     best = np.inf
     stalled = 0
@@ -405,20 +486,27 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
         acl_t = (ash - b @ gain).T
         x_full = None
         if w is not None and q_definite:
-            e = _lowrank_lyap(acl_t, w)
+            z = _lowrank_lyap(acl_t, w)
             # Inertia: A_k^T (X + E) + (X + E) A_k = -(Q + K_k^T R K_k), up to
             # the inner and carried-over residuals, so X + E > 0 and Q > 0
             # certify that A_k is stable.
-            if e is not None and _is_positive_definite(x + e):
-                x_full = x + e
+            if z is not None:
+                x_full = x - z @ z.T
+                if not _is_positive_definite(x_full):
+                    x_full = None
         lowrank = x_full is not None
-        if not lowrank:
-            t, z = sla.schur(acl_t, output="real")
+        if lowrank:
+            res_full = None
+            full_norm = _lowrank_residual_norm(acl_t, z, w, z.T @ bl)
+        else:
+            t, zs = seed or sla.schur(acl_t, output="real")
+            seed = None
             abscissa = float(np.max(_quasi_tri_eigs_real(t)))
             if abscissa >= 0.0:
                 if damped:
                     # A damped step left the stabilizing cone; full steps never do.
                     x, res = last_full
+                    res_norm = np.linalg.norm(res)
                     gain = rinv_bt @ x
                     damped = False
                     continue
@@ -426,16 +514,23 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
                     f"Newton-Kleinman iterate lost closed-loop stability (abscissa {abscissa:.3e})"
                 )
             if x is None:
-                x_full = _lyap_from_schur(t, z, q + gain.T @ r @ gain)
+                x_full = _lyap_from_schur(t, zs, q + gain.T @ r @ gain)
             else:
-                x_full = x + _lyap_from_schur(t, z, res)
-        res_full = _riccati_residual(ash, bl, q, x_full)
-        last_full = (x_full, res_full)
-        prev_norm = np.inf if res is None else np.linalg.norm(res)
+                if res is None:
+                    res = _riccati_residual(ash, bl, q, x)
+                x_full = x + _lyap_from_schur(t, zs, res)
+            res_full = _riccati_residual(ash, bl, q, x_full)
+            full_norm = np.linalg.norm(res_full)
+        prev_norm = res_norm
         damped = False
-        if np.linalg.norm(res_full) <= prev_norm:
-            x, res = x_full, res_full
+        if full_norm <= prev_norm:
+            x, res, res_norm = x_full, res_full, full_norm
         else:
+            if res is None:
+                res = _riccati_residual(ash, bl, q, x)
+            if res_full is None:
+                res_full = _riccati_residual(ash, bl, q, x_full)
+            last_full = (x_full, res_full)
             step = _line_search_step(res, x_full - x, bl)
             x_cand = x + step * (x_full - x)
             res_cand = _riccati_residual(ash, bl, q, x_cand)
@@ -444,8 +539,15 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
                 damped = True
             else:
                 x, res = x_full, res_full
-        res_norm = np.linalg.norm(res)
-        rel = res_norm / max(np.linalg.norm(x), 1e-300)
+            res_norm = np.linalg.norm(res)
+        x_norm = max(np.linalg.norm(x), 1e-300)
+        # The factored norm does not see the residuals that earlier low-rank
+        # steps carried over; the dense residual decides convergence.
+        carried = res is None and res_norm <= tol * x_norm
+        if carried:
+            res = _riccati_residual(ash, bl, q, x)
+            res_norm = np.linalg.norm(res)
+        rel = res_norm / x_norm
         if rel <= tol:
             shifted_abscissa = spectral_abscissa(ash - b @ (rinv_bt @ x))
             return RiccatiSolution(
@@ -466,16 +568,17 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
                     iterations=it,
                 )
         next_gain = rinv_bt @ x
-        # R(X) = -W W^T holds after a full step; a damped step or a stalled
-        # low-rank step hands the full residual to an exact step instead.
-        if damped or (lowrank and res_norm > 0.5 * prev_norm):
+        # R(X) = -W W^T holds after a full step; a damped step, a stalled
+        # low-rank step or residuals carried over from earlier low-rank steps
+        # hand the full residual to an exact step instead.
+        if damped or carried or (lowrank and res_norm > 0.5 * prev_norm):
             w = None
         else:
             w = (next_gain - gain).T @ r_chol
         gain = next_gain
     raise ConvergenceError(
         f"Newton-Kleinman did not reach {tol:g} in {max_iter} iterations",
-        residual=np.linalg.norm(res) / max(np.linalg.norm(x), 1e-300),
+        residual=res_norm / max(np.linalg.norm(x), 1e-300),
         iterations=max_iter,
     )
 
@@ -499,57 +602,67 @@ class BalancedReduction:
     """Reduced system with Hankel singular values and the H-infinity bound."""
 
     system: object                       # StateSpace of order r
-    hankel_singular_values: np.ndarray   # all n values, nonincreasing
+    hankel_singular_values: np.ndarray   # the values the Gramian factors resolve, nonincreasing
     error_bound: float                   # 2 * sum of truncated values
     order: int
-
-
-def _psd_factor(x):
-    """Factor L with L L^T = X for symmetric PSD X (eigen-based, clips noise)."""
-    w, v = np.linalg.eigh(0.5 * (x + x.T))
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
+    gramian_residuals: tuple             # |A P + P A^T + B B^T|_F / |B B^T|_F and its dual
 
 
 def balanced_truncation(sys, r):
-    """Square-root balanced trunction of a stable StateSpace to order ``r``.
+    """Low-rank square-root balanced truncation of a stable StateSpace to order ``r``.
 
-    Both Gramians reuse one Schur decomposition of the drift.  If ``r``
-    exceeds the numerical Hankel rank it is clamped with a warning.  The
-    reduced system satisfies the usual bound: the H-infinity error is at
-    most twice the sum of the truncated Hankel singular values.
+    Both Gramians come as factors from the extended Krylov kernel
+    ``_lowrank_lyap`` (inner tolerance ``_BT_INNER_TOL``), and the Hankel
+    singular values are those of ``Z_q^T Z_p`` (Gugercin & Li, 2005).  When
+    ``r`` reaches the number of values the factors resolve, both bases grow
+    to the full space, where the Galerkin solutions are the exact Gramians.
+    If ``r`` exceeds the numerical Hankel rank it is clamped with a warning.
+    The reduced system satisfies the usual bound: the H-infinity error is at
+    most twice the sum of the truncated Hankel singular values.  An unstable
+    drift raises ``ValueError``: the basis then grows until it spans an
+    invariant subspace or the full space, and the projection there is not
+    stable.
     """
     from .plant import StateSpace
 
     n = sys.order
     if not 1 <= r <= n:
         raise ValueError(f"reduced order {r} must lie in [1, {n}]")
-    t, z = sla.schur(sys.a, output="real")
-    if np.max(_quasi_tri_eigs_real(t)) >= 0.0:
-        raise ValueError("balanced truncation requires a stable system")
-    ctrb = _lyap_from_schur(t, z, sys.b @ sys.b.T)
-    obsv = _lyap_dual_from_schur(t, z, sys.c.T @ sys.c)
-    lp = _psd_factor(ctrb)
-    lq = _psd_factor(obsv)
-    u, sv, vt = np.linalg.svd(lq.T @ lp)
-    rank = int(np.sum(sv > max(sv[0], 1e-300) * 1e-13))
+
+    def gramian_factors(tol):
+        zp = _lowrank_lyap(sys.a, sys.b, cap=n, tol=tol)
+        zq = _lowrank_lyap(sys.a.T, sys.c.T, cap=n, tol=tol)
+        if zp is None or zq is None:
+            raise ValueError("balanced truncation requires a stable system")
+        u, sv, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
+        rank = int(np.sum(sv > max(sv[0], 1e-300) * 1e-13))
+        return zp, zq, u, sv, vt, rank
+
+    zp, zq, u, sv, vt, rank = gramian_factors(_BT_INNER_TOL)
+    if r >= rank:
+        zp, zq, u, sv, vt, rank = gramian_factors(0.0)
     if r > rank:
         warnings.warn(f"requested order {r} exceeds numerical Hankel rank {rank}; clamping", stacklevel=2)
         r = rank
     scale = 1.0 / np.sqrt(sv[:r])
-    t_right = lp @ vt[:r].T * scale
-    t_left = (u[:, :r] * scale).T @ lq.T
+    t_right = zp @ vt[:r].T * scale
+    t_left = (u[:, :r] * scale).T @ zq.T
     reduced = StateSpace(
         a=t_left @ sys.a @ t_right,
         b=t_left @ sys.b,
         c=sys.c @ t_right,
         d=sys.d.copy(),
     )
+    residuals = tuple(
+        _lowrank_residual_norm(op, z, rhs) / max(np.linalg.norm(rhs.T @ rhs), 1e-300)
+        for op, z, rhs in ((sys.a, zp, sys.b), (sys.a.T, zq, sys.c.T))
+    )
     return BalancedReduction(
         system=reduced,
         hankel_singular_values=sv,
         error_bound=2.0 * float(np.sum(sv[r:])),
         order=r,
+        gramian_residuals=residuals,
     )
 
 

@@ -190,6 +190,35 @@ def test_invalid_reynolds(mesh11, geometry):
         flow.solve_navier_stokes(mesh11, geometry, re=-1.0)
 
 
+@pytest.mark.parametrize("solve", [flow.solve_stokes, flow.solve_navier_stokes])
+@pytest.mark.parametrize("re", [0.0, -1.0, np.nan, np.inf])
+def test_reynolds_must_be_positive_and_finite(mesh11, geometry, solve, re):
+    with pytest.raises(ValueError, match="Reynolds number"):
+        solve(mesh11, geometry, re=re)
+
+
+def test_ns_converges_on_last_allowed_step(ns41, geometry):
+    # The iterate of step max_iter is tested too: allowing exactly the steps
+    # the solve needs returns the same iterates and history.
+    mesh, ns = ns41
+    again = flow.solve_navier_stokes(mesh, geometry, re=100.0, max_iter=ns.newton_iterations)
+    assert again.newton_iterations == ns.newton_iterations
+    assert again.residual_history == ns.residual_history
+    assert np.array_equal(again.velocity, ns.velocity)
+    assert np.array_equal(again.pressure, ns.pressure)
+    with pytest.raises(ConvergenceError) as exc:
+        flow.solve_navier_stokes(mesh, geometry, re=100.0, max_iter=ns.newton_iterations - 1)
+    assert exc.value.residual == ns.residual_history[-2]
+
+
+def test_ns_nan_initial_state_is_not_converged(mesh11, geometry):
+    # A NaN residual passes no convergence test, so Newton steps and fails.
+    initial = flow.solve_stokes(mesh11, geometry, re=100.0)
+    initial.velocity[60, 0] = np.nan
+    with pytest.raises(ConvergenceError, match="Newton step 1"):
+        flow.solve_navier_stokes(mesh11, geometry, re=100.0, initial=initial)
+
+
 # ---------------------------------------------------------------------------
 # Restriction
 

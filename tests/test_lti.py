@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -106,7 +108,7 @@ def test_riccati_unstable_shift_uses_initializer(rng):
     q = np.eye(8)
     alpha = 1.4
     assert lti.spectral_abscissa(a + alpha * np.eye(8)) > 0
-    assert np.any(lti._subspace_stabilizing_gain(a + alpha * np.eye(8), b, np.eye(2)))
+    assert np.any(lti._subspace_stabilizing_gain(a + alpha * np.eye(8), b, np.eye(2))[0])
     sol = lti.solve_riccati_control(a, b, np.eye(2), q, alpha=alpha)
     x_ref = lti.riccati_hamiltonian(a, b, np.eye(2), q, alpha=alpha)
     assert np.max(np.abs(sol.x - x_ref)) / np.linalg.norm(x_ref) < 1e-9
@@ -156,6 +158,18 @@ def test_initializer_schur_reordering_failure_is_typed(monkeypatch):
     monkeypatch.setattr(sla, "schur", failing)
     with pytest.raises(ConvergenceError, match="initializer.*sort condition"):
         lti.solve_riccati_control(np.diag([1.0, -2.0]), np.ones((2, 1)), np.eye(1), np.eye(2))
+
+
+def test_initializer_rejects_unstable_stabilized_block():
+    # 45 of the 150 modes of A + I are unstable; the Hamiltonian solve of the
+    # projected 45-state, 2-input pair is too ill-conditioned to stabilize it.
+    n = 150
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n)) / np.sqrt(n) - 1.5 * np.eye(n) + 2.0 * np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    b = rng.standard_normal((n, 2))
+    assert np.sum(np.linalg.eigvals(a + np.eye(n)).real > 0) == 45
+    with pytest.raises(ConvergenceError, match=r"no stabilizing initializer: .* order 45 has abscissa \d"):
+        lti.solve_riccati_control(a, b, np.eye(2), np.eye(n), alpha=1.0)
 
 
 def test_filter_duality(rng):
@@ -216,7 +230,7 @@ def test_riccati_lowrank_matches_hamiltonian_oracle(seed):
     n, m = b.shape
     alpha = LOWRANK_ALPHA
     assert n > lti._TRSYL_BLOCK
-    assert np.any(lti._subspace_stabilizing_gain(a + alpha * np.eye(n), b, np.eye(m)))
+    assert np.any(lti._subspace_stabilizing_gain(a + alpha * np.eye(n), b, np.eye(m))[0])
     solutions = [
         (lti.solve_riccati_control(a, b, np.eye(m), np.eye(n), alpha=alpha),
          lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=alpha)),
@@ -242,6 +256,47 @@ def test_riccati_lowrank_needs_few_schur_forms(seed, schur_orders):
         assert sum(k >= n for k in schur_orders) <= 3 < sol.iterations + 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_riccati_lowrank_needs_at_most_two_schur_forms(seed, schur_orders):
+    # The initializer's ordered form is also the first step's, so only a
+    # polish adds an order-N form.
+    a, b, c = nonnormal_problem(seed)
+    n, m = b.shape
+    for solve, op in ((lti.solve_riccati_control, b), (lti.solve_riccati_filter, c)):
+        schur_orders.clear()
+        sol = solve(a, op, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+        assert sol.residual_norm <= 1e-9
+        assert sum(k >= n for k in schur_orders) <= 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_initializer_returns_schur_form_of_first_closed_loop(seed):
+    a, b, _ = nonnormal_problem(seed)
+    n, m = b.shape
+    ash = a + LOWRANK_ALPHA * np.eye(n)
+    gain, t, z = lti._subspace_stabilizing_gain(ash, b, np.eye(m))
+    acl_t = (ash - b @ gain).T
+    assert np.linalg.norm(z.T @ z - np.eye(n)) < 1e-12 * n
+    assert np.linalg.norm(z @ t @ z.T - acl_t) < 1e-12 * np.linalg.norm(acl_t)
+    # Quasi-upper-triangular: nothing below the first subdiagonal, and no
+    # two consecutive subdiagonal entries.
+    assert not np.any(np.tril(t, -2))
+    sub = np.diag(t, -1) != 0.0
+    assert not np.any(sub[1:] & sub[:-1])
+    abscissa = np.max(lti._quasi_tri_eigs_real(t))
+    assert abscissa == pytest.approx(lti.spectral_abscissa(acl_t), abs=1e-10)
+    assert abscissa < 0
+
+
+def test_initializer_without_unstable_modes_returns_ordered_form():
+    rng = np.random.default_rng(7)
+    a = random_stable(rng, 7)
+    b = rng.standard_normal((7, 2))
+    gain, t, z = lti._subspace_stabilizing_gain(a, b, np.eye(2))
+    assert not np.any(gain)
+    assert np.linalg.norm(z @ t @ z.T - a.T) < 1e-13 * np.linalg.norm(a)
+
+
 @pytest.mark.parametrize("denial", ["krylov_cap", "indefinite_correction"])
 def test_riccati_falls_back_to_exact_steps(denial, monkeypatch, schur_orders):
     if denial == "krylov_cap":
@@ -252,8 +307,22 @@ def test_riccati_falls_back_to_exact_steps(denial, monkeypatch, schur_orders):
     a, b, _ = nonnormal_problem(0)
     n, m = b.shape
     sol = lti.solve_riccati_control(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
-    # The initializer plus one exact step per iteration.
-    assert sum(k >= n for k in schur_orders) == sol.iterations + 1
+    # One exact step per iteration; the first uses the initializer's form.
+    assert sum(k >= n for k in schur_orders) == sol.iterations
+    x_ref = lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+    assert sol.residual_norm <= 1e-9
+    assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+
+
+def test_riccati_carried_residual_takes_exact_polish(monkeypatch, schur_orders):
+    # With a loose inner tolerance the Galerkin residuals that low-rank steps
+    # leave behind exceed the outer tolerance.  The factored residual does not
+    # see them, the dense check before return does, and an exact step follows.
+    monkeypatch.setattr(lti, "_INNER_TOL", 1e-4)
+    a, b, _ = nonnormal_problem(0)
+    n, m = b.shape
+    sol = lti.solve_riccati_control(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+    assert sum(k >= n for k in schur_orders) >= 2
     x_ref = lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
     assert sol.residual_norm <= 1e-9
     assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
@@ -266,11 +335,74 @@ def test_riccati_semidefinite_q_takes_exact_steps(schur_orders):
     n, m = b.shape
     q = np.diag(np.r_[0.0, np.ones(n - 1)])
     sol = lti.solve_riccati_control(a, b, np.eye(m), q, alpha=LOWRANK_ALPHA)
-    assert sum(k >= n for k in schur_orders) == sol.iterations + 1
+    assert sum(k >= n for k in schur_orders) == sol.iterations
     x_ref = lti.riccati_hamiltonian(a, b, np.eye(m), q, alpha=LOWRANK_ALPHA)
     assert sol.residual_norm <= 1e-9
     assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
     assert sol.closed_loop_decay < -LOWRANK_ALPHA + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Extended Krylov Lyapunov kernel
+
+def lyapunov_residual(a, p, w):
+    return np.linalg.norm(a @ p + p @ a.T + w @ w.T) / np.linalg.norm(w.T @ w)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lowrank_lyap_factor_meets_inner_tolerance(seed):
+    a, b, _ = nonnormal_problem(seed)
+    n = a.shape[0]
+    z = lti._lowrank_lyap(a, b)
+    assert z is not None and z.shape[1] < n // 2
+    p = z @ z.T
+    assert lyapunov_residual(a, p, b) < 1e-10
+    p_ref = lti.solve_lyapunov(a, b @ b.T)
+    assert np.linalg.norm(p - p_ref) < 1e-10 * np.linalg.norm(p_ref)
+    assert lti._lowrank_residual_norm(a, z, b) == pytest.approx(lyapunov_residual(a, p, b) * np.linalg.norm(b.T @ b), rel=1e-6)
+
+
+def test_lowrank_lyap_full_space_is_exact():
+    rng = np.random.default_rng(8)
+    a = random_stable(rng, 9)
+    w = rng.standard_normal((9, 2))
+    z = lti._lowrank_lyap(a, w, cap=9, tol=0.0)
+    p_ref = lyapunov_kron_oracle(a, w @ w.T)
+    assert np.max(np.abs(z @ z.T - p_ref)) < 1e-12 * np.max(np.abs(p_ref))
+
+
+def test_lowrank_lyap_stops_on_invariant_subspace():
+    # Only the first two states are reachable: the Krylov space is
+    # invariant after one block and holds the Gramian exactly.
+    a = np.diag([-1.0, -3.0, -2.0, -5.0])
+    a[0, 1] = 1.0
+    w = np.array([[1.0], [1.0], [0.0], [0.0]])
+    z = lti._lowrank_lyap(a, w, cap=4, tol=0.0)
+    assert z.shape[1] == 2
+    p_ref = lyapunov_kron_oracle(a, w @ w.T)
+    assert np.max(np.abs(z @ z.T - p_ref)) < 1e-14
+
+
+def test_lowrank_lyap_cap_returns_none():
+    rng = np.random.default_rng(9)
+    a = random_stable(rng, 12)
+    assert lti._lowrank_lyap(a, rng.standard_normal((12, 2)), cap=3) is None
+
+
+def test_lowrank_lyap_unstable_full_space_returns_none():
+    a = np.array([[0.5, 1.0], [0.0, -2.0]])
+    assert lti._lowrank_lyap(a, np.array([[1.0], [1.0]]), cap=2, tol=0.0) is None
+
+
+def test_factored_residual_norm_matches_dense():
+    rng = np.random.default_rng(10)
+    n = 30
+    a = rng.standard_normal((n, n))
+    z = rng.standard_normal((n, 4))
+    w = rng.standard_normal((n, 2))
+    g = rng.standard_normal((4, 2))
+    dense = a @ z @ z.T + z @ z.T @ a.T + w @ w.T + z @ g @ g.T @ z.T
+    assert lti._lowrank_residual_norm(a, z, w, g) == pytest.approx(np.linalg.norm(dense), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +472,77 @@ def test_bt_rejects_unstable(rng):
     sys.a[1:, 0] = 0.0
     with pytest.raises(ValueError):
         lti.balanced_truncation(sys, 2)
+
+
+def diffusive_system(n=150, seed=0):
+    """Symmetric stable drift with spread spectrum: fast-decaying Hankel values."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = basis @ np.diag(-np.logspace(-1.0, 3.0, n)) @ basis.T
+    a = a + 0.05 * np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    return StateSpace(a=a, b=rng.standard_normal((n, 1)), c=rng.standard_normal((2, n)), d=np.zeros((2, 1)))
+
+
+def dense_hankel_values(sys):
+    """Square-root Hankel values from dense Bartels-Stewart Gramians."""
+
+    def factor(x):
+        w, v = np.linalg.eigh(0.5 * (x + x.T))
+        return v * np.sqrt(np.clip(w, 0.0, None))
+
+    ctrb = lti.solve_lyapunov(sys.a, sys.b @ sys.b.T)
+    obsv = lti.solve_lyapunov(sys.a.T, sys.c.T @ sys.c)
+    return np.linalg.svd(factor(obsv).T @ factor(ctrb), compute_uv=False)
+
+
+def test_bt_lowrank_matches_dense_hankel_values():
+    sys = diffusive_system()
+    r = 8
+    red = lti.balanced_truncation(sys, r)
+    hsv = red.hankel_singular_values
+    assert len(hsv) < sys.order  # the low-rank factors, not the full space
+    ref = dense_hankel_values(sys)
+    assert np.max(np.abs(hsv[: r + 2] - ref[: r + 2]) / ref[: r + 2]) < 1e-8
+    assert max(red.gramian_residuals) < 1e-12
+    grid = np.logspace(-2, 4, 60)
+    assert lti.sample_frequency_error(sys, red.system, grid) <= red.error_bound * (1 + 1e-8)
+
+
+def test_bt_grows_to_full_space_at_resolved_order(monkeypatch):
+    # Below the number of Hankel values the factors resolve, both come from
+    # the inner tolerance; from that order on, from the full space.  At r = n
+    # the reduced system is the full one up to the modes below the numerical
+    # Hankel rank.
+    sys = diffusive_system(n=60)
+    kernel = lti._lowrank_lyap
+    tols = []
+
+    def recording(a, w, cap=None, tol=None):
+        tols.append(tol)
+        return kernel(a, w, cap, tol)
+
+    monkeypatch.setattr(lti, "_lowrank_lyap", recording)
+    hsv = lti.balanced_truncation(sys, 8).hankel_singular_values
+    assert tols == [lti._BT_INNER_TOL] * 2
+    resolved = int(np.sum(hsv > 1e-13 * hsv[0]))
+    for r in (resolved, sys.order):
+        tols.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rank clamp expected
+            red = lti.balanced_truncation(sys, r)
+        assert tols == [lti._BT_INNER_TOL] * 2 + [0.0] * 2
+    ref = dense_hankel_values(sys)
+    assert np.max(np.abs(red.hankel_singular_values[:10] - ref[:10]) / ref[:10]) < 1e-8
+    grid = np.logspace(-2, 4, 30)
+    assert lti.sample_frequency_error(sys, red.system, grid) < 1e-10 * ref[0]
+
+
+def test_bt_rejects_unstable_drift_n150():
+    sys = diffusive_system()
+    sys.a[0, 0] += 2.0e3  # one eigenvalue moves into the right half-plane
+    assert lti.spectral_abscissa(sys.a) > 0
+    with pytest.raises(ValueError, match="stable"):
+        lti.balanced_truncation(sys, 10)
 
 
 def test_bt_clamps_rank_deficient(rng):
