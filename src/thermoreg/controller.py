@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import fem, lti
@@ -112,6 +113,25 @@ def _wire_dual(im, g2n, a_k, l_gain, c_k, k2, label, params):
     return ControllerRealization(g1=g1, g2=g2, k=k, label=label, params=params)
 
 
+def _cascade_schur(im, b, t, z):
+    """Real Schur pair ``(T_s, Z_s)`` of the cascade ``[[G1, 0], [B K1, A]]``.
+
+    Built from ``A^T = Z T Z^T`` as :func:`synthesize_dual_observer`
+    describes, in Fortran order; ``t`` and ``z`` are only read.
+    """
+    n, d = t.shape[0], im.dim
+    t_g, z_g = sla.schur(im.g1, output="real")
+    z_rev = z[:, ::-1]
+    t_s = np.zeros((n + d, n + d), order="F")
+    t_s[:n, :n] = t.T[::-1, ::-1]
+    t_s[:n, n:] = z_rev.T @ (b @ (im.k1 @ z_g))
+    t_s[n:, n:] = t_g
+    z_s = np.zeros((n + d, n + d), order="F")
+    z_s[:d, n:] = z_g
+    z_s[d:, :n] = z_rev
+    return t_s, z_s
+
+
 def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0, r=10):
     """Dual observer-based controller from a standard-form design plant.
 
@@ -119,6 +139,18 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     space (mass-weighted coordinates).  Returns the unreduced controller of
     order ``im.dim + N``, the balanced-truncated controller of order
     ``im.dim + r``, and the reduction diagnostics.
+
+    One order-N real Schur form, ``A^T = Z T Z^T``, serves both Riccati
+    initializers.  The control solve takes it as it is.  The internal
+    model/plant cascade ``[[G1, 0], [B K1, A]]`` is block lower-triangular,
+    so its Schur pair follows from that form and a small one of
+    ``G1 = Z_g T_g Z_g^T``: with P the order reversal,
+    ``A = (Z P)(P T^T P)(Z P)^T``, where ``P T^T P`` is again
+    quasi-upper-triangular with standardized 2x2 blocks, and the cascade in
+    its (internal model, plant) state order is ``Z_s T_s Z_s^T`` with
+    ``T_s = [[P T^T P, (Z P)^T B K1 Z_g], [0, T_g]]`` and
+    ``Z_s = [[0, Z_g], [Z P, 0]]``.  Both pairs are overwritten by the
+    solves that take them.
     """
     n = design.order
     m = design.b.shape[1]
@@ -131,8 +163,13 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     r2m = np.atleast_2d(np.asarray(r2, dtype=float)) * np.eye(p)
     params = {"alpha1": alpha1, "alpha2": alpha2, "r1": float(r1m[0, 0]), "r2": float(r2m[0, 0]), "r": r}
 
+    # (o) the one order-N Schur form, and the cascade's pair built from it
+    t, z = sla.schur(design.a.T, output="real")
+    t_s, z_s = _cascade_schur(im, design.b, t, z)
+
     # (i) state feedback from the shifted control Riccati equation
-    ctrl_sol = lti.solve_riccati_control(design.a, design.b, r1m, np.eye(n), alpha=alpha1)
+    ctrl_sol = lti.solve_riccati_control(design.a, design.b, r1m, np.eye(n), alpha=alpha1, schur=(t, z))
+    del t, z
     k2 = -np.linalg.solve(r1m, design.b.T @ ctrl_sol.x)
 
     # (ii) internal model / plant cascade
@@ -144,7 +181,8 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     c_s = np.hstack([np.zeros((p, im.dim)), design.c])  # D = 0
 
     # (iii) output injection from the filter Riccati equation
-    fil_sol = lti.solve_riccati_filter(a_s, c_s, r2m, np.eye(ns), alpha=alpha2)
+    fil_sol = lti.solve_riccati_filter(a_s, c_s, r2m, np.eye(ns), alpha=alpha2, schur=(t_s, z_s))
+    del t_s, z_s
     g2l = -fil_sol.x @ c_s.T @ np.linalg.inv(r2m)
     g2n = g2l[: im.dim]
     l_n = g2l[im.dim :]

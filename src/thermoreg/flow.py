@@ -189,20 +189,19 @@ def _solve_stokes(prob):
     )
 
 
-def solve_stokes(mesh, geometry=None, re=1.0, inlet_data=None, remap_inlet=True):
+def solve_stokes(mesh, re=1.0, inlet_data=None, remap_inlet=True):
     """Steady Stokes flow as the Newton initial guess.
 
     The saddle-point system is solved directly; the stress-free outlet
-    leaves no pressure nullspace.  ``geometry`` is accepted for interface
-    symmetry but the boundary data comes from the mesh tags.  ``re`` must
-    be positive and finite (``ValueError``).  A singular system raises
-    :class:`ConvergenceError`.
+    leaves no pressure nullspace.  The boundary data comes from the mesh
+    tags.  ``re`` must be positive and finite (``ValueError``).  A singular
+    system raises :class:`ConvergenceError`.
     """
     return _solve_stokes(_SaddleProblem(mesh, re, inlet_data, remap_inlet))
 
 
-def solve_navier_stokes(mesh, geometry=None, re=100.0, initial=None, tol=1e-10,
-                        atol=1e-12, max_iter=25, inlet_data=None, remap_inlet=True):
+def solve_navier_stokes(mesh, re=100.0, initial=None, tol=1e-10, atol=1e-12, max_iter=25,
+                        inlet_data=None, remap_inlet=True):
     """Steady Navier-Stokes via Newton iteration on the full Jacobian.
 
     Starts from ``initial`` (default: the Stokes solution) and stops when

@@ -7,19 +7,32 @@ BLAS-3 speed; LAPACK's unblocked ``trsyl`` is only called on small
 diagonal blocks.
 
 Riccati equations are solved by Newton-Kleinman iteration with exact line
-search.  The initial gain comes from the ordered real Schur form of the
-transposed shifted drift, unstable block first: a small Riccati equation
-stabilizes the pair projected onto that block, and because the lifted
-closed loop stays block triangular in the same Schur basis, a Schur form
-of the small stabilized block completes the Schur form of the first
-closed loop.  The first Newton step is then a Bartels-Stewart solve with
-no further order-N decomposition.  Each later step solves for a correction
-whose right-hand side has the rank of B, and its residual is evaluated in
-factored form.  An exact correction step (Schur form plus Bartels-Stewart
-on the full residual) polishes the iterate when the low-rank steps stop
-halving the residual, and is the fallback whenever the projection does not
-deliver.  A Hamiltonian-subspace Riccati solver is kept as an independent
-oracle for desk-scale problems and as the inner solver of the initializer.
+search.  One order-N real Schur form of the drift serves a whole solve, and
+one serves a whole dual design: the caller may hand the solver a Schur pair
+of the unshifted drift (the dual observer design derives the cascade's from
+the design drift's), which the solver shifts on its diagonal; otherwise it
+takes an unsorted form of its own.  The initializer reorders that form with
+LAPACK ``dtrsen``, unstable block first, the reordering that a sorted
+``gees`` does internally: a small Riccati equation stabilizes the pair
+projected onto that block, and because the lifted closed loop stays block
+triangular in the same Schur basis, a Schur form of the small stabilized
+block completes the Schur form of the first closed loop.  The first Newton
+step is then a Bartels-Stewart solve with no further order-N
+decomposition.  Each later step solves for a correction whose right-hand
+side has the rank of B, only as accurately as the outer tolerance needs
+(inexact Newton-Kleinman): its Galerkin residual may use a fixed share of
+``tol |X_k|_F``, above the kernel's rounding floor and below a tenth of the
+right-hand side.  The new residual is evaluated in factored form.  That
+factored form does not see the Galerkin residuals left behind, so the dense
+residual decides convergence, and an exact correction step (Schur form
+plus Bartels-Stewart on the full residual) polishes the iterate when it
+fails.  With inner residuals tied to the outer tolerance their sum stays
+below it, so the polish is rare; a fixed tolerance relative to the
+right-hand side let a large first step leave more behind than the outer
+tolerance allows.  The exact step is also the fallback whenever the
+projection does not deliver.  A Hamiltonian-subspace Riccati solver is kept
+as an independent oracle for desk-scale problems and as the inner solver of
+the initializer.
 
 One low-rank Lyapunov kernel serves both the Newton-Kleinman corrections
 and balanced truncation: a Galerkin projection onto the extended Krylov
@@ -39,15 +52,19 @@ from scipy.linalg import lapack
 from .errors import ConvergenceError
 
 _TRSYL_BLOCK = 96
-# Largest extended Krylov basis of a low-rank Newton-Kleinman correction, and
-# the inner tolerance of its projected residual relative to |W W^T|_F.
+# Largest extended Krylov basis of a low-rank Newton-Kleinman correction.
 _KRYLOV_MAX_DIM = 300
-_INNER_TOL = 1e-12
-# Inner tolerance of the Gramian factors of balanced truncation.  At 1e-12 the
-# leading Hankel values were accurate to about 1e-7 only.  1e-15 is below the
-# rounding floor of the residual: on a 373-state dual design the basis of the
+# Share of the outer tolerance ``tol |X_k|_F`` that the Galerkin residual of
+# one low-rank Newton-Kleinman step may use.
+_OUTER_SHARE = 1e-2
+# Rounding floor of the Krylov kernel's residual relative to |W W^T|_F: its
+# default tolerance and the floor of every Newton-Kleinman inner tolerance.
+# 1e-15 is below it: on a 373-state dual design the basis of the
 # observability factor grew from 64 to 187 columns.
-_BT_INNER_TOL = 1e-14
+_INNER_TOL = 1e-14
+# Balanced truncation's Gramian factors are taken at the floor; at 1e-12 the
+# leading Hankel values were accurate to about 1e-7 only.
+_BT_INNER_TOL = _INNER_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +197,8 @@ class RiccatiSolution:
     residual_norm: float          # |R(X)|_F / |X|_F
     closed_loop_decay: float      # abscissa of A - B R^-1 B^T X (unshifted)
     iterations: int
+    exact_steps: int              # Bartels-Stewart steps on an order-N Schur form, the first included
+    residual_history: list        # relative residual after each iteration, factored or dense
 
 
 def riccati_hamiltonian(a, b, r, q, alpha=0.0):
@@ -212,29 +231,32 @@ def riccati_hamiltonian(a, b, r, q, alpha=0.0):
     return 0.5 * (x + x.T)
 
 
-def _subspace_stabilizing_gain(ash, b, r, margin=1e-8):
+def _subspace_stabilizing_gain(ash, b, r, margin=1e-8, schur=None):
     """Gain K0 with ``ash - b K0`` stable, and the Schur pair of its transpose.
 
-    The ordered real Schur form ``ash^T = Z T Z^T`` puts the k eigenvalues
-    with real part at least ``-margin`` first, so ``Z1^T`` spans the left
-    unstable invariant subspace of ``ash`` and ``(T11^T, Z1^T b)`` is the
-    projected pair.  A small Riccati equation stabilizes it with gain
-    ``k_u``, and ``K0 = k_u Z1^T``.  In the basis Z the transposed closed
-    loop is ``[[T11 - k_u^T b1^T, T12 - k_u^T b2^T], [0, T22]]``, so a Schur
-    form ``U S U^T`` of the k x k block turns ``(T, Z)`` into a real Schur
-    pair of ``(ash - b K0)^T``: the first Newton-Kleinman step needs no
-    decomposition of its own.  For k = 0 the ordered form already is that
-    pair.
+    ``schur`` is a real Schur pair ``(T, Z)`` of ``ash^T`` (the caller's, or
+    an unsorted ``scipy.linalg.schur`` when None); it is overwritten.  LAPACK
+    ``dtrsen`` reorders it so that the k eigenvalues with real part at least
+    ``-margin`` come first, so ``Z1^T`` spans the left unstable invariant
+    subspace of ``ash`` and ``(T11^T, Z1^T b)`` is the projected pair.  A
+    small Riccati equation stabilizes it with gain ``k_u``, and
+    ``K0 = k_u Z1^T``.  In the basis Z the transposed closed loop is
+    ``[[T11 - k_u^T b1^T, T12 - k_u^T b2^T], [0, T22]]``, so a Schur form
+    ``U S U^T`` of the k x k block turns ``(T, Z)`` into a real Schur pair of
+    ``(ash - b K0)^T``: the first Newton-Kleinman step needs no decomposition
+    of its own.  For k = 0 the reordered form already is that pair.
 
-    Raises ConvergenceError when the stabilized block (the eigenvalues of S)
-    is not stable, which happens when the small Riccati solve is
-    ill-conditioned.
+    Raises ConvergenceError when the reordering fails (eigenvalues too close
+    to swap) and when the stabilized block (the eigenvalues of S) is not
+    stable, which happens when the small Riccati solve is ill-conditioned.
     """
-    try:
-        t, z, k = sla.schur(ash.T, output="real", sort=lambda wr, wi: wr >= -margin)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK's reordering can fail on ill-conditioned eigenvalues.
-        raise ConvergenceError(f"subspace initializer: ordered Schur form failed: {exc}") from exc
+    t, z = sla.schur(ash.T, output="real") if schur is None else schur
+    select = _quasi_tri_eigs_real(t) >= -margin
+    t, z, _, _, k, _, _, info = lapack.dtrsen(select, t, z, job="N", overwrite_t=1, overwrite_q=1)
+    if info != 0:
+        raise ConvergenceError(
+            f"subspace initializer: ordered Schur form failed: dtrsen info={info} (eigenvalues too close to reorder)"
+        )
     if k == 0:
         return np.zeros((b.shape[1], ash.shape[0])), t, z
     bz = z.T @ b
@@ -313,7 +335,7 @@ def _new_directions(basis, u):
     return q[:, sv > 1e-12 * scale]
 
 
-def _lowrank_lyap(a, w, cap=None, tol=None):
+def _lowrank_lyap(a, w, cap=None, tol=None, atol=0.0):
     """Factor Z, with Z Z^T = P, of the Galerkin solution of A P + P A^T + W W^T = 0.
 
     The basis is the extended Krylov space of (A, W) (Simoncini, SIAM J.
@@ -326,15 +348,16 @@ def _lowrank_lyap(a, w, cap=None, tol=None):
     read off T.  One real Schur form of T[old, old] per step gives both the
     stability test and the projected Bartels-Stewart solve.
 
-    Iteration stops when that norm is at most ``tol |W W^T|_F``, or when no
-    new direction is left: the basis then spans an invariant subspace (up
-    to directions below 1e-12 of their size), on which the Galerkin
-    solution is exact.  ``tol = 0`` grows the basis to that subspace and
-    then completes it to the full space, so the solution is exact also
-    where the Krylov directions became numerically dependent.  Returns None
-    when the basis would exceed ``cap`` columns (default
+    Iteration stops when that norm is at most ``max(tol |W W^T|_F, atol)``,
+    or when no new direction is left: the basis then spans an invariant
+    subspace (up to directions below 1e-12 of their size), on which the
+    Galerkin solution is exact.  ``tol = atol = 0`` grows the basis to that
+    subspace and then completes it to the full space, so the solution is
+    exact also where the Krylov directions became numerically dependent.
+    Returns None when the basis would exceed ``cap`` columns (default
     ``min(_KRYLOV_MAX_DIM, n // 2)``) first, or when the projection onto the
-    invariant subspace is not stable.  ``tol`` defaults to ``_INNER_TOL``.
+    invariant subspace is not stable.  ``tol`` defaults to the rounding
+    floor ``_INNER_TOL``.
     """
     n = a.shape[0]
     if cap is None:
@@ -342,7 +365,7 @@ def _lowrank_lyap(a, w, cap=None, tol=None):
     if tol is None:
         tol = _INNER_TOL
     lu = sla.lu_factor(a)
-    target = tol * np.linalg.norm(w.T @ w)
+    target = max(tol * np.linalg.norm(w.T @ w), atol)
     v = np.empty((n, 0))
     av = np.empty((n, 0))
     t = np.empty((0, 0))
@@ -422,14 +445,18 @@ def _lowrank_residual_norm(a, z, w, g=None):
     return float(np.linalg.norm(rr @ mid @ rr.T))
 
 
-def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
+def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=None):
     """Stabilizing solution of the shifted control Riccati equation.
 
     Solves ``(A + aI)^T X + X (A + aI) - X B R^-1 B^T X + Q = 0`` by
     Newton-Kleinman iteration in correction form, with exact line search
     when a full step fails to reduce the residual.  Zero initial gain is
     used when ``A + aI`` is stable; otherwise the gain is initialized on
-    the unstable invariant subspace.
+    the unstable invariant subspace.  ``schur`` is an optional real Schur
+    pair ``(T, Z)`` of the unshifted ``A^T = Z T Z^T``; the solver adds the
+    shift ``alpha`` on the diagonal of T and overwrites both (Fortran order
+    avoids a copy).  Without it the initializer computes the Schur form of
+    ``(A + aI)^T`` itself; the solution is the same up to rounding.
 
     - The first step is exact: the initializer hands over a real Schur form
       of the closed loop ``A_0`` of the initial gain, whose abscissa
@@ -439,6 +466,9 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
       ``-W W^T`` with ``W = (K_k - K_{k-1})^T chol(R)``, which has as few
       columns as B, so ``E = -Z Z^T`` is a Galerkin solution on an extended
       Krylov space of ``(A_k^T, W)`` (one LU of ``A_k``, no Schur form).
+      Its Galerkin residual is only as small as the outer tolerance needs:
+      ``min(max(_OUTER_SHARE tol |X_k|_F, _INNER_TOL |W^T W|_F),
+      0.1 |W^T W|_F)`` (inexact Newton-Kleinman).
       When ``Q`` and ``X + E`` are positive definite, the Lyapunov inertia
       theorem certifies that ``A_k`` is stable.  The new residual
       ``R(X + E) = -W W^T + A_k^T E + E A_k - E S E`` has rank at most
@@ -472,8 +502,12 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
     bl = sla.solve_triangular(r_chol, b.T, lower=True).T  # S = B R^-1 B^T = bl bl^T
     q_definite = _is_positive_definite(q)
 
+    if schur is not None:
+        schur[0][np.diag_indices(n)] += alpha
     # The initializer's Schur pair of the first closed loop serves the first step.
-    gain, *seed = _subspace_stabilizing_gain(ash, b, r)
+    gain, *seed = _subspace_stabilizing_gain(ash, b, r, schur=schur)
+    exact_steps = 0
+    history = []
     # ``res`` is the dense residual of ``x``, or None after a low-rank step,
     # whose factored norm is ``res_norm``.
     x = res = w = last_full = None
@@ -486,7 +520,7 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
         acl_t = (ash - b @ gain).T
         x_full = None
         if w is not None and q_definite:
-            z = _lowrank_lyap(acl_t, w)
+            z = _lowrank_lyap(acl_t, w, atol=min(_OUTER_SHARE * tol * x_norm, 0.1 * np.linalg.norm(w.T @ w)))
             # Inertia: A_k^T (X + E) + (X + E) A_k = -(Q + K_k^T R K_k), up to
             # the inner and carried-over residuals, so X + E > 0 and Q > 0
             # certify that A_k is stable.
@@ -509,6 +543,7 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
                     res_norm = np.linalg.norm(res)
                     gain = rinv_bt @ x
                     damped = False
+                    history.append(res_norm / max(np.linalg.norm(x), 1e-300))
                     continue
                 raise ConvergenceError(
                     f"Newton-Kleinman iterate lost closed-loop stability (abscissa {abscissa:.3e})"
@@ -519,6 +554,7 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
                 if res is None:
                     res = _riccati_residual(ash, bl, q, x)
                 x_full = x + _lyap_from_schur(t, zs, res)
+            exact_steps += 1
             res_full = _riccati_residual(ash, bl, q, x_full)
             full_norm = np.linalg.norm(res_full)
         prev_norm = res_norm
@@ -548,6 +584,7 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
             res = _riccati_residual(ash, bl, q, x)
             res_norm = np.linalg.norm(res)
         rel = res_norm / x_norm
+        history.append(rel)
         if rel <= tol:
             shifted_abscissa = spectral_abscissa(ash - b @ (rinv_bt @ x))
             return RiccatiSolution(
@@ -555,6 +592,8 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
                 residual_norm=rel,
                 closed_loop_decay=shifted_abscissa - alpha,
                 iterations=it,
+                exact_steps=exact_steps,
+                residual_history=history,
             )
         if res_norm < 0.9 * best:
             best = res_norm
@@ -583,15 +622,17 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60):
     )
 
 
-def solve_riccati_filter(a, c, r, q, alpha=0.0, tol=1e-9, max_iter=60):
+def solve_riccati_filter(a, c, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=None):
     """Stabilizing solution of the dual (filter) Riccati equation.
 
     Solves ``(A + aI) X + X (A + aI)^T - X C^T R^-1 C X + Q = 0`` by
-    transposition of the control problem.
+    transposition of the control problem.  ``schur`` is an optional real
+    Schur pair ``(T, Z)`` of the unshifted ``A = Z T Z^T``, overwritten as in
+    :func:`solve_riccati_control`.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    return solve_riccati_control(a.T, c.T, r, q, alpha=alpha, tol=tol, max_iter=max_iter)
+    return solve_riccati_control(a.T, c.T, r, q, alpha=alpha, tol=tol, max_iter=max_iter, schur=schur)
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,6 @@ def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, obse
     )
 
 
-def mass_cholesky(plant):
-    """Lower Cholesky factor of the mass matrix (dense)."""
-    return sla.cholesky(plant.mass.toarray(), lower=True)
-
-
 def to_standard_form(plant):
     """Congruence by the mass Cholesky factor: x_std = L^T x.
 
@@ -123,7 +118,7 @@ def to_standard_form(plant):
     has the same transfer function as the generalized plant.
     """
     try:
-        chol = mass_cholesky(plant)
+        chol = sla.cholesky(plant.mass.toarray(), lower=True)
     except sla.LinAlgError as exc:
         raise RuntimeError(f"mass matrix is not positive definite: {exc}") from exc
     half = sla.solve_triangular(chol, plant.drift.toarray(), lower=True)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from thermoreg.mesh import Geometry, build_structured_mesh
 
@@ -32,3 +33,17 @@ def mesh41(geometry):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240607)
+
+
+@pytest.fixture
+def schur_orders(monkeypatch):
+    """Orders of the matrices handed to scipy's Schur decomposition."""
+    orders = []
+    schur = sla.schur
+
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", counting)
+    return orders

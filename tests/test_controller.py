@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from thermoreg import controller as ctrl_mod
 from thermoreg import lti, plant as plant_mod
@@ -15,8 +16,8 @@ FREQS = (1.0, 2.0, 3.0)
 
 
 @pytest.fixture(scope="module")
-def design11(geometry, mesh11):
-    ns = solve_navier_stokes(mesh11, geometry, re=100.0)
+def design11(mesh11):
+    ns = solve_navier_stokes(mesh11, re=100.0)
     p = plant_mod.build_plant(mesh11, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
     return plant_mod.to_standard_form(p), p
 
@@ -107,6 +108,49 @@ def test_dual_full_equals_unreduced_at_r_n(design11):
     grid = np.array([0.33, 0.71, 1.5, 2.4, 3.7, 8.1])
     err = lti.sample_frequency_error(syn.full.as_statespace(), syn.reduced.as_statespace(), grid)
     assert err < 1e-8
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_cascade_schur_pair(p):
+    # G1 is quasi-triangular only for p = 1; the pair must hold for both.
+    rng = np.random.default_rng(p)
+    n = 25
+    a = rng.standard_normal((n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
+    b = rng.standard_normal((n, p))
+    im = ctrl_mod.build_internal_model(FREQS, p=p)
+    t, z = sla.schur(a.T, output="real")
+    t_s, z_s = ctrl_mod._cascade_schur(im, b, t, z)
+    a_s = np.block([[im.g1, np.zeros((im.dim, n))], [b @ im.k1, a]])
+    assert np.linalg.norm(z_s @ t_s @ z_s.T - a_s) <= 1e-12 * np.linalg.norm(a_s)
+    assert np.linalg.norm(z_s.T @ z_s - np.eye(n + im.dim)) <= 1e-12 * n
+    # Quasi-upper-triangular with standardized 2x2 blocks, as LAPACK's
+    # reordering requires.
+    assert not np.any(np.tril(t_s, -2))
+    sub = np.flatnonzero(np.diag(t_s, -1))
+    assert not np.any(np.diff(sub) == 1)
+    for k in sub:
+        assert t_s[k, k] == t_s[k + 1, k + 1] and t_s[k, k + 1] * t_s[k + 1, k] < 0
+
+
+def test_dual_synthesis_takes_one_order_n_schur_form(design11, schur_orders):
+    std, _ = design11
+    im = ctrl_mod.build_internal_model(FREQS, p=1)
+    syn = ctrl_mod.synthesize_dual_observer(std, im, r=4)
+    assert sum(k >= std.order for k in schur_orders) == 1
+    assert syn.control_riccati.residual_norm <= 1e-9 and syn.filter_riccati.residual_norm <= 1e-9
+
+
+def test_dual_design_n21_filter_takes_no_polish(mesh41, mesh21):
+    # Flow on n=41, design on n=21 (373 states, cascade 379): with a fixed
+    # inner tolerance the filter's first low-rank step left a Galerkin
+    # residual above the outer tolerance and an exact polish followed.
+    ns = solve_navier_stokes(mesh41, re=100.0)
+    std = plant_mod.to_standard_form(plant_mod.build_plant(mesh21, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE))
+    syn = ctrl_mod.synthesize_dual_observer(std, ctrl_mod.build_internal_model(FREQS, p=1), r=10)
+    for sol in (syn.control_riccati, syn.filter_riccati):
+        assert sol.exact_steps == 1
+        assert sol.residual_norm <= 1e-9
+        assert sol.closed_loop_decay < -1.0 + 1e-10
 
 
 def test_dual_requires_square_plant(design11):

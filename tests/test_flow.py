@@ -37,9 +37,9 @@ def test_profile_remap_identity():
 # ---------------------------------------------------------------------------
 # Stokes
 
-def test_stokes_zero_inflow(mesh21, geometry):
+def test_stokes_zero_inflow(mesh21):
     zero = lambda y: (np.zeros_like(y), np.zeros_like(y))
-    st = flow.solve_stokes(mesh21, geometry, re=10.0, inlet_data=zero)
+    st = flow.solve_stokes(mesh21, re=10.0, inlet_data=zero)
     assert np.max(np.abs(st.velocity)) < 1e-12
     assert np.max(np.abs(st.pressure)) < 1e-12
 
@@ -49,7 +49,7 @@ def test_stokes_poiseuille_exact():
     mesh = build_structured_mesh(geo, 21)
     para = lambda y: (4.0 * y * (1.0 - y), np.zeros_like(y))
     re = 10.0
-    st = flow.solve_stokes(mesh, geo, re=re, inlet_data=para)
+    st = flow.solve_stokes(mesh, re=re, inlet_data=para)
     vx_exact = 4.0 * mesh.p2_nodes[:, 1] * (1.0 - mesh.p2_nodes[:, 1])
     assert np.max(np.abs(st.velocity[:, 0] - vx_exact)) < 1e-8
     assert np.max(np.abs(st.velocity[:, 1])) < 1e-8
@@ -57,16 +57,16 @@ def test_stokes_poiseuille_exact():
     assert np.max(np.abs(st.pressure - p_exact)) < 1e-8
 
 
-def test_stokes_mass_balance(mesh21, geometry):
-    st = flow.solve_stokes(mesh21, geometry, re=100.0)
+def test_stokes_mass_balance(mesh21):
+    st = flow.solve_stokes(mesh21, re=100.0)
     fin = flow.boundary_flux(mesh21, st.velocity, INLET)
     fout = flow.boundary_flux(mesh21, st.velocity, OUTLET)
     assert fin < 0 < fout
     assert abs(fin + fout) < 1e-10
 
 
-def test_stokes_divergence_free(mesh21, geometry):
-    st = flow.solve_stokes(mesh21, geometry, re=100.0)
+def test_stokes_divergence_free(mesh21):
+    st = flow.solve_stokes(mesh21, re=100.0)
     vnorm = max(np.linalg.norm(st.velocity), 1.0)
     assert st.divergence_norm / vnorm < 1e-10
 
@@ -74,12 +74,12 @@ def test_stokes_divergence_free(mesh21, geometry):
 # ---------------------------------------------------------------------------
 # Navier-Stokes
 
-def test_ns_small_reynolds_matches_stokes(mesh11, geometry):
+def test_ns_small_reynolds_matches_stokes(mesh11):
     # The convective correction vanishes linearly in Re.
     diffs = []
     for re in (1e-3, 1e-4):
-        st = flow.solve_stokes(mesh11, geometry, re=re)
-        ns = flow.solve_navier_stokes(mesh11, geometry, re=re, initial=st)
+        st = flow.solve_stokes(mesh11, re=re)
+        ns = flow.solve_navier_stokes(mesh11, re=re, initial=st)
         diffs.append(np.max(np.abs(ns.velocity - st.velocity)))
     assert diffs[1] < 1e-6
     assert diffs[1] < 0.2 * diffs[0]
@@ -88,7 +88,7 @@ def test_ns_small_reynolds_matches_stokes(mesh11, geometry):
 @pytest.fixture(scope="module")
 def ns41(geometry):
     mesh = build_structured_mesh(geometry, 41)
-    return mesh, flow.solve_navier_stokes(mesh, geometry, re=100.0)
+    return mesh, flow.solve_navier_stokes(mesh, re=100.0)
 
 
 def test_ns_newton_quadratic_tail(ns41):
@@ -153,7 +153,7 @@ def test_ns_matches_colamd_reference(ns41):
     assert np.linalg.norm(ns.pressure - p) <= 1e-12 * np.linalg.norm(p)
 
 
-def test_singular_stokes_system_is_typed(mesh11, geometry, monkeypatch):
+def test_singular_stokes_system_is_typed(mesh11, monkeypatch):
     # A viscous operator with its pattern but zero values: SuperLU finds an
     # exactly zero pivot, which spsolve reports only as a warning.
     stiffness = fem.assemble_stiffness(mesh11, "P2")
@@ -162,11 +162,11 @@ def test_singular_stokes_system_is_typed(mesh11, geometry, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ConvergenceError, match="Stokes: saddle system is singular"):
-            flow.solve_stokes(mesh11, geometry, re=1.0)
+            flow.solve_stokes(mesh11, re=1.0)
     assert not caught
 
 
-def test_singular_newton_jacobian_reports_step(mesh11, geometry, monkeypatch):
+def test_singular_newton_jacobian_reports_step(mesh11, monkeypatch):
     # A convection matrix that cancels the viscous block leaves the Jacobian
     # without a velocity block.
     visc = fem.assemble_stiffness(mesh11, "P2") / 100.0
@@ -174,62 +174,62 @@ def test_singular_newton_jacobian_reports_step(mesh11, geometry, monkeypatch):
     blocks = (-visc, {(c, d): zero for c in range(2) for d in range(2)})
     monkeypatch.setattr(fem, "assemble_convection", lambda mesh, v: blocks)
     with pytest.raises(ConvergenceError, match="Newton step 1: saddle system is singular") as exc:
-        flow.solve_navier_stokes(mesh11, geometry, re=100.0)
+        flow.solve_navier_stokes(mesh11, re=100.0)
     assert exc.value.iterations == 1
     assert exc.value.residual == 1.0
 
 
-def test_ns_nonconvergence_reports_residual(mesh11, geometry):
+def test_ns_nonconvergence_reports_residual(mesh11):
     with pytest.raises(ConvergenceError) as exc:
-        flow.solve_navier_stokes(mesh11, geometry, re=100.0, max_iter=1)
+        flow.solve_navier_stokes(mesh11, re=100.0, max_iter=1)
     assert exc.value.residual is not None
 
 
-def test_invalid_reynolds(mesh11, geometry):
+def test_invalid_reynolds(mesh11):
     with pytest.raises(ValueError):
-        flow.solve_navier_stokes(mesh11, geometry, re=-1.0)
+        flow.solve_navier_stokes(mesh11, re=-1.0)
 
 
 @pytest.mark.parametrize("solve", [flow.solve_stokes, flow.solve_navier_stokes])
 @pytest.mark.parametrize("re", [0.0, -1.0, np.nan, np.inf])
-def test_reynolds_must_be_positive_and_finite(mesh11, geometry, solve, re):
+def test_reynolds_must_be_positive_and_finite(mesh11, solve, re):
     with pytest.raises(ValueError, match="Reynolds number"):
-        solve(mesh11, geometry, re=re)
+        solve(mesh11, re=re)
 
 
-def test_ns_converges_on_last_allowed_step(ns41, geometry):
+def test_ns_converges_on_last_allowed_step(ns41):
     # The iterate of step max_iter is tested too: allowing exactly the steps
     # the solve needs returns the same iterates and history.
     mesh, ns = ns41
-    again = flow.solve_navier_stokes(mesh, geometry, re=100.0, max_iter=ns.newton_iterations)
+    again = flow.solve_navier_stokes(mesh, re=100.0, max_iter=ns.newton_iterations)
     assert again.newton_iterations == ns.newton_iterations
     assert again.residual_history == ns.residual_history
     assert np.array_equal(again.velocity, ns.velocity)
     assert np.array_equal(again.pressure, ns.pressure)
     with pytest.raises(ConvergenceError) as exc:
-        flow.solve_navier_stokes(mesh, geometry, re=100.0, max_iter=ns.newton_iterations - 1)
+        flow.solve_navier_stokes(mesh, re=100.0, max_iter=ns.newton_iterations - 1)
     assert exc.value.residual == ns.residual_history[-2]
 
 
-def test_ns_nan_initial_state_is_not_converged(mesh11, geometry):
+def test_ns_nan_initial_state_is_not_converged(mesh11):
     # A NaN residual passes no convergence test, so Newton steps and fails.
-    initial = flow.solve_stokes(mesh11, geometry, re=100.0)
+    initial = flow.solve_stokes(mesh11, re=100.0)
     initial.velocity[60, 0] = np.nan
     with pytest.raises(ConvergenceError, match="Newton step 1"):
-        flow.solve_navier_stokes(mesh11, geometry, re=100.0, initial=initial)
+        flow.solve_navier_stokes(mesh11, re=100.0, initial=initial)
 
 
 # ---------------------------------------------------------------------------
 # Restriction
 
-def test_restrict_same_mesh_identity(mesh21, geometry):
-    st = flow.solve_stokes(mesh21, geometry, re=50.0)
+def test_restrict_same_mesh_identity(mesh21):
+    st = flow.solve_stokes(mesh21, re=50.0)
     out = flow.restrict_velocity(st, mesh21)
     assert np.array_equal(out, st.velocity)
 
 
-def test_restrict_nested_grids(geometry, mesh41, mesh21):
-    st = flow.solve_stokes(mesh41, geometry, re=50.0)
+def test_restrict_nested_grids(mesh41, mesh21):
+    st = flow.solve_stokes(mesh41, re=50.0)
     out = flow.restrict_velocity(st, mesh21)
     # Shared grid points carry identical values.
     for k in (0, 7, 100, mesh21.num_p2 - 1):
@@ -270,16 +270,16 @@ def test_evaluate_p2_top_right_edges_use_last_cell(mesh11):
 # ---------------------------------------------------------------------------
 # Export
 
-def test_velocity_export_roundtrip(tmp_path, mesh11, geometry):
-    st = flow.solve_stokes(mesh11, geometry, re=10.0)
+def test_velocity_export_roundtrip(tmp_path, mesh11):
+    st = flow.solve_stokes(mesh11, re=10.0)
     path = tmp_path / "velocity.csv"
     flow.save_velocity(st, path)
     back = flow.load_velocity(path, mesh11)
     assert np.array_equal(back, st.velocity)
 
 
-def test_velocity_load_rejects_wrong_mesh(tmp_path, mesh11, mesh21, geometry):
-    st = flow.solve_stokes(mesh11, geometry, re=10.0)
+def test_velocity_load_rejects_wrong_mesh(tmp_path, mesh11, mesh21):
+    st = flow.solve_stokes(mesh11, re=10.0)
     path = tmp_path / "velocity.csv"
     flow.save_velocity(st, path)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from thermoreg import lti
 from thermoreg.errors import ConvergenceError
@@ -148,15 +149,14 @@ def test_riccati_unstabilizable_raises():
 def test_initializer_schur_reordering_failure_is_typed(monkeypatch):
     # LAPACK's eigenvalue reordering can fail on ill-conditioned spectra;
     # the caller must see the typed error naming the initializer.
-    schur = sla.schur
+    dtrsen = lapack.dtrsen
 
-    def failing(a, *args, **kwargs):
-        if kwargs.get("sort") is not None:
-            raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
-        return schur(a, *args, **kwargs)
+    def failing(*args, **kwargs):
+        *out, _ = dtrsen(*args, **kwargs)
+        return (*out, 1)  # info = 1: eigenvalues too close to swap
 
-    monkeypatch.setattr(sla, "schur", failing)
-    with pytest.raises(ConvergenceError, match="initializer.*sort condition"):
+    monkeypatch.setattr(lapack, "dtrsen", failing)
+    with pytest.raises(ConvergenceError, match="initializer.*ordered Schur form failed.*info=1"):
         lti.solve_riccati_control(np.diag([1.0, -2.0]), np.ones((2, 1)), np.eye(1), np.eye(2))
 
 
@@ -210,20 +210,6 @@ def nonnormal_problem(seed, n=150, m=2):
     return basis @ tri @ basis.T, rng.standard_normal((n, m)), rng.standard_normal((m, n))
 
 
-@pytest.fixture
-def schur_orders(monkeypatch):
-    """Orders of the matrices handed to scipy's Schur decomposition."""
-    orders = []
-    schur = sla.schur
-
-    def counting(a, *args, **kwargs):
-        orders.append(np.shape(a)[0])
-        return schur(a, *args, **kwargs)
-
-    monkeypatch.setattr(sla, "schur", counting)
-    return orders
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_riccati_lowrank_matches_hamiltonian_oracle(seed):
     a, b, c = nonnormal_problem(seed)
@@ -270,6 +256,49 @@ def test_riccati_lowrank_needs_at_most_two_schur_forms(seed, schur_orders):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
+def test_supplied_schur_pair_gives_the_same_solution(seed, schur_orders):
+    # A caller's Schur pair of the unshifted drift (A^T for the control
+    # equation, A for the filter equation) replaces the solver's own order-N
+    # form; the solution is the same up to rounding.
+    a, b, c = nonnormal_problem(seed)
+    n, m = b.shape
+    cases = (
+        (lti.solve_riccati_control, b, a.T, lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)),
+        (lti.solve_riccati_filter, c, a, lti.riccati_hamiltonian(a.T, c.T, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)),
+    )
+    for solve, op, drift, x_ref in cases:
+        own = solve(a, op, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+        pair = sla.schur(drift, output="real")
+        schur_orders.clear()
+        sol = solve(a, op, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA, schur=pair)
+        assert not any(k >= n for k in schur_orders)
+        assert sol.residual_norm <= 1e-9
+        assert np.linalg.norm(sol.x - own.x) / np.linalg.norm(own.x) < 1e-8
+        assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+        assert sol.closed_loop_decay < -LOWRANK_ALPHA + 1e-10
+
+
+def test_riccati_records_exact_steps_and_residual_history(monkeypatch):
+    a, b, _ = nonnormal_problem(0)
+    n, m = b.shape
+
+    def solve(q):
+        return lti.solve_riccati_control(a, b, np.eye(m), q, alpha=LOWRANK_ALPHA)
+
+    # Inner tolerances sized by the outer one: only the first step is exact.
+    sol = solve(np.eye(n))
+    assert sol.exact_steps == 1 < sol.iterations
+    assert len(sol.residual_history) == sol.iterations
+    assert sol.residual_history[-1] == sol.residual_norm <= 1e-9 < min(sol.residual_history[:-1])
+    # Singular Q: no inertia certificate, every step is exact.
+    semidefinite = solve(np.diag(np.r_[0.0, np.ones(n - 1)]))
+    assert semidefinite.exact_steps == semidefinite.iterations == len(semidefinite.residual_history)
+    # Loose inner solves carry residuals over, and the exact polish follows.
+    monkeypatch.setattr(lti, "_OUTER_SHARE", 1e2)
+    assert solve(np.eye(n)).exact_steps >= 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_initializer_returns_schur_form_of_first_closed_loop(seed):
     a, b, _ = nonnormal_problem(seed)
     n, m = b.shape
@@ -303,7 +332,7 @@ def test_riccati_falls_back_to_exact_steps(denial, monkeypatch, schur_orders):
         monkeypatch.setattr(lti, "_KRYLOV_MAX_DIM", 2)
     else:
         # X + E is indefinite, so the step carries no inertia certificate.
-        monkeypatch.setattr(lti, "_lowrank_lyap", lambda a, w: -1e6 * np.eye(a.shape[0]))
+        monkeypatch.setattr(lti, "_lowrank_lyap", lambda a, w, atol: -1e6 * np.eye(a.shape[0]))
     a, b, _ = nonnormal_problem(0)
     n, m = b.shape
     sol = lti.solve_riccati_control(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
@@ -318,7 +347,7 @@ def test_riccati_carried_residual_takes_exact_polish(monkeypatch, schur_orders):
     # With a loose inner tolerance the Galerkin residuals that low-rank steps
     # leave behind exceed the outer tolerance.  The factored residual does not
     # see them, the dense check before return does, and an exact step follows.
-    monkeypatch.setattr(lti, "_INNER_TOL", 1e-4)
+    monkeypatch.setattr(lti, "_OUTER_SHARE", 1e2)
     a, b, _ = nonnormal_problem(0)
     n, m = b.shape
     sol = lti.solve_riccati_control(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
@@ -360,6 +389,18 @@ def test_lowrank_lyap_factor_meets_inner_tolerance(seed):
     p_ref = lti.solve_lyapunov(a, b @ b.T)
     assert np.linalg.norm(p - p_ref) < 1e-10 * np.linalg.norm(p_ref)
     assert lti._lowrank_residual_norm(a, z, b) == pytest.approx(lyapunov_residual(a, p, b) * np.linalg.norm(b.T @ b), rel=1e-6)
+
+
+def test_lowrank_lyap_meets_absolute_target():
+    # ``atol`` loosens the relative floor: a smaller basis, and the Galerkin
+    # residual (read off the projected matrix) still meets the target.
+    a, b, _ = nonnormal_problem(0)
+    atol = 1e-6 * np.linalg.norm(b.T @ b)
+    tight = lti._lowrank_lyap(a, b)
+    loose = lti._lowrank_lyap(a, b, atol=atol)
+    assert loose.shape[1] < tight.shape[1]
+    p = loose @ loose.T
+    assert np.linalg.norm(a @ p + p @ a.T + b @ b.T) <= atol * (1 + 1e-8)
 
 
 def test_lowrank_lyap_full_space_is_exact():
@@ -409,12 +450,14 @@ def test_factored_residual_norm_matches_dense():
 # Balanced truncation
 
 def _random_system(rng, n, m=2, p=2, shift=1.5):
-    return StateSpace(
-        a=random_stable(rng, n, shift),
-        b=rng.standard_normal((n, m)),
-        c=rng.standard_normal((p, n)),
-        d=np.zeros((p, m)),
-    )
+    a = random_stable(rng, n, shift)
+    sys = StateSpace(a=a, b=rng.standard_normal((n, m)), c=rng.standard_normal((p, n)), d=np.zeros((p, m)))
+    # Some small draws are not stable after the shift; move them by their own
+    # abscissa plus a margin.  The draws consumed stay the same.
+    abscissa = lti.spectral_abscissa(a)
+    if abscissa >= 0.0:
+        a -= (abscissa + 0.5) * np.eye(n)
+    return sys
 
 
 def test_bt_full_order_reproduces_system(rng):

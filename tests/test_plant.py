@@ -14,9 +14,9 @@ C1_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.7, 0.9, 0.1, 0.3), amplitu
 
 
 @pytest.fixture(scope="module")
-def small_plant(geometry, mesh11):
-    st = solve_stokes(mesh11, geometry, re=100.0)
-    ns = solve_navier_stokes(mesh11, geometry, re=100.0, initial=st)
+def small_plant(mesh11):
+    st = solve_stokes(mesh11, re=100.0)
+    ns = solve_navier_stokes(mesh11, re=100.0, initial=st)
     return plant_mod.build_plant(mesh11, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
 
 
@@ -24,8 +24,8 @@ def test_alpha(small_plant):
     assert small_plant.alpha == pytest.approx(1.0 / 70.0, rel=1e-15)
 
 
-def test_design_mesh_state_dimension(geometry, mesh41):
-    ns = solve_navier_stokes(mesh41, geometry, re=100.0)
+def test_design_mesh_state_dimension(mesh41):
+    ns = solve_navier_stokes(mesh41, re=100.0)
     p = plant_mod.build_plant(mesh41, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
     assert 1545 <= p.dims["state"] <= 1553
     assert p.dims == {"state": p.drift.shape[0], "inputs": 1, "outputs": 1, "disturbances": 1}
@@ -138,8 +138,8 @@ def test_transfer_decays_at_infinity(small_plant):
     assert vals[2] < 1e-6
 
 
-def test_invalid_parameters(mesh11, geometry):
-    st = solve_stokes(mesh11, geometry, re=100.0)
+def test_invalid_parameters(mesh11):
+    st = solve_stokes(mesh11, re=100.0)
     with pytest.raises(ValueError):
         plant_mod.build_plant(mesh11, st, -1.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
 

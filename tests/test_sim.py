@@ -16,8 +16,8 @@ C1_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.7, 0.9, 0.1, 0.3), amplitu
 
 
 @pytest.fixture(scope="module")
-def plant11(geometry, mesh11):
-    ns = solve_navier_stokes(mesh11, geometry, re=100.0)
+def plant11(mesh11):
+    ns = solve_navier_stokes(mesh11, re=100.0)
     return plant_mod.build_plant(mesh11, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
 
 
