@@ -10,15 +10,12 @@ copy of the signal dynamics (eigenvalues +-i w_k), which is what makes
 the regulation robust to plant perturbations.
 """
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from . import fem, lti
+from . import lti
 from .plant import StateSpace
 
 
@@ -41,12 +38,12 @@ class InternalModel:
 
 
 def build_internal_model(frequencies, p=1):
-    """Internal model for distinct positive frequencies and output dimension p."""
+    """Internal model for distinct positive finite frequencies and output dimension p."""
     freqs = tuple(float(w) for w in frequencies)
     if p < 1:
         raise ValueError("output dimension must be at least 1")
-    if any(w <= 0 for w in freqs):
-        raise ValueError("frequencies must be positive")
+    if not all(np.isfinite(w) and w > 0 for w in freqs):
+        raise ValueError(f"frequencies must be positive and finite, got {freqs}")
     if len(set(freqs)) != len(freqs):
         raise ValueError("frequencies must be distinct")
     q = len(freqs)
@@ -136,7 +133,9 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     """Dual observer-based controller from a standard-form design plant.
 
     The state weights of both Riccati equations are identity on the design
-    space (mass-weighted coordinates).  Returns the unreduced controller of
+    space (mass-weighted coordinates); the input and output weights are
+    ``r1 I`` and ``r2 I`` for positive finite scalars ``r1`` and ``r2``
+    (``ValueError`` otherwise).  Returns the unreduced controller of
     order ``im.dim + N``, the balanced-truncated controller of order
     ``im.dim + r``, and the reduction diagnostics.
 
@@ -159,9 +158,12 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
         raise ValueError("dual observer design requires as many inputs as outputs")
     if p != im.p:
         raise ValueError("internal model output dimension does not match the plant")
-    r1m = np.atleast_2d(np.asarray(r1, dtype=float)) * np.eye(m)
-    r2m = np.atleast_2d(np.asarray(r2, dtype=float)) * np.eye(p)
-    params = {"alpha1": alpha1, "alpha2": alpha2, "r1": float(r1m[0, 0]), "r2": float(r2m[0, 0]), "r": r}
+    for name, weight in (("r1", r1), ("r2", r2)):
+        if not (np.ndim(weight) == 0 and np.isfinite(weight) and weight > 0):
+            raise ValueError(f"{name} must be a positive finite scalar, got {weight!r}")
+    r1m = r1 * np.eye(m)
+    r2m = r2 * np.eye(p)
+    params = {"alpha1": alpha1, "alpha2": alpha2, "r1": float(r1), "r2": float(r2), "r": r}
 
     # (o) the one order-N Schur form, and the cascade's pair built from it
     t, z = sla.schur(design.a.T, output="real")
@@ -210,10 +212,11 @@ def synthesize_low_gain(transfer_values, frequencies, eps, p=1):
     """Low-gain robust controller from plant transfer values at +-i w_k.
 
     G1 is the internal model, G2 stacks [-I_p; 0_p] blocks, and
-    K = eps * [Re(P(iw_k)^-1), Im(P(iw_k)^-1)]_k.
+    K = eps * [Re(P(iw_k)^-1), Im(P(iw_k)^-1)]_k, with ``eps`` positive and
+    finite (``ValueError`` otherwise).
     """
-    if eps <= 0:
-        raise ValueError("low-gain parameter must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"low-gain parameter must be positive and finite, got {eps!r}")
     im = build_internal_model(frequencies, p)
     q = len(im.frequencies)
     values = [np.atleast_2d(np.asarray(v)) for v in transfer_values]
@@ -250,31 +253,3 @@ def internal_model_eigenvalues_present(ctrl, frequencies, tol=1e-8):
     targets = [1j * w for w in frequencies] + [-1j * w for w in frequencies]
     return all(np.min(np.abs(eigs - t)) < tol for t in targets)
 
-
-# ---------------------------------------------------------------------------
-# Export / import (synth-once, simulate-many)
-
-def save_controller(ctrl, outdir):
-    os.makedirs(outdir, exist_ok=True)
-    fem.export_matrix_coo(sp.csr_matrix(ctrl.g1), os.path.join(outdir, "g1.coo"))
-    fem.export_matrix_coo(sp.csr_matrix(ctrl.g2), os.path.join(outdir, "g2.coo"))
-    fem.export_matrix_coo(sp.csr_matrix(ctrl.k), os.path.join(outdir, "k.coo"))
-    meta = {
-        "label": ctrl.label,
-        "dim": ctrl.dim,
-        "shape_g2": list(ctrl.g2.shape),
-        "shape_k": list(ctrl.k.shape),
-        "params": ctrl.params,
-    }
-    with open(os.path.join(outdir, "meta.json"), "w") as f:
-        json.dump(meta, f, indent=2)
-
-
-def load_controller(outdir):
-    with open(os.path.join(outdir, "meta.json")) as f:
-        meta = json.load(f)
-    nz = meta["dim"]
-    g1 = fem.read_matrix_coo(os.path.join(outdir, "g1.coo"), shape=(nz, nz), dense=True)
-    g2 = fem.read_matrix_coo(os.path.join(outdir, "g2.coo"), shape=tuple(meta["shape_g2"]), dense=True)
-    k = fem.read_matrix_coo(os.path.join(outdir, "k.coo"), shape=tuple(meta["shape_k"]), dense=True)
-    return ControllerRealization(g1=g1, g2=g2, k=k, label=meta["label"], params=meta.get("params", {}))

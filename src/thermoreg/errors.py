@@ -1,10 +1,6 @@
 """Exception types shared across the toolkit."""
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration (bad file, missing key, out-of-range value)."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance.
 

@@ -128,9 +128,6 @@ def p2_grads_reference(bary):
     return g
 
 
-P1_GRADS_REFERENCE = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-
 # ---------------------------------------------------------------------------
 # Element geometry
 
@@ -160,22 +157,11 @@ def physical_points(mesh, rule):
     return np.einsum("qk,ekd->eqd", rule.points, verts)
 
 
-def physical_grads(mesh, rule, space="P2"):
-    """Physical basis gradients at quadrature points; shape (ne, nq, nb, 2)."""
+def physical_grads(mesh, rule):
+    """Physical P2 basis gradients at quadrature points; shape (ne, nq, 6, 2)."""
     _, jinv = element_jacobians(mesh)
-    if space == "P2":
-        ghat = p2_grads_reference(rule.points)
-    else:
-        ghat = np.broadcast_to(P1_GRADS_REFERENCE, (rule.points.shape[0], 3, 2))
+    ghat = p2_grads_reference(rule.points)
     return np.einsum("qik,ekd->eqid", ghat, jinv)
-
-
-def _connectivity(mesh, space):
-    if space == "P2":
-        return mesh.triangles, mesh.num_p2
-    if space == "P1":
-        return mesh.tri_p1, mesh.num_p1
-    raise ValueError(f"unknown space {space!r}")
 
 
 def _scatter(local, rows_conn, cols_conn, shape):
@@ -193,24 +179,22 @@ def _scatter(local, rows_conn, cols_conn, shape):
 # ---------------------------------------------------------------------------
 # Assembly
 
-def assemble_mass(mesh, space="P2"):
-    """L2 pairing matrix M_ij = integral(phi_i phi_j); symmetric positive definite."""
-    conn, ndof = _connectivity(mesh, space)
-    rule = triangle_rule(4 if space == "P2" else 2)
-    basis = p2_basis(rule.points) if space == "P2" else p1_basis(rule.points)
+def assemble_mass(mesh):
+    """P2 L2 pairing matrix M_ij = integral(phi_i phi_j); symmetric positive definite."""
+    rule = triangle_rule(4)
+    basis = p2_basis(rule.points)
     det, _ = element_jacobians(mesh)
     local = np.einsum("q,qi,qj,e->eij", rule.weights, basis, basis, det)
-    return _scatter(local, conn, conn, (ndof, ndof))
+    return _scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
 
 
-def assemble_stiffness(mesh, space="P2"):
-    """Dirichlet-energy matrix K_ij = integral(grad phi_i . grad phi_j)."""
-    conn, ndof = _connectivity(mesh, space)
+def assemble_stiffness(mesh):
+    """P2 Dirichlet-energy matrix K_ij = integral(grad phi_i . grad phi_j)."""
     rule = triangle_rule(2)
-    gp = physical_grads(mesh, rule, space)
+    gp = physical_grads(mesh, rule)
     det, _ = element_jacobians(mesh)
     local = np.einsum("q,eqid,eqjd,e->eij", rule.weights, gp, gp, det)
-    return _scatter(local, conn, conn, (ndof, ndof))
+    return _scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
 
 
 def _convection_kernel():
@@ -283,7 +267,7 @@ def assemble_divergence(mesh):
     """
     rule = triangle_rule(3)
     p1 = p1_basis(rule.points)
-    gp = physical_grads(mesh, rule, "P2")
+    gp = physical_grads(mesh, rule)
     det, _ = element_jacobians(mesh)
     shape = (mesh.num_p1, mesh.num_p2)
     out = []
@@ -350,7 +334,7 @@ def assemble_load_domain(mesh, shape):
     return load
 
 
-def assemble_load_boundary(mesh, tag, shape, npoints=3):
+def assemble_load_boundary(mesh, tag, shape):
     """Load vector F_i = integral over tagged boundary edges of shape * phi_i.
 
     Uses Gauss quadrature on each quadratic boundary edge (vertex,
@@ -360,7 +344,7 @@ def assemble_load_boundary(mesh, tag, shape, npoints=3):
     if not np.any(sel):
         raise ValueError(f"mesh has no boundary edges tagged {tag}")
     edges = mesh.boundary_edges[sel]
-    t, w = edge_rule(npoints)
+    t, w = edge_rule()
     # Quadratic trace basis on the edge parametrized by t in [0, 1].
     tr = np.stack([(2 * t - 1) * (t - 1), 4 * t * (1 - t), t * (2 * t - 1)], axis=1)  # (nq, 3)
     pa = mesh.p2_nodes[edges[:, 0]]
@@ -394,10 +378,10 @@ class DirichletReduction:
     def vector(self, f):
         return np.asarray(f)[self.free]
 
-    def inflate(self, x, fill=0.0):
-        """Reinstate eliminated DOFs with ``fill`` (state snapshots)."""
+    def inflate(self, x):
+        """Reinstate eliminated DOFs as zeros (state snapshots)."""
         x = np.asarray(x)
-        out = np.full(x.shape[:-1] + (self.full_size,), fill, dtype=x.dtype)
+        out = np.zeros(x.shape[:-1] + (self.full_size,), dtype=x.dtype)
         out[..., self.free] = x
         return out
 
@@ -410,25 +394,3 @@ def dirichlet_reduction(mesh, tags=(WALL,)):
         raise ValueError("Dirichlet tags cover every degree of freedom")
     return DirichletReduction(free=free, full_size=mesh.num_p2)
 
-
-# ---------------------------------------------------------------------------
-# Export
-
-def export_matrix_coo(a, path):
-    """Write a sparse or dense matrix as ``i,j,value`` rows (17 significant digits)."""
-    coo = sp.coo_matrix(a)
-    with open(path, "w") as f:
-        f.write("i,j,value\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i},{j},{v:.17g}\n")
-
-
-def read_matrix_coo(path, shape=None, dense=False):
-    """Read a matrix written by :func:`export_matrix_coo`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    rows = data[:, 0].astype(int)
-    cols = data[:, 1].astype(int)
-    if shape is None:
-        shape = (rows.max() + 1, cols.max() + 1)
-    mat = sp.coo_matrix((data[:, 2], (rows, cols)), shape=shape).tocsr()
-    return mat.toarray() if dense else mat

@@ -26,11 +26,14 @@ from .errors import ConvergenceError
 from .mesh import INLET, OUTLET, WALL, nested_dissection_order
 
 # The printed inlet profile is supported on 0.5 < y < 0.9 while the inlet
-# spans 0.1 <= y <= 0.4; by default the profile is shifted down by 0.4 so
-# that flow actually enters the room (see inlet_profile).
+# spans 0.1 <= y <= 0.4; the profile is shifted down by 0.4 so that flow
+# actually enters the room (see inlet_profile).
 _PROFILE_LO = 0.5
 _PROFILE_HI = 0.9
 _REMAP_SHIFT = 0.4
+# Newton stops when the residual has dropped by this factor relative to
+# the first iterate.
+_NEWTON_TOL = 1e-10
 
 
 def inlet_profile_value(y):
@@ -44,15 +47,14 @@ def inlet_profile_value(y):
     return out
 
 
-def inlet_profile(y, remap=True):
+def inlet_profile(y):
     """Inlet velocity (vx, vy) at boundary coordinate ``y``.
 
-    With ``remap`` (the default) the profile is evaluated at ``y + 0.4``,
-    which carries its support onto the inlet segment; without it the
-    literal printed formula is used, whose support misses the inlet.
+    The profile is evaluated at ``y + 0.4``, which carries its support
+    onto the inlet segment.
     """
     y = np.asarray(y, dtype=float)
-    vx = inlet_profile_value(y + _REMAP_SHIFT) if remap else inlet_profile_value(y)
+    vx = inlet_profile_value(y + _REMAP_SHIFT)
     return vx, np.zeros_like(vx)
 
 
@@ -69,7 +71,7 @@ class FlowState:
     newton_iterations: int = 0
 
 
-def _dirichlet_velocity(mesh, inlet_data, remap_inlet):
+def _dirichlet_velocity(mesh, inlet_data):
     """Dirichlet node set and values: zero on walls, profile on the inlet."""
     fixed = np.flatnonzero((mesh.node_tags == WALL) | (mesh.node_tags == INLET))
     values = np.zeros((fixed.size, 2))
@@ -78,7 +80,7 @@ def _dirichlet_velocity(mesh, inlet_data, remap_inlet):
     if inlet_data is not None:
         vx, vy = inlet_data(ys)
     else:
-        vx, vy = inlet_profile(ys, remap=remap_inlet)
+        vx, vy = inlet_profile(ys)
     values[inlet_sel, 0] = vx
     values[inlet_sel, 1] = vy
     return fixed, values
@@ -108,13 +110,13 @@ def _saddle_order(mesh, fixed):
 class _SaddleProblem:
     """Assembled Taylor-Hood operators, boundary data and the solve order."""
 
-    def __init__(self, mesh, re, inlet_data=None, remap_inlet=True):
+    def __init__(self, mesh, re, inlet_data=None):
         if not (np.isfinite(re) and re > 0):
             raise ValueError(f"Reynolds number must be positive and finite, got {re!r}")
         self.mesh = mesh
-        self.visc = fem.assemble_stiffness(mesh, "P2") / re
+        self.visc = fem.assemble_stiffness(mesh) / re
         self.dx, self.dy = fem.assemble_divergence(mesh)
-        self.fixed, self.fixed_values = _dirichlet_velocity(mesh, inlet_data, remap_inlet)
+        self.fixed, self.fixed_values = _dirichlet_velocity(mesh, inlet_data)
         self.order = _saddle_order(mesh, self.fixed)
 
     def initial_state(self):
@@ -189,7 +191,7 @@ def _solve_stokes(prob):
     )
 
 
-def solve_stokes(mesh, re=1.0, inlet_data=None, remap_inlet=True):
+def solve_stokes(mesh, re=1.0, inlet_data=None):
     """Steady Stokes flow as the Newton initial guess.
 
     The saddle-point system is solved directly; the stress-free outlet
@@ -197,22 +199,21 @@ def solve_stokes(mesh, re=1.0, inlet_data=None, remap_inlet=True):
     tags.  ``re`` must be positive and finite (``ValueError``).  A singular
     system raises :class:`ConvergenceError`.
     """
-    return _solve_stokes(_SaddleProblem(mesh, re, inlet_data, remap_inlet))
+    return _solve_stokes(_SaddleProblem(mesh, re, inlet_data))
 
 
-def solve_navier_stokes(mesh, re=100.0, initial=None, tol=1e-10, atol=1e-12, max_iter=25,
-                        inlet_data=None, remap_inlet=True):
+def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25, inlet_data=None):
     """Steady Navier-Stokes via Newton iteration on the full Jacobian.
 
     Starts from ``initial`` (default: the Stokes solution) and stops when
-    the nonlinear residual has dropped by ``tol`` relative to the first
-    iterate or below the absolute floor ``atol`` (the initial guess may
-    already solve the problem); convergence is tested after every step,
-    the last allowed one included.  Raises :class:`ConvergenceError`
+    the nonlinear residual has dropped by 1e-10 relative to the first
+    iterate or below an absolute floor (the initial guess may already
+    solve the problem); convergence is tested after every step, the last
+    allowed one included.  Raises :class:`ConvergenceError`
     carrying the last residual when ``max_iter`` steps do not converge, or
     carrying the step and its residual when a Jacobian is singular.
     """
-    prob = _SaddleProblem(mesh, re, inlet_data, remap_inlet)
+    prob = _SaddleProblem(mesh, re, inlet_data)
     if initial is None:
         initial = _solve_stokes(prob)
     v = initial.velocity.copy()
@@ -221,16 +222,16 @@ def solve_navier_stokes(mesh, re=100.0, initial=None, tol=1e-10, atol=1e-12, max
     v[prob.fixed] = prob.fixed_values
 
     # The achievable residual floor scales with the viscous operator.
-    atol_eff = atol * max(1.0, np.abs(prob.visc.data).max() if prob.visc.nnz else 1.0)
+    atol_eff = 1e-12 * max(1.0, np.abs(prob.visc.data).max() if prob.visc.nnz else 1.0)
     adv, g = fem.assemble_convection(mesh, v)
     res = prob.residual(v, p, adv)
     scale = max(np.linalg.norm(res), atol_eff)
     history = [np.linalg.norm(res) / scale]
     step = 0
-    while not (history[-1] <= tol or history[-1] * scale <= atol_eff):  # a NaN residual keeps stepping
+    while not (history[-1] <= _NEWTON_TOL or history[-1] * scale <= atol_eff):  # a NaN residual keeps stepping
         if step == max_iter:
             raise ConvergenceError(
-                f"Navier-Stokes Newton did not reach {tol:g} in {max_iter} iterations",
+                f"Navier-Stokes Newton did not reach {_NEWTON_TOL:g} in {max_iter} iterations",
                 residual=history[-1],
                 iterations=max_iter,
             )
@@ -317,20 +318,3 @@ def boundary_flux(mesh, velocity, tag):
     vn = np.einsum("end,ed->en", velocity[edges], normals)  # nodal v.n per edge
     return float(np.einsum("q,qn,en,e->", w, trace, vn, lengths))
 
-
-def save_velocity(flow, path):
-    """Write ``x,y,vx,vy`` per P2 node."""
-    with open(path, "w") as f:
-        f.write("x,y,vx,vy\n")
-        for (x, y), (vx, vy) in zip(flow.mesh.p2_nodes, flow.velocity):
-            f.write(f"{x:.17g},{y:.17g},{vx:.17g},{vy:.17g}\n")
-
-
-def load_velocity(path, mesh):
-    """Read a velocity snapshot written by :func:`save_velocity`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.shape[0] != mesh.num_p2:
-        raise ValueError(f"velocity file has {data.shape[0]} rows, mesh has {mesh.num_p2} nodes")
-    if not np.allclose(data[:, :2], mesh.p2_nodes, atol=1e-12):
-        raise ValueError("velocity file coordinates do not match the mesh")
-    return data[:, 2:4].copy()

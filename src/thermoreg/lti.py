@@ -21,7 +21,7 @@ step is then a Bartels-Stewart solve with no further order-N
 decomposition.  Each later step solves for a correction whose right-hand
 side has the rank of B, only as accurately as the outer tolerance needs
 (inexact Newton-Kleinman): its Galerkin residual may use a fixed share of
-``tol |X_k|_F``, above the kernel's rounding floor and below a tenth of the
+``1e-9 |X_k|_F``, above the kernel's rounding floor and below a tenth of the
 right-hand side.  The new residual is evaluated in factored form.  That
 factored form does not see the Galerkin residuals left behind, so the dense
 residual decides convergence, and an exact correction step (Schur form
@@ -52,19 +52,24 @@ from scipy.linalg import lapack
 from .errors import ConvergenceError
 
 _TRSYL_BLOCK = 96
+# Bound on the backward-error residual of a Lyapunov solve.
+_LYAP_TOL = 1e-10
+# Newton-Kleinman stops at a relative Riccati residual |R(X)|_F / |X|_F of
+# _RICCATI_TOL and gives up after _RICCATI_MAX_ITER iterations.
+_RICCATI_TOL = 1e-9
+_RICCATI_MAX_ITER = 60
 # Largest extended Krylov basis of a low-rank Newton-Kleinman correction.
 _KRYLOV_MAX_DIM = 300
-# Share of the outer tolerance ``tol |X_k|_F`` that the Galerkin residual of
+# Share of the outer tolerance ``_RICCATI_TOL |X_k|_F`` that the Galerkin residual of
 # one low-rank Newton-Kleinman step may use.
 _OUTER_SHARE = 1e-2
 # Rounding floor of the Krylov kernel's residual relative to |W W^T|_F: its
-# default tolerance and the floor of every Newton-Kleinman inner tolerance.
-# 1e-15 is below it: on a 373-state dual design the basis of the
-# observability factor grew from 64 to 187 columns.
+# default tolerance, the floor of every Newton-Kleinman inner tolerance and
+# the tolerance of balanced truncation's Gramian factors (at 1e-12 the
+# leading Hankel values were accurate to about 1e-7 only).  1e-15 is below
+# it: on a 373-state dual design the basis of the observability factor grew
+# from 64 to 187 columns.
 _INNER_TOL = 1e-14
-# Balanced truncation's Gramian factors are taken at the floor; at 1e-12 the
-# leading Hankel values were accurate to about 1e-7 only.
-_BT_INNER_TOL = _INNER_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +170,12 @@ def spectral_abscissa(a):
     return float(np.max(np.linalg.eigvals(a).real))
 
 
-def solve_lyapunov(a, q, tol=1e-10):
+def solve_lyapunov(a, q):
     """Solve A X + X A^T + Q = 0 for stable A (Bartels-Stewart).
 
-    Raises for unstable ``A`` and when the backward-error residual
-    ``|AX + XA^T + Q| / (|Q| + 2 |A| |X|)`` exceeds ``tol``.
+    Raises ``ValueError`` for unstable ``A`` and :class:`ConvergenceError`
+    when the backward-error residual ``|AX + XA^T + Q| / (|Q| + 2 |A| |X|)``
+    is too large.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -177,12 +183,11 @@ def solve_lyapunov(a, q, tol=1e-10):
     if np.max(_quasi_tri_eigs_real(t)) >= 0.0:
         raise ValueError("Lyapunov equation requires a stable coefficient matrix")
     x = _lyap_from_schur(t, z, q)
-    if tol is not None:
-        res = a @ x + x @ a.T + q
-        denom = np.linalg.norm(q) + 2.0 * np.linalg.norm(a) * np.linalg.norm(x)
-        rel = np.linalg.norm(res) / max(denom, 1e-300)
-        if rel > tol:
-            raise ConvergenceError(f"Lyapunov residual {rel:.2e} exceeds {tol:g}", residual=rel)
+    res = a @ x + x @ a.T + q
+    denom = np.linalg.norm(q) + 2.0 * np.linalg.norm(a) * np.linalg.norm(x)
+    rel = np.linalg.norm(res) / max(denom, 1e-300)
+    if rel > _LYAP_TOL:
+        raise ConvergenceError(f"Lyapunov residual {rel:.2e} exceeds {_LYAP_TOL:g}", residual=rel)
     return x
 
 
@@ -445,7 +450,7 @@ def _lowrank_residual_norm(a, z, w, g=None):
     return float(np.linalg.norm(rr @ mid @ rr.T))
 
 
-def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=None):
+def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
     """Stabilizing solution of the shifted control Riccati equation.
 
     Solves ``(A + aI)^T X + X (A + aI) - X B R^-1 B^T X + Q = 0`` by
@@ -466,9 +471,8 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=No
       ``-W W^T`` with ``W = (K_k - K_{k-1})^T chol(R)``, which has as few
       columns as B, so ``E = -Z Z^T`` is a Galerkin solution on an extended
       Krylov space of ``(A_k^T, W)`` (one LU of ``A_k``, no Schur form).
-      Its Galerkin residual is only as small as the outer tolerance needs:
-      ``min(max(_OUTER_SHARE tol |X_k|_F, _INNER_TOL |W^T W|_F),
-      0.1 |W^T W|_F)`` (inexact Newton-Kleinman).
+      Its Galerkin residual is only as small as the outer target needs
+      (inexact Newton-Kleinman).
       When ``Q`` and ``X + E`` are positive definite, the Lyapunov inertia
       theorem certifies that ``A_k`` is stable.  The new residual
       ``R(X + E) = -W W^T + A_k^T E + E A_k - E S E`` has rank at most
@@ -485,6 +489,7 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=No
     after exact steps, for the line search, and before returning:
     convergence is judged on the dense relative residual
     ``|R(X)|_F / |X|_F``, and when that check fails an exact step follows.
+    A solve that does not converge raises :class:`ConvergenceError`.
     ``closed_loop_decay`` comes from the eigenvalues of the final closed
     loop.
     """
@@ -516,11 +521,12 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=No
     best = np.inf
     stalled = 0
     patience = 8
-    for it in range(1, max_iter + 1):
+    for it in range(1, _RICCATI_MAX_ITER + 1):
         acl_t = (ash - b @ gain).T
         x_full = None
         if w is not None and q_definite:
-            z = _lowrank_lyap(acl_t, w, atol=min(_OUTER_SHARE * tol * x_norm, 0.1 * np.linalg.norm(w.T @ w)))
+            atol = min(_OUTER_SHARE * _RICCATI_TOL * x_norm, 0.1 * np.linalg.norm(w.T @ w))
+            z = _lowrank_lyap(acl_t, w, atol=atol)
             # Inertia: A_k^T (X + E) + (X + E) A_k = -(Q + K_k^T R K_k), up to
             # the inner and carried-over residuals, so X + E > 0 and Q > 0
             # certify that A_k is stable.
@@ -579,13 +585,13 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=No
         x_norm = max(np.linalg.norm(x), 1e-300)
         # The factored norm does not see the residuals that earlier low-rank
         # steps carried over; the dense residual decides convergence.
-        carried = res is None and res_norm <= tol * x_norm
+        carried = res is None and res_norm <= _RICCATI_TOL * x_norm
         if carried:
             res = _riccati_residual(ash, bl, q, x)
             res_norm = np.linalg.norm(res)
         rel = res_norm / x_norm
         history.append(rel)
-        if rel <= tol:
+        if rel <= _RICCATI_TOL:
             shifted_abscissa = spectral_abscissa(ash - b @ (rinv_bt @ x))
             return RiccatiSolution(
                 x=x,
@@ -616,13 +622,13 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=No
             w = (next_gain - gain).T @ r_chol
         gain = next_gain
     raise ConvergenceError(
-        f"Newton-Kleinman did not reach {tol:g} in {max_iter} iterations",
+        f"Newton-Kleinman did not reach {_RICCATI_TOL:g} in {_RICCATI_MAX_ITER} iterations",
         residual=res_norm / max(np.linalg.norm(x), 1e-300),
-        iterations=max_iter,
+        iterations=_RICCATI_MAX_ITER,
     )
 
 
-def solve_riccati_filter(a, c, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=None):
+def solve_riccati_filter(a, c, r, q, alpha=0.0, schur=None):
     """Stabilizing solution of the dual (filter) Riccati equation.
 
     Solves ``(A + aI) X + X (A + aI)^T - X C^T R^-1 C X + Q = 0`` by
@@ -632,7 +638,7 @@ def solve_riccati_filter(a, c, r, q, alpha=0.0, tol=1e-9, max_iter=60, schur=Non
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    return solve_riccati_control(a.T, c.T, r, q, alpha=alpha, tol=tol, max_iter=max_iter, schur=schur)
+    return solve_riccati_control(a.T, c.T, r, q, alpha=alpha, schur=schur)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +659,7 @@ def balanced_truncation(sys, r):
     """Low-rank square-root balanced truncation of a stable StateSpace to order ``r``.
 
     Both Gramians come as factors from the extended Krylov kernel
-    ``_lowrank_lyap`` (inner tolerance ``_BT_INNER_TOL``), and the Hankel
+    ``_lowrank_lyap`` (inner tolerance ``_INNER_TOL``), and the Hankel
     singular values are those of ``Z_q^T Z_p`` (Gugercin & Li, 2005).  When
     ``r`` reaches the number of values the factors resolve, both bases grow
     to the full space, where the Galerkin solutions are the exact Gramians.
@@ -679,7 +685,7 @@ def balanced_truncation(sys, r):
         rank = int(np.sum(sv > max(sv[0], 1e-300) * 1e-13))
         return zp, zq, u, sv, vt, rank
 
-    zp, zq, u, sv, vt, rank = gramian_factors(_BT_INNER_TOL)
+    zp, zq, u, sv, vt, rank = gramian_factors(_INNER_TOL)
     if r >= rank:
         zp, zq, u, sv, vt, rank = gramian_factors(0.0)
     if r > rank:

@@ -21,8 +21,6 @@ INLET = 1
 OUTLET = 2
 WALL = 3
 
-TAG_NAMES = {INTERIOR: "interior", INLET: "inlet", OUTLET: "outlet", WALL: "wall"}
-
 # Tolerance for "strictly inside a boundary segment"; grid spacings are
 # >= 1/80 in practice so this cleanly separates endpoint hits.
 _SEG_EPS = 1e-12
@@ -292,14 +290,3 @@ def triangle_areas(mesh):
     v2 = p[mesh.triangles[:, 2]]
     return 0.5 * ((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1]))
 
-
-def save_mesh(mesh, nodes_path, triangles_path):
-    """Write nodes as ``index,x,y,tag`` and triangles as six-column connectivity."""
-    with open(nodes_path, "w") as f:
-        f.write("index,x,y,tag\n")
-        for i, (x, y) in enumerate(mesh.p2_nodes):
-            f.write(f"{i},{x:.17g},{y:.17g},{TAG_NAMES[mesh.node_tags[i]]}\n")
-    with open(triangles_path, "w") as f:
-        f.write("t0,t1,t2,t3,t4,t5\n")
-        for tri in mesh.triangles:
-            f.write(",".join(str(t) for t in tri) + "\n")

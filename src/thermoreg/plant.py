@@ -8,7 +8,6 @@ directly as the alpha-scaled inlet boundary load, so both feedthrough
 terms vanish.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +79,16 @@ def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, obse
 
     The flow field is restricted onto ``mesh`` (exact on nested grids).
     ``observation_shape`` may be a single ShapeSpec or a sequence; each
-    yields one output row.
+    yields one output row.  ``re`` and ``pr`` must be positive and finite
+    (``ValueError``).
     """
-    if re <= 0 or pr <= 0:
-        raise ValueError("Re and Pr must be positive")
+    if not all(np.isfinite(v) and v > 0 for v in (re, pr)):
+        raise ValueError(f"Re and Pr must be positive and finite, got {re!r} and {pr!r}")
     alpha = 1.0 / (re * pr)
     velocity = restrict_velocity(flow_state, mesh)
 
-    mass = fem.assemble_mass(mesh, "P2")
-    stiff = fem.assemble_stiffness(mesh, "P2")
+    mass = fem.assemble_mass(mesh)
+    stiff = fem.assemble_stiffness(mesh)
     adv = fem.assemble_advection(mesh, velocity)
     drift_full = (-(alpha * stiff + adv)).tocsr()
 
@@ -165,23 +165,3 @@ def transfer_value(plant, s):
     cols = [lu.solve(plant.control[:, j].astype(np.complex128)) for j in range(plant.control.shape[1])]
     return plant.observation @ np.column_stack(cols)
 
-
-def save_plant(plant, outdir):
-    """Matrix coordinate files plus a JSON metadata sidecar."""
-    import os
-
-    os.makedirs(outdir, exist_ok=True)
-    fem.export_matrix_coo(plant.mass, os.path.join(outdir, "mass.coo"))
-    fem.export_matrix_coo(plant.drift, os.path.join(outdir, "drift.coo"))
-    fem.export_matrix_coo(sp.csr_matrix(plant.control), os.path.join(outdir, "control.coo"))
-    fem.export_matrix_coo(sp.csr_matrix(plant.disturbance), os.path.join(outdir, "disturbance.coo"))
-    fem.export_matrix_coo(sp.csr_matrix(plant.observation), os.path.join(outdir, "observation.coo"))
-    meta = {
-        "dims": plant.dims,
-        "re": plant.re,
-        "pr": plant.pr,
-        "alpha": plant.alpha,
-        "mesh_n": plant.mesh.n,
-    }
-    with open(os.path.join(outdir, "plant.json"), "w") as f:
-        json.dump(meta, f, indent=2)

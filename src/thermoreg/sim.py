@@ -27,9 +27,11 @@ from .plant import PENCIL_ORDERING
 class SignalSpec:
     """Finite cosine/sine expansions of the reference and disturbance.
 
-    Coefficient arrays have shape (q, p) and (q, d); frequencies may
-    include 0 for constant terms (plain evaluation), though controllers
-    built here regulate only positive frequencies.
+    Coefficient arrays have shape (q, p) and (q, d), with the cosine and
+    sine arrays of one signal equally wide; any other shape raises
+    ``ValueError``.  Frequencies may include 0 for constant terms (plain
+    evaluation), though controllers built here regulate only positive
+    frequencies.
     """
 
     frequencies: tuple
@@ -41,10 +43,13 @@ class SignalSpec:
     def __post_init__(self):
         q = len(self.frequencies)
         for name in ("ref_cos", "ref_sin", "dist_cos", "dist_sin"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            if arr.shape[0] != q:
-                arr = arr.reshape(q, -1)
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 2 or arr.shape[0] != q:
+                raise ValueError(f"{name} must be 2-D with one row per frequency ({q}), got shape {arr.shape}")
             object.__setattr__(self, name, arr)
+        for cos, sin in ((self.ref_cos, self.ref_sin), (self.dist_cos, self.dist_sin)):
+            if cos.shape != sin.shape:
+                raise ValueError(f"cosine and sine coefficients differ in shape: {cos.shape} and {sin.shape}")
 
     @property
     def p(self):
@@ -299,18 +304,19 @@ def window_max_error(res, t0, t1):
     return float(np.max(np.linalg.norm(res.error[sel], axis=1)))
 
 
-def tracking_metrics(res, tail_fraction=0.2):
+def tracking_metrics(res):
     """Sup of the tail error, fitted envelope decay rate, state extrema.
 
-    The decay rate is the least-squares slope of log peak-envelope of
-    |e(t)|, or of log |e(t)| itself when fewer than two peaks stand out;
+    The tail is the last fifth of the simulated horizon.  The decay rate
+    is the least-squares slope of log peak-envelope of |e(t)|, or of
+    log |e(t)| itself when fewer than two peaks stand out;
     identically zero error reports an infinite rate.  ``ValueError`` is
     raised when fewer than two samples carry a nonzero error.
     """
     if res.t.size == 0:
         raise ValueError("empty simulation result")
     enorm = np.linalg.norm(res.error, axis=1)
-    t_tail = res.t[-1] - tail_fraction * (res.t[-1] - res.t[0])
+    t_tail = res.t[-1] - 0.2 * (res.t[-1] - res.t[0])
     sup_tail = float(np.max(enorm[res.t >= t_tail - 1e-12]))
 
     emax = enorm.max()
@@ -332,26 +338,3 @@ def tracking_metrics(res, tail_fraction=0.2):
         theta_max=res.theta_max,
     )
 
-
-# ---------------------------------------------------------------------------
-# Export
-
-def save_trajectory(res, path):
-    """Write ``t,y,y_r,e,u`` rows (single-output loops)."""
-    if res.y.shape[1] != 1 or res.u.shape[1] != 1:
-        raise ValueError("trajectory CSV export expects scalar input and output")
-    with open(path, "w") as f:
-        f.write("t,y,y_r,e,u\n")
-        for i in range(res.t.size):
-            f.write(
-                f"{res.t[i]:.17g},{res.y[i, 0]:.17g},{res.y_ref[i, 0]:.17g},"
-                f"{res.error[i, 0]:.17g},{res.u[i, 0]:.17g}\n"
-            )
-
-
-def save_snapshot(mesh, field_full, path):
-    """Write ``x,y,theta`` per P2 node (wall zeros already reinstated)."""
-    with open(path, "w") as f:
-        f.write("x,y,theta\n")
-        for (xx, yy), val in zip(mesh.p2_nodes, field_full):
-            f.write(f"{xx:.17g},{yy:.17g},{val:.17g}\n")

@@ -56,6 +56,10 @@ def test_internal_model_rejects_bad_frequencies():
         ctrl_mod.build_internal_model([1.0, 1.0], p=1)
     with pytest.raises(ValueError):
         ctrl_mod.build_internal_model([0.0, 1.0], p=1)
+    # Non-finite values would reach the observability rank test as NaN.
+    for bad in ([np.nan], [np.inf], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ctrl_mod.build_internal_model(bad, p=1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +165,16 @@ def test_dual_requires_square_plant(design11):
         ctrl_mod.synthesize_dual_observer(wide, im)
 
 
+@pytest.mark.parametrize("name", ["r1", "r2"])
+@pytest.mark.parametrize("weight", [[1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]], 0.0, -1.0, np.nan])
+def test_dual_weights_must_be_positive_finite_scalars(design11, name, weight):
+    # A matrix weight would lose its off-diagonal entries to ``* np.eye(m)``.
+    std, _ = design11
+    im = ctrl_mod.build_internal_model(FREQS, p=1)
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite scalar"):
+        ctrl_mod.synthesize_dual_observer(std, im, **{name: weight})
+
+
 def test_internal_model_inclusion(synthesis11):
     for ctrl in (synthesis11.full, synthesis11.reduced):
         assert ctrl_mod.internal_model_eigenvalues_present(ctrl, FREQS, tol=1e-8)
@@ -191,6 +205,13 @@ def test_low_gain_rejects_singular_transfer():
         ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.1)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
+def test_low_gain_rejects_bad_eps(eps):
+    vals = [np.array([[1.0 + 0j]])] * 3
+    with pytest.raises(ValueError, match="low-gain parameter must be positive and finite"):
+        ctrl_mod.synthesize_low_gain(vals, FREQS, eps=eps)
+
+
 def test_low_gain_internal_model_inclusion(design11):
     _, gen = design11
     vals = [plant_mod.transfer_value(gen, 1j * w) for w in FREQS]
@@ -209,16 +230,3 @@ def test_low_gain_stability_persists_below_working_eps(design11):
         abscissas.append(lti.spectral_abscissa(_closed_loop_matrix(std, ctrl)))
     assert abscissas[0] < 0
     assert all(a < 0 for a in abscissas)
-
-
-# ---------------------------------------------------------------------------
-# Export / import
-
-def test_controller_roundtrip(tmp_path, synthesis11):
-    ctrl_mod.save_controller(synthesis11.reduced, tmp_path / "red")
-    back = ctrl_mod.load_controller(tmp_path / "red")
-    assert back.label == "dual-reduced"
-    assert np.allclose(back.g1, synthesis11.reduced.g1, atol=0)
-    assert np.allclose(back.g2, synthesis11.reduced.g2, atol=0)
-    assert np.allclose(back.k, synthesis11.reduced.k, atol=0)
-    assert back.params["r"] == 4

@@ -73,17 +73,14 @@ def test_p2_basis_is_interpolatory():
 # Global assembly
 
 def test_mass_partition_of_unity(mesh21):
-    m = fem.assemble_mass(mesh21, "P2")
+    m = fem.assemble_mass(mesh21)
     ones = np.ones(mesh21.num_p2)
     assert abs(ones @ m @ ones - 1.0) < 1e-12
-    m1 = fem.assemble_mass(mesh21, "P1")
-    ones1 = np.ones(mesh21.num_p1)
-    assert abs(ones1 @ m1 @ ones1 - 1.0) < 1e-12
 
 
 def test_mass_row_sums_are_basis_integrals(mesh11):
     # Row sums of M equal integral(phi_i) by partition of unity.
-    m = fem.assemble_mass(mesh11, "P2")
+    m = fem.assemble_mass(mesh11)
     rule = fem.triangle_rule(5)
     basis = fem.p2_basis(rule.points)
     det, _ = fem.element_jacobians(mesh11)
@@ -94,16 +91,14 @@ def test_mass_row_sums_are_basis_integrals(mesh11):
 
 
 def test_mass_spd(mesh11):
-    m = fem.assemble_mass(mesh11, "P2").toarray()
+    m = fem.assemble_mass(mesh11).toarray()
     assert np.allclose(m, m.T, atol=1e-15)
     assert np.linalg.eigvalsh(m).min() > 0
 
 
 def test_stiffness_kernel_constants(mesh21):
-    k = fem.assemble_stiffness(mesh21, "P2")
+    k = fem.assemble_stiffness(mesh21)
     assert np.max(np.abs(k @ np.ones(mesh21.num_p2))) < 1e-13
-    k1 = fem.assemble_stiffness(mesh21, "P1")
-    assert np.max(np.abs(k1 @ np.ones(mesh21.num_p1))) < 1e-13
 
 
 def test_dirichlet_energy_of_manufactured_solution(geometry):
@@ -112,7 +107,7 @@ def test_dirichlet_energy_of_manufactured_solution(geometry):
     errs = []
     for n in (11, 21, 41):
         mesh = build_structured_mesh(geometry, n)
-        k = fem.assemble_stiffness(mesh, "P2")
+        k = fem.assemble_stiffness(mesh)
         theta = np.sin(np.pi * mesh.p2_nodes[:, 0]) * np.sin(np.pi * mesh.p2_nodes[:, 1])
         errs.append(abs(theta @ k @ theta - np.pi**2 / 2.0))
     assert errs[0] < 0.05
@@ -132,7 +127,7 @@ def test_advection_constant_velocity_linear_field(mesh11):
     vel[:, 0] = 1.0
     n = fem.assemble_advection(mesh11, vel)
     theta = mesh11.p2_nodes[:, 0].copy()
-    m = fem.assemble_mass(mesh11, "P2")
+    m = fem.assemble_mass(mesh11)
     assert np.allclose(n @ theta, m @ np.ones(mesh11.num_p2), atol=1e-14)
 
 
@@ -148,7 +143,7 @@ def test_precontracted_convection_matches_quadrature(mesh11, rng):
     vel = rng.standard_normal((mesh11.num_p2, 2))
     rule = fem.triangle_rule(5)
     phi = fem.p2_basis(rule.points)
-    grads = fem.physical_grads(mesh11, rule, "P2")
+    grads = fem.physical_grads(mesh11, rule)
     det, _ = fem.element_jacobians(mesh11)
     tri = mesh11.triangles
     shape = (mesh11.num_p2, mesh11.num_p2)
@@ -220,7 +215,7 @@ def test_boundary_load_quadrature_convergence():
     errs = []
     for n in (21, 81, 321):
         mesh = build_structured_mesh(Geometry(), n)
-        load = fem.assemble_load_boundary(mesh, OUTLET, shape, npoints=3)
+        load = fem.assemble_load_boundary(mesh, OUTLET, shape)
         errs.append(abs(load.sum() - exact))
     assert errs[1] < 0.1 * errs[0]
     assert errs[2] < 0.1 * errs[1]
@@ -277,7 +272,7 @@ def test_l2_projection_error_order(geometry):
         rhs_local = np.einsum("q,qi,eq,e->ei", rule.weights, basis, exact, det)
         rhs = np.zeros(mesh.num_p2)
         np.add.at(rhs, mesh.triangles.ravel(), rhs_local.ravel())
-        m = fem.assemble_mass(mesh, "P2")
+        m = fem.assemble_mass(mesh)
         from scipy.sparse.linalg import spsolve
 
         proj = spsolve(m.tocsc(), rhs)
@@ -288,14 +283,3 @@ def test_l2_projection_error_order(geometry):
     ratio2 = errors[1] / errors[2]
     assert abs(ratio1 - 8.0) < 0.15 * 8.0
     assert abs(ratio2 - 8.0) < 0.15 * 8.0
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-def test_matrix_export_roundtrip(tmp_path, mesh5):
-    m = fem.assemble_mass(mesh5)
-    path = tmp_path / "mass.coo"
-    fem.export_matrix_coo(m, path)
-    back = fem.read_matrix_coo(path, shape=m.shape)
-    assert np.allclose(back.toarray(), m.toarray(), atol=0)

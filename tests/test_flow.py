@@ -27,11 +27,10 @@ def test_profile_vanishes_at_support_endpoints():
 
 
 def test_profile_remap_identity():
-    vx_remap, vy = flow.inlet_profile(0.25, remap=True)
+    vx_remap, vy = flow.inlet_profile(0.25)
     assert vx_remap == pytest.approx(flow.inlet_profile_value(0.65), rel=1e-15)
     assert vy == 0.0
-    vx_raw, _ = flow.inlet_profile(0.25, remap=False)
-    assert vx_raw == 0.0  # literal formula has no support on the inlet
+    assert flow.inlet_profile_value(0.25) == 0.0  # literal formula has no support on the inlet
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +155,9 @@ def test_ns_matches_colamd_reference(ns41):
 def test_singular_stokes_system_is_typed(mesh11, monkeypatch):
     # A viscous operator with its pattern but zero values: SuperLU finds an
     # exactly zero pivot, which spsolve reports only as a warning.
-    stiffness = fem.assemble_stiffness(mesh11, "P2")
+    stiffness = fem.assemble_stiffness(mesh11)
     zero = sp.csr_matrix((np.zeros(stiffness.nnz), stiffness.indices, stiffness.indptr), shape=stiffness.shape)
-    monkeypatch.setattr(fem, "assemble_stiffness", lambda mesh, space: zero)
+    monkeypatch.setattr(fem, "assemble_stiffness", lambda mesh: zero)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ConvergenceError, match="Stokes: saddle system is singular"):
@@ -169,7 +168,7 @@ def test_singular_stokes_system_is_typed(mesh11, monkeypatch):
 def test_singular_newton_jacobian_reports_step(mesh11, monkeypatch):
     # A convection matrix that cancels the viscous block leaves the Jacobian
     # without a velocity block.
-    visc = fem.assemble_stiffness(mesh11, "P2") / 100.0
+    visc = fem.assemble_stiffness(mesh11) / 100.0
     zero = sp.csr_matrix(visc.shape)
     blocks = (-visc, {(c, d): zero for c in range(2) for d in range(2)})
     monkeypatch.setattr(fem, "assemble_convection", lambda mesh, v: blocks)
@@ -266,21 +265,3 @@ def test_evaluate_p2_top_right_edges_use_last_cell(mesh11):
     vals = flow.evaluate_p2(mesh11, x * y - y**2, pts)
     assert np.allclose(vals, pts[:, 0] * pts[:, 1] - pts[:, 1] ** 2, atol=1e-13)
 
-
-# ---------------------------------------------------------------------------
-# Export
-
-def test_velocity_export_roundtrip(tmp_path, mesh11):
-    st = flow.solve_stokes(mesh11, re=10.0)
-    path = tmp_path / "velocity.csv"
-    flow.save_velocity(st, path)
-    back = flow.load_velocity(path, mesh11)
-    assert np.array_equal(back, st.velocity)
-
-
-def test_velocity_load_rejects_wrong_mesh(tmp_path, mesh11, mesh21):
-    st = flow.solve_stokes(mesh11, re=10.0)
-    path = tmp_path / "velocity.csv"
-    flow.save_velocity(st, path)
-    with pytest.raises(ValueError):
-        flow.load_velocity(path, mesh21)

@@ -566,14 +566,14 @@ def test_bt_grows_to_full_space_at_resolved_order(monkeypatch):
 
     monkeypatch.setattr(lti, "_lowrank_lyap", recording)
     hsv = lti.balanced_truncation(sys, 8).hankel_singular_values
-    assert tols == [lti._BT_INNER_TOL] * 2
+    assert tols == [lti._INNER_TOL] * 2
     resolved = int(np.sum(hsv > 1e-13 * hsv[0]))
     for r in (resolved, sys.order):
         tols.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # rank clamp expected
             red = lti.balanced_truncation(sys, r)
-        assert tols == [lti._BT_INNER_TOL] * 2 + [0.0] * 2
+        assert tols == [lti._INNER_TOL] * 2 + [0.0] * 2
     ref = dense_hankel_values(sys)
     assert np.max(np.abs(red.hankel_singular_values[:10] - ref[:10]) / ref[:10]) < 1e-8
     grid = np.logspace(-2, 4, 30)

@@ -9,7 +9,6 @@ from thermoreg.mesh import (
     build_structured_mesh,
     classify_boundary,
     nested_dissection_order,
-    save_mesh,
     triangle_areas,
 )
 
@@ -127,17 +126,6 @@ def test_overlapping_segments_rejected():
 
     with pytest.raises(ValueError):
         Geometry(inlet=BoundarySegment("left", 0.1, 0.5), outlet=BoundarySegment("left", 0.4, 0.9))
-
-
-def test_save_mesh(tmp_path, mesh5):
-    nodes = tmp_path / "nodes.csv"
-    tris = tmp_path / "tris.csv"
-    save_mesh(mesh5, nodes, tris)
-    lines = nodes.read_text().strip().splitlines()
-    assert lines[0] == "index,x,y,tag"
-    assert len(lines) == 1 + mesh5.num_p2
-    tri_lines = tris.read_text().strip().splitlines()
-    assert len(tri_lines) == 1 + mesh5.triangles.shape[0]
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 11, 21, 41])

@@ -47,6 +47,24 @@ def test_zero_coefficients_give_zero_signals():
     assert not np.any(w_d)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("ref_cos", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),  # (p, q) instead of (q, p)
+        ("ref_cos", [0.0, 2.0, 0.0]),  # 1-D
+        ("ref_sin", np.zeros((3, 2))),  # wider than ref_cos
+        ("dist_sin", np.zeros((3, 2))),  # wider than dist_cos
+        ("dist_cos", np.zeros((2, 1))),  # one row short
+    ],
+)
+def test_signal_spec_rejects_misshaped_coefficients(name, value):
+    # Reshaping the transposed (2, 3) array would give [[1, 2], [3, 4], [5, 6]].
+    coeffs = {key: np.zeros((3, 1)) for key in ("ref_cos", "ref_sin", "dist_cos", "dist_sin")}
+    coeffs[name] = value
+    with pytest.raises(ValueError):
+        sim.SignalSpec(frequencies=(1.0, 2.0, 3.0), **coeffs)
+
+
 # ---------------------------------------------------------------------------
 # Closed-loop wiring
 
@@ -384,29 +402,3 @@ def test_robust_to_plant_perturbation(tracking_run, rng):
     tail = sim.window_max_error(res, 16.0, 20.0)
     assert tail < 1e-2 * early
 
-
-# ---------------------------------------------------------------------------
-# Export
-
-def test_trajectory_export(tmp_path, plant11):
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
-    res = sim.simulate(cl, sim.paper_signals(), t_end=0.2, dt=0.01)
-    path = tmp_path / "traj.csv"
-    sim.save_trajectory(res, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,y,y_r,e,u"
-    assert len(lines) == 1 + res.t.size
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], res.t)
-    assert np.array_equal(data[:, 1], res.y[:, 0])
-
-
-def test_snapshot_export(tmp_path, plant11, mesh11):
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
-    res = sim.simulate(cl, sim.paper_signals(), t_end=0.2, dt=0.01, snapshot_times=[0.2])
-    field = res.snapshots[0.2]
-    path = tmp_path / "snap.csv"
-    sim.save_snapshot(mesh11, field, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (mesh11.num_p2, 3)
-    assert np.array_equal(data[:, 2], field)
