@@ -334,25 +334,30 @@ def assemble_load_domain(mesh, shape):
     return load
 
 
-def assemble_load_boundary(mesh, tag, shape):
-    """Load vector F_i = integral over tagged boundary edges of shape * phi_i.
+def edge_trace(mesh, tag):
+    """3-point Gauss quadrature on the quadratic boundary edges tagged ``tag``.
 
-    Uses Gauss quadrature on each quadratic boundary edge (vertex,
-    midpoint, vertex).
+    Each edge (vertex, midpoint, vertex) is parametrized by t in [0, 1].
+    Returns the edges (ne, 3), the quadrature points (ne, nq, 2), the
+    weights (nq,), the quadratic trace basis at t (nq, 3) and the edge
+    lengths (ne,).
     """
-    sel = mesh.edge_tags == tag
-    if not np.any(sel):
-        raise ValueError(f"mesh has no boundary edges tagged {tag}")
-    edges = mesh.boundary_edges[sel]
+    edges = mesh.boundary_edges[mesh.edge_tags == tag]
     t, w = edge_rule()
-    # Quadratic trace basis on the edge parametrized by t in [0, 1].
-    tr = np.stack([(2 * t - 1) * (t - 1), 4 * t * (1 - t), t * (2 * t - 1)], axis=1)  # (nq, 3)
+    trace = np.stack([(2 * t - 1) * (t - 1), 4 * t * (1 - t), t * (2 * t - 1)], axis=1)
     pa = mesh.p2_nodes[edges[:, 0]]
     pb = mesh.p2_nodes[edges[:, 2]]
-    lengths = np.linalg.norm(pb - pa, axis=1)
-    pts = pa[:, None, :] * (1 - t)[None, :, None] + pb[:, None, :] * t[None, :, None]  # (ne, nq, 2)
+    pts = pa[:, None, :] * (1 - t)[None, :, None] + pb[:, None, :] * t[None, :, None]
+    return edges, pts, w, trace, np.linalg.norm(pb - pa, axis=1)
+
+
+def assemble_load_boundary(mesh, tag, shape):
+    """Load vector F_i = integral over tagged boundary edges of shape * phi_i."""
+    edges, pts, w, trace, lengths = edge_trace(mesh, tag)
+    if not edges.size:
+        raise ValueError(f"mesh has no boundary edges tagged {tag}")
     vals = shape_values(shape, pts)
-    local = np.einsum("q,qi,eq,e->ei", w, tr, vals, lengths)
+    local = np.einsum("q,qi,eq,e->ei", w, trace, vals, lengths)
     load = np.zeros(mesh.num_p2)
     np.add.at(load, edges.ravel(), local.ravel())
     return load

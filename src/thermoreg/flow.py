@@ -302,13 +302,7 @@ def evaluate_p2(mesh, coeffs, points):
 
 def boundary_flux(mesh, velocity, tag):
     """Outward flux of a P2 velocity field through the tagged boundary part."""
-    sel = mesh.edge_tags == tag
-    edges = mesh.boundary_edges[sel]
-    t, w = fem.edge_rule(4)
-    trace = np.stack([(2 * t - 1) * (t - 1), 4 * t * (1 - t), t * (2 * t - 1)], axis=1)
-    pa = mesh.p2_nodes[edges[:, 0]]
-    pb = mesh.p2_nodes[edges[:, 2]]
-    lengths = np.linalg.norm(pb - pa, axis=1)
+    edges, _, w, trace, lengths = fem.edge_trace(mesh, tag)
     mids = mesh.p2_nodes[edges[:, 1]]
     normals = np.zeros((edges.shape[0], 2))
     normals[np.isclose(mids[:, 0], 0.0), 0] = -1.0

@@ -6,8 +6,11 @@ is a blocked recursion whose updates are matrix products, so it runs at
 BLAS-3 speed; LAPACK's unblocked ``trsyl`` is only called on small
 diagonal blocks.
 
-Riccati equations are solved by Newton-Kleinman iteration with exact line
-search.  One order-N real Schur form of the drift serves a whole solve, and
+Riccati equations are solved by Newton-Kleinman iteration, every step a
+full step (Kleinman, IEEE TAC 1968): from a stabilizing start the iterates
+X decrease monotonically to the stabilizing solution, though the residual
+norm may rise near its rounding floor.  One order-N real Schur form of the
+drift serves a whole solve, and
 one serves a whole dual design: the caller may hand the solver a Schur pair
 of the unshifted drift (the dual observer design derives the cascade's from
 the design drift's), which the solver shifts on its diagonal; otherwise it
@@ -74,29 +77,10 @@ _INNER_TOL = 1e-14
 
 # ---------------------------------------------------------------------------
 # Quasi-triangular machinery
-
-def _quasi_tri_eigs_real(t):
-    """Real parts of the eigenvalues read off a real Schur factor."""
-    n = t.shape[0]
-    re = np.empty(n)
-    k = 0
-    while k < n:
-        if k + 1 < n and t[k + 1, k] != 0.0:
-            a, b = t[k, k], t[k, k + 1]
-            c, d = t[k + 1, k], t[k + 1, k + 1]
-            disc = ((a - d) / 2.0) ** 2 + b * c
-            if disc < 0:  # complex pair
-                re[k] = re[k + 1] = (a + d) / 2.0
-            else:
-                root = np.sqrt(disc)
-                re[k] = (a + d) / 2.0 + root
-                re[k + 1] = (a + d) / 2.0 - root
-            k += 2
-        else:
-            re[k] = t[k, k]
-            k += 1
-    return re
-
+#
+# Every real Schur factor read here is in LAPACK's standardized form (from
+# ``gees`` or ``trsen``, or shifted on its diagonal): a 2x2 block has equal
+# diagonal entries, so ``np.diag(t)`` holds the real parts of the eigenvalues.
 
 def _split_index(t, n):
     """Midpoint split that does not cut a 2x2 Schur block."""
@@ -180,7 +164,7 @@ def solve_lyapunov(a, q):
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     t, z = sla.schur(a, output="real")
-    if np.max(_quasi_tri_eigs_real(t)) >= 0.0:
+    if np.max(np.diag(t)) >= 0.0:
         raise ValueError("Lyapunov equation requires a stable coefficient matrix")
     x = _lyap_from_schur(t, z, q)
     res = a @ x + x @ a.T + q
@@ -256,7 +240,7 @@ def _subspace_stabilizing_gain(ash, b, r, margin=1e-8, schur=None):
     stable, which happens when the small Riccati solve is ill-conditioned.
     """
     t, z = sla.schur(ash.T, output="real") if schur is None else schur
-    select = _quasi_tri_eigs_real(t) >= -margin
+    select = np.diag(t) >= -margin
     t, z, _, _, k, _, _, info = lapack.dtrsen(select, t, z, job="N", overwrite_t=1, overwrite_q=1)
     if info != 0:
         raise ConvergenceError(
@@ -300,30 +284,6 @@ def _riccati_residual(ash, bl, q, x):
     g = ash.T @ x
     xb = x @ bl
     return g + g.T - xb @ xb.T + q
-
-
-def _line_search_step(res_prev, delta, bl):
-    """Exact Benner-Byers line search for X + t * delta.
-
-    The residual along the Newton direction is
-    ``(1 - t) R - t^2 delta S delta``; minimize its Frobenius norm on (0, 2].
-    """
-    db = delta @ bl
-    v = db @ db.T
-    aa = float(np.sum(res_prev * res_prev))
-    bb = float(np.sum(res_prev * v))
-    cc = float(np.sum(v * v))
-    # d/dt |(1-t) R - t^2 V|_F^2 = -2a + 2(a - 2b) t + 6 b t^2 + 4 c t^3
-    roots = np.roots([4.0 * cc, 6.0 * bb, 2.0 * (aa - 2.0 * bb), -2.0 * aa])
-    candidates = [1.0]
-    for root in roots:
-        if abs(root.imag) < 1e-12 and 1e-4 < root.real <= 2.0:
-            candidates.append(float(root.real))
-
-    def objective(tt):
-        return (1 - tt) ** 2 * aa - 2 * tt**2 * (1 - tt) * bb + tt**4 * cc
-
-    return min(candidates, key=objective)
 
 
 def _new_directions(basis, u):
@@ -454,8 +414,11 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
     """Stabilizing solution of the shifted control Riccati equation.
 
     Solves ``(A + aI)^T X + X (A + aI) - X B R^-1 B^T X + Q = 0`` by
-    Newton-Kleinman iteration in correction form, with exact line search
-    when a full step fails to reduce the residual.  Zero initial gain is
+    Newton-Kleinman iteration in correction form; ``alpha`` must be finite
+    (``ValueError`` otherwise).  Every step is the full Newton step: from a
+    stabilizing gain Kleinman's iterates decrease monotonically,
+    ``X_1 >= X_2 >= ... >= X``, and each closed loop stays stable, though
+    the residual norm may rise near its rounding floor.  Zero initial gain is
     used when ``A + aI`` is stable; otherwise the gain is initialized on
     the unstable invariant subspace.  ``schur`` is an optional real Schur
     pair ``(T, Z)`` of the unshifted ``A^T = Z T Z^T``; the solver adds the
@@ -478,21 +441,22 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
       ``R(X + E) = -W W^T + A_k^T E + E A_k - E S E`` has rank at most
       ``2 rank(Z) + rank(B)`` and is evaluated in that factored form.
     - An exact step (Schur form, abscissa check, Bartels-Stewart with the
-      full ``-R(X_k)``) is taken instead when the step is damped by the
-      line search, when the previous low-rank step failed to halve the
-      residual (inner errors add up; this is the polish), or when the
-      Krylov space reaches its dimension cap, its projected matrix is not
-      stable, or the certificate fails.
+      full ``-R(X_k)``) is taken instead when the previous low-rank step
+      failed to halve the residual (inner errors add up; this is the
+      polish), or when the Krylov space reaches its dimension cap, its
+      projected matrix is not stable, or the certificate fails.
 
     The factored residual does not see the Galerkin residuals that earlier
     low-rank steps left behind.  So the dense residual ``R(X)`` is formed
-    after exact steps, for the line search, and before returning:
-    convergence is judged on the dense relative residual
-    ``|R(X)|_F / |X|_F``, and when that check fails an exact step follows.
-    A solve that does not converge raises :class:`ConvergenceError`.
+    after exact steps and before returning: convergence is judged on the
+    dense relative residual ``|R(X)|_F / |X|_F``, and when that check fails
+    an exact step follows.  A solve that stagnates, loses closed-loop
+    stability or does not converge raises :class:`ConvergenceError`.
     ``closed_loop_decay`` comes from the eigenvalues of the final closed
     loop.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
@@ -515,15 +479,14 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
     history = []
     # ``res`` is the dense residual of ``x``, or None after a low-rank step,
     # whose factored norm is ``res_norm``.
-    x = res = w = last_full = None
+    x = res = w = None
     res_norm = np.inf
-    damped = False
     best = np.inf
     stalled = 0
     patience = 8
     for it in range(1, _RICCATI_MAX_ITER + 1):
         acl_t = (ash - b @ gain).T
-        x_full = None
+        x_next = None
         if w is not None and q_definite:
             atol = min(_OUTER_SHARE * _RICCATI_TOL * x_norm, 0.1 * np.linalg.norm(w.T @ w))
             z = _lowrank_lyap(acl_t, w, atol=atol)
@@ -531,57 +494,32 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
             # the inner and carried-over residuals, so X + E > 0 and Q > 0
             # certify that A_k is stable.
             if z is not None:
-                x_full = x - z @ z.T
-                if not _is_positive_definite(x_full):
-                    x_full = None
-        lowrank = x_full is not None
+                x_next = x - z @ z.T
+                if not _is_positive_definite(x_next):
+                    x_next = None
+        lowrank = x_next is not None
+        prev_norm = res_norm
         if lowrank:
-            res_full = None
-            full_norm = _lowrank_residual_norm(acl_t, z, w, z.T @ bl)
+            res = None
+            res_norm = _lowrank_residual_norm(acl_t, z, w, z.T @ bl)
         else:
             t, zs = seed or sla.schur(acl_t, output="real")
             seed = None
-            abscissa = float(np.max(_quasi_tri_eigs_real(t)))
+            abscissa = float(np.max(np.diag(t)))
             if abscissa >= 0.0:
-                if damped:
-                    # A damped step left the stabilizing cone; full steps never do.
-                    x, res = last_full
-                    res_norm = np.linalg.norm(res)
-                    gain = rinv_bt @ x
-                    damped = False
-                    history.append(res_norm / max(np.linalg.norm(x), 1e-300))
-                    continue
                 raise ConvergenceError(
                     f"Newton-Kleinman iterate lost closed-loop stability (abscissa {abscissa:.3e})"
                 )
             if x is None:
-                x_full = _lyap_from_schur(t, zs, q + gain.T @ r @ gain)
+                x_next = _lyap_from_schur(t, zs, q + gain.T @ r @ gain)
             else:
                 if res is None:
                     res = _riccati_residual(ash, bl, q, x)
-                x_full = x + _lyap_from_schur(t, zs, res)
+                x_next = x + _lyap_from_schur(t, zs, res)
             exact_steps += 1
-            res_full = _riccati_residual(ash, bl, q, x_full)
-            full_norm = np.linalg.norm(res_full)
-        prev_norm = res_norm
-        damped = False
-        if full_norm <= prev_norm:
-            x, res, res_norm = x_full, res_full, full_norm
-        else:
-            if res is None:
-                res = _riccati_residual(ash, bl, q, x)
-            if res_full is None:
-                res_full = _riccati_residual(ash, bl, q, x_full)
-            last_full = (x_full, res_full)
-            step = _line_search_step(res, x_full - x, bl)
-            x_cand = x + step * (x_full - x)
-            res_cand = _riccati_residual(ash, bl, q, x_cand)
-            if np.linalg.norm(res_cand) < np.linalg.norm(res_full):
-                x, res = x_cand, res_cand
-                damped = True
-            else:
-                x, res = x_full, res_full
+            res = _riccati_residual(ash, bl, q, x_next)
             res_norm = np.linalg.norm(res)
+        x = x_next
         x_norm = max(np.linalg.norm(x), 1e-300)
         # The factored norm does not see the residuals that earlier low-rank
         # steps carried over; the dense residual decides convergence.
@@ -613,10 +551,10 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
                     iterations=it,
                 )
         next_gain = rinv_bt @ x
-        # R(X) = -W W^T holds after a full step; a damped step, a stalled
-        # low-rank step or residuals carried over from earlier low-rank steps
-        # hand the full residual to an exact step instead.
-        if damped or carried or (lowrank and res_norm > 0.5 * prev_norm):
+        # R(X) = -W W^T holds after a Newton step up to its inner residual; a
+        # stalled low-rank step or residuals carried over from earlier
+        # low-rank steps hand the full residual to an exact step instead.
+        if carried or (lowrank and res_norm > 0.5 * prev_norm):
             w = None
         else:
             w = (next_gain - gain).T @ r_chol

@@ -175,6 +175,15 @@ def test_dual_weights_must_be_positive_finite_scalars(design11, name, weight):
         ctrl_mod.synthesize_dual_observer(std, im, **{name: weight})
 
 
+@pytest.mark.parametrize("name", ["alpha1", "alpha2"])
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_dual_decay_margins_must_be_finite(design11, name, alpha):
+    std, _ = design11
+    im = ctrl_mod.build_internal_model(FREQS, p=1)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        ctrl_mod.synthesize_dual_observer(std, im, **{name: alpha})
+
+
 def test_internal_model_inclusion(synthesis11):
     for ctrl in (synthesis11.full, synthesis11.reduced):
         assert ctrl_mod.internal_model_eigenvalues_present(ctrl, FREQS, tol=1e-8)

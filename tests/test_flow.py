@@ -243,6 +243,19 @@ def test_restrict_constant_field(mesh41, mesh21):
     assert np.allclose(out, 3.5, atol=0)
 
 
+def test_restrict_non_nested_grids_reproduces_quadratics(mesh41, geometry):
+    # 40 is no multiple of 30: no shared grid, pointwise P2 evaluation.
+    mesh31 = build_structured_mesh(geometry, 31)
+
+    def field(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.column_stack([1.0 + 2 * x - y + x * y + 0.5 * x**2, y**2 - 3 * x * y + 0.25])
+
+    st = flow.FlowState(mesh=mesh41, velocity=field(mesh41.p2_nodes), pressure=np.zeros(mesh41.num_p1), residual_norm=0.0)
+    out = flow.restrict_velocity(st, mesh31)
+    assert np.max(np.abs(out - field(mesh31.p2_nodes))) < 1e-13
+
+
 def test_evaluate_p2_reproduces_quadratics(mesh11):
     pts = np.array([[0.13, 0.57], [0.5, 0.5], [0.99, 0.01], [0.0, 1.0]])
     x, y = mesh11.p2_nodes[:, 0], mesh11.p2_nodes[:, 1]

@@ -138,12 +138,36 @@ def test_riccati_rejects_indefinite_weight():
         lti.solve_riccati_control(np.array([[-1.0]]), np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_riccati_rejects_non_finite_shift(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        lti.solve_riccati_control(np.array([[-1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1), alpha=alpha)
+
+
 def test_riccati_unstabilizable_raises():
     # Unstable mode not reachable from B.
     a = np.diag([1.0, -2.0])
     b = np.array([[0.0], [1.0]])
     with pytest.raises(ConvergenceError):
         lti.solve_riccati_control(a, b, np.eye(1), np.eye(2))
+
+
+@pytest.mark.parametrize("seed", [249, 256])
+def test_riccati_full_steps_cross_conditioning_limit(seed):
+    # B of size 0.01 against a drift of spectral radius about 2.5 puts |X|
+    # near 1e15 and the residual norm near its rounding floor, where it rises
+    # for a step or two before full Newton steps (Kleinman's monotone X)
+    # converge.
+    rng = np.random.default_rng(seed)
+    a = 2.5 * rng.standard_normal((16, 16)) / 4
+    b = 0.01 * rng.standard_normal((16, 1))
+    alpha = 0.5
+    sol = lti.solve_riccati_control(a, b, np.eye(1), np.eye(16), alpha=alpha)
+    ash = a + alpha * np.eye(16)
+    res = ash.T @ sol.x + sol.x @ ash - sol.x @ b @ b.T @ sol.x + np.eye(16)
+    assert np.linalg.norm(res) / np.linalg.norm(sol.x) <= 1e-9
+    assert sol.closed_loop_decay < -alpha
+    assert np.any(np.diff(sol.residual_history) > 0)
 
 
 def test_initializer_schur_reordering_failure_is_typed(monkeypatch):
@@ -312,7 +336,7 @@ def test_initializer_returns_schur_form_of_first_closed_loop(seed):
     assert not np.any(np.tril(t, -2))
     sub = np.diag(t, -1) != 0.0
     assert not np.any(sub[1:] & sub[:-1])
-    abscissa = np.max(lti._quasi_tri_eigs_real(t))
+    abscissa = np.max(np.diag(t))
     assert abscissa == pytest.approx(lti.spectral_abscissa(acl_t), abs=1e-10)
     assert abscissa < 0
 
