@@ -243,20 +243,24 @@ def assemble_convection(mesh, velocity):
 
     Returns ``(N, G)`` with ``G[c, d]_ij = integral((d_d v_c) phi_i phi_j)``,
     so that the derivative of ``N(v) v_c`` in direction ``w`` is
-    ``N(v) w_c + sum_d G[c, d] w_d``.  All five element matrices come from
-    one product of the per-element factors with the precontracted kernel.
+    ``N(v) w_c + sum_d G[c, d] w_d``.  The element matrices come from two
+    products of the per-element factors with the precontracted kernel, and
+    each of the five matrices is summed onto the mesh's P2 coupling pattern
+    (``mesh.p2_couplings``) by one ``bincount``; entries that cancel stay
+    stored as zeros.
     """
     f = _velocity_factors(mesh, velocity)
     ne = f.shape[0]
-    # Row 0 of each element pairs the advection factor with the advection
-    # rows of the kernel; rows 1-4 pair each G[c, d] factor with the
-    # velocity-gradient rows.
-    rows = np.zeros((ne, 5, 24))
-    rows[:, 0, :12] = f[:, 0, 0] + f[:, 1, 1]
-    rows[:, 1:, 12:] = f.reshape(ne, 4, 12)
-    local = (rows @ _CONVECTION_KERNEL).reshape(ne, 5, 6, 6)
-    shape = (mesh.num_p2, mesh.num_p2)
-    mats = [_scatter(local[:, b], mesh.triangles, mesh.triangles, shape) for b in range(5)]
+    # Block 0 pairs the advection factor with the advection rows of the
+    # kernel; blocks 1-4 pair each G[c, d] factor with the velocity-gradient
+    # rows.
+    local = np.empty((5, ne, 36))
+    np.matmul(f[:, 0, 0] + f[:, 1, 1], _CONVECTION_KERNEL[:12], out=local[0])
+    np.matmul(f.reshape(ne, 4, 12).transpose(1, 0, 2), _CONVECTION_KERNEL[12:], out=local[1:])
+    indptr, indices, slot = mesh.p2_couplings
+    slot = slot.ravel()
+    nnz, shape = indices.size, (mesh.num_p2, mesh.num_p2)
+    mats = [sp.csr_matrix((np.bincount(slot, w.ravel(), nnz), indices.copy(), indptr.copy()), shape) for w in local]
     return mats[0], {(c, d): mats[1 + 2 * c + d] for c in range(2) for d in range(2)}
 
 

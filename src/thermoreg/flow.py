@@ -108,7 +108,14 @@ def _saddle_order(mesh, fixed):
 
 
 class _SaddleProblem:
-    """Assembled Taylor-Hood operators, boundary data and the solve order."""
+    """Assembled Taylor-Hood operators, boundary data and the solve order.
+
+    The saddle matrix has one pattern in solve order, built when the order
+    is set: the P2 couplings (``mesh.p2_couplings``) in each of the four
+    velocity blocks, and the divergence blocks.  A Jacobian then gathers its
+    values from the viscous, convection and divergence data into that
+    pattern, with no sparse assembly per Newton step.
+    """
 
     def __init__(self, mesh, re, inlet_data=None):
         if not (np.isfinite(re) and re > 0):
@@ -117,7 +124,50 @@ class _SaddleProblem:
         self.visc = fem.assemble_stiffness(mesh) / re
         self.dx, self.dy = fem.assemble_divergence(mesh)
         self.fixed, self.fixed_values = _dirichlet_velocity(mesh, inlet_data)
+        self._visc = self._on_couplings(self.visc)
+        self._div = np.concatenate([-self.dx.data, -self.dy.data, self.dx.data, self.dy.data])
         self.order = _saddle_order(mesh, self.fixed)
+
+    @property
+    def order(self):
+        """Indices of the saddle unknowns in solve order; setting it rebuilds the pattern."""
+        return self._order
+
+    @order.setter
+    def order(self, order):
+        np2 = self.mesh.num_p2
+        indptr, indices, _ = self.mesh.p2_couplings
+        rows = np.repeat(np.arange(np2), np.diff(indptr))
+        dx, dy = self.dx.tocoo(), self.dy.tocoo()
+        # Unknown-space row and column of each entry of the source vector
+        # [xx, xy, yx, yy couplings, -Dx^T, -Dy^T, Dx, Dy] of jacobian().
+        p = 2 * np2
+        src_rows = np.concatenate([rows, rows, rows + np2, rows + np2, dx.col, dy.col + np2, dx.row + p, dy.row + p])
+        src_cols = np.concatenate([indices, indices + np2, indices, indices + np2, dx.row + p, dy.row + p, dx.col, dy.col + np2])
+        place = np.full(p + self.mesh.num_p1, -1)
+        place[order] = np.arange(order.size)
+        r, c = place[src_rows], place[src_cols]
+        kept = np.flatnonzero((r >= 0) & (c >= 0))
+        # The CSC conversion sorts the entries; each carries its 1-based
+        # place in the source vector.
+        tags = sp.coo_matrix((kept + 1.0, (r[kept], c[kept])), shape=(order.size, order.size)).tocsc()
+        self._order = order
+        self._pattern = (tags.indptr, tags.indices, tags.shape)
+        self._source = (tags.data - 1).astype(np.int32)
+
+    def _on_couplings(self, mat):
+        """Values of ``mat`` at the P2 couplings, in their CSR order.
+
+        A matrix on the couplings' own pattern, as ``fem.assemble_convection``
+        returns them, hands over its values.  Any other is sampled at the
+        couplings, which drops entries off them; no P2 element matrix has any.
+        """
+        indptr, indices, _ = self.mesh.p2_couplings
+        mat = mat.tocsr()
+        if np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices):
+            return mat.data
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        return np.asarray(mat[rows, indices]).ravel()
 
     def initial_state(self):
         v = np.zeros((self.mesh.num_p2, 2))
@@ -133,21 +183,23 @@ class _SaddleProblem:
         return np.concatenate([rx, ry, rdiv])[self.order]
 
     def jacobian(self, adv=None, g=None):
-        """Saddle matrix in solve order: Stokes without ``adv``, else the Newton Jacobian."""
+        """Saddle matrix in solve order: Stokes without ``adv``, else the Newton Jacobian.
+
+        Entries that vanish are dropped, so the Stokes matrix keeps the
+        pattern of its viscous and divergence blocks alone.
+        """
         if adv is None:
-            blocks = [[self.visc, None], [None, self.visc]]
+            zero = np.zeros_like(self._visc)
+            velocity = [self._visc, zero, zero, self._visc]
         else:
-            a = self.visc + adv
-            blocks = [[a + g[0, 0], g[0, 1]], [g[1, 0], a + g[1, 1]]]
-        jac = sp.bmat(
-            [
-                blocks[0] + [-self.dx.T],
-                blocks[1] + [-self.dy.T],
-                [self.dx, self.dy, None],
-            ],
-            format="csr",
-        )
-        return jac[self.order][:, self.order].tocsc()
+            a = self._visc + self._on_couplings(adv)
+            on = {cd: self._on_couplings(blk) for cd, blk in g.items()}
+            velocity = [a + on[0, 0], on[0, 1], on[1, 0], a + on[1, 1]]
+        indptr, indices, shape = self._pattern
+        data = np.concatenate(velocity + [self._div])[self._source]
+        jac = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+        jac.eliminate_zeros()
+        return jac
 
     def solve(self, jac, rhs, what, residual=None, iterations=None):
         """Solve in nested-dissection order; SuperLU pivots for the zero pressure block.

@@ -190,20 +190,12 @@ class RiccatiSolution:
     residual_history: list        # relative residual after each iteration, factored or dense
 
 
-def riccati_hamiltonian(a, b, r, q, alpha=0.0):
-    """Riccati solution via the stable invariant subspace of the Hamiltonian.
+def _hamiltonian_solution(ash, s, q):
+    """Symmetric X from the stable invariant subspace of ``[[ash, -s], [-q, -ash^T]]``.
 
-    Desk-scale method (dense Schur of a 2n x 2n matrix); serves as the
-    independent oracle for the Newton-Kleinman path and as the inner
-    solver of its initializer.
+    X is not checked to stabilize ``ash - s X``.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    n = a.shape[0]
-    ash = a + alpha * np.eye(n)
-    s = b @ np.linalg.solve(r, b.T)
+    n = ash.shape[0]
     ham = np.block([[ash, -s], [-q, -ash.T]])
     t, z, sdim = sla.schur(ham, output="real", sort=lambda wr, wi: wr < 0.0)
     if sdim != n:
@@ -218,6 +210,30 @@ def riccati_hamiltonian(a, b, r, q, alpha=0.0):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hamiltonian subspace is degenerate: {exc}") from exc
     return 0.5 * (x + x.T)
+
+
+def riccati_hamiltonian(a, b, r, q, alpha=0.0):
+    """Riccati solution via the stable invariant subspace of the Hamiltonian.
+
+    Desk-scale method (dense Schur of a 2n x 2n matrix); serves as the
+    independent oracle for the Newton-Kleinman path.  Raises
+    :class:`ConvergenceError` unless ``a + alpha I - b r^-1 b^T X`` is
+    stable: near the conditioning limit the computed subspace can give a
+    huge X that does not stabilize, with a small relative residual all the
+    same, so the closed loop is checked rather than the residual.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    r = np.atleast_2d(np.asarray(r, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    ash = a + alpha * np.eye(a.shape[0])
+    s = b @ np.linalg.solve(r, b.T)
+    x = _hamiltonian_solution(ash, s, q)
+    closed = ash - s @ x
+    abscissa = spectral_abscissa(closed) if np.all(np.isfinite(closed)) else np.nan
+    if not abscissa < 0.0:
+        raise ConvergenceError(f"Hamiltonian solution is not stabilizing: closed-loop abscissa {abscissa:.3e}")
+    return x
 
 
 def _subspace_stabilizing_gain(ash, b, r, margin=1e-8, schur=None):
@@ -249,8 +265,10 @@ def _subspace_stabilizing_gain(ash, b, r, margin=1e-8, schur=None):
     if k == 0:
         return np.zeros((b.shape[1], ash.shape[0])), t, z
     bz = z.T @ b
+    s_u = bz[:k] @ np.linalg.solve(r, bz[:k].T)
     try:
-        x_u = riccati_hamiltonian(t[:k, :k].T, bz[:k], r, np.eye(k), alpha=margin)
+        # The stabilized block is checked below, where its message names it.
+        x_u = _hamiltonian_solution(t[:k, :k].T + margin * np.eye(k), s_u, np.eye(k))
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"no stabilizing initializer: unstable block of order {k} is not controllable"

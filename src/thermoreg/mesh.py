@@ -9,6 +9,7 @@ deterministic functions of ``n``.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,25 @@ class Mesh:
     @property
     def num_p1(self):
         return self.p1_nodes.shape[0]
+
+    @functools.cached_property
+    def p2_couplings(self):
+        """CSR pattern of the P2 node pairs that share a triangle, computed once.
+
+        Returns ``(indptr, indices, slot)``: row ``i`` holds the sorted
+        columns ``indices[indptr[i]:indptr[i + 1]]``, and ``slot[e, a, b]``
+        (int32) is the position in ``indices`` of the pair
+        ``(triangles[e, a], triangles[e, b])``.  Every P2 element matrix
+        assembles onto this pattern.
+        """
+        np2 = self.num_p2
+        tri = self.triangles
+        keys = (tri[:, :, None] * np2 + tri[:, None, :]).ravel()
+        pairs, slot = np.unique(keys, return_inverse=True)
+        indptr = np.zeros(np2 + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pairs // np2, minlength=np2), out=indptr[1:])
+        indices = (pairs % np2).astype(np.int32)
+        return indptr, indices, slot.astype(np.int32).reshape(tri.shape[0], 6, 6)
 
 
 def build_structured_mesh(geometry, n):

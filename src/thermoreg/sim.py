@@ -1,12 +1,13 @@
 """Closed-loop assembly, time integration, and tracking diagnostics.
 
 The closed loop couples the sparse generalized plant with a small dense
-controller.  Time stepping is the trapezoidal rule; the plant block of the
-step matrix is factorized once by sparse LU with minimum-degree ordering on
-its symmetric pattern (``MMD_AT_PLUS_A``), and because the plant/controller
-coupling blocks have rank equal to the input/output dimensions, each step
-costs one sparse back-substitution plus small dense algebra (block Schur
-complement on the controller part).
+controller.  Time stepping is the trapezoidal rule.  The plant block of the
+step matrix is factorized once, transposed, by sparse LU with minimum-degree
+ordering on its symmetric pattern (``MMD_AT_PLUS_A``), and solved in
+SuperLU's transposed mode.  The plant/controller coupling has rank m + d
+(inputs plus disturbances), so each step costs one sparse product, one
+sparse solve, one rank-(m + d) update of the plant state and small dense
+algebra on the controller (a block Schur complement).
 """
 
 import math
@@ -170,11 +171,15 @@ def default_initial_state(plant):
 def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     """Trapezoidal integration of the closed loop over [0, t_end].
 
-    The step system is solved through a block Schur complement: the plant
-    block ``M/dt - A/2`` is factorized sparsely once, with the minimum-degree
-    ordering on its symmetric pattern (``plant.PENCIL_ORDERING``), and the
-    controller-size complement densely once.  Each step then costs one
-    sparse solve, one sparse product and a few dense matrix-vector products.
+    The step system is solved through a block Schur complement.  The plant
+    block ``E- = M/dt - A/2`` is factorized sparsely once, as its transpose
+    with the minimum-degree ordering on its symmetric pattern
+    (``plant.PENCIL_ORDERING``), and solved in SuperLU's transposed mode,
+    which reads the factors faster.  The controller-size complement is
+    factorized densely once.  The controller acts on the plant through
+    ``S [B, B_d]`` with ``S = E-^-1``, an n x (m + d) block, so each step
+    costs one sparse product, one sparse solve, one rank-(m + d) update and
+    a few controller-size products.
     Exogenous signals are sampled at half-steps.  A snapshot at time ``ts``
     holds the field at the first step time at or after ``ts``.
 
@@ -214,23 +219,36 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     c_mat = plant.observation        # (p, n)
     g1, g2, k_mat = ctrl.g1, ctrl.g2, ctrl.k
 
-    e_minus = (plant.mass / dt - 0.5 * plant.drift).tocsc()
-    e_plus = (plant.mass / dt + 0.5 * plant.drift).tocsr()
-    lu = spla.splu(e_minus, permc_spec=PENCIL_ORDERING)
-    # x+ = E-^-1 b1 + (E-^-1 B) K z+ / 2, and b1 = E+ x + F [z; w_d].  Both
-    # tall blocks are column-major, which is what BLAS gemv streams fastest.
-    wk_half = np.asfortranarray(0.5 * lu.solve(b_mat) @ k_mat)               # (n, nz)
-    f_mat = np.asfortranarray(np.hstack([0.5 * b_mat @ k_mat, plant.disturbance]))  # (n, nz + d)
-    eye_z = np.eye(nz)
-    schur = (eye_z / dt - 0.5 * g1) - 0.5 * g2 @ (c_mat @ wk_half)
-    schur_lu, schur_piv, info = lapack.dgetrf(schur)
+    # SuperLU's transposed solve reads L and U by gathers instead of
+    # scatters, so the pencil E- = M/dt - A/2 is factored transposed and
+    # solved with "T".
+    lu = spla.splu((plant.mass / dt - 0.5 * plant.drift).T.tocsc(), permc_spec=PENCIL_ORDERING)
+    # E- x+ = E+ x + B K (z + z+) / 2 + B_d w_d, so with S = E-^-1 and
+    # v = [K (z + z+); w_d], x+ = h + S [B/2, B_d] v, where
+    # h = S E+ x = S (2 M / dt) x - x because E+ = 2 M / dt - E-, so no
+    # second pencil is stored.  The coupling has rank m + d: only the
+    # n x (m + d) block S [B/2, B_d] is kept.
+    mass2 = plant.mass * (2.0 / dt)
+    sbb = np.asfortranarray(lu.solve(np.hstack([0.5 * b_mat, plant.disturbance]), trans="T"))
+    csbb = c_mat @ sbb                                   # (p, m + d)
+    # Controller step: (I/dt - G1/2) z+ - G2 C (x + x+) / 2 = (I/dt + G1/2) z - G2 y_r,
+    # with C x+ = C h + C S [B/2, B_d] v.  Its matrices are I/dt -+ P with
+    # P = G1/2 + G2 C S B K / 4.  The LU of I/dt - P overwrites its
+    # column-major input, so only two nz x nz arrays are kept.
+    g2_half = 0.5 * g2
+    gz = 0.5 * g1
+    gz += g2_half @ csbb[:, :m] @ k_mat
+    schur = np.negative(gz, order="F")
+    schur.flat[:: nz + 1] += 1.0 / dt
+    schur_lu, schur_piv, info = lapack.dgetrf(schur, overwrite_a=True)
     if info > 0:
         raise ValueError(f"controller step matrix is singular for dt={dt}")
-    gz_plus = eye_z / dt + 0.5 * g1
-    g2_half = 0.5 * g2
-    g2_ref = (g2 @ y_ref_half).T                         # (nsteps, nz)
-    zw = np.empty(f_mat.shape[1])
-    zw_dist = w_d_half.T                                 # (nsteps, d)
+    gz.flat[:: nz + 1] += 1.0 / dt
+    # With cx = C x and ch = C h, the right-hand side is
+    # (I/dt + P) z + G2 (cx + ch + C S B_d w_d - 2 y_r) / 2.
+    forcing = (csbb[:, m:] @ w_d_half - 2.0 * y_ref_half).T  # (nsteps, p)
+    v_all = np.zeros((nsteps, m + plant.disturbance.shape[1]))
+    v_all[:, m:] = w_d_half.T
 
     y = np.empty((nsteps + 1, p))
     u = np.empty((nsteps + 1, m))
@@ -247,15 +265,16 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     # reports the step; numpy's warnings about that would only be noise.
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(nsteps):
-            zw[:nz] = z
-            zw[nz:] = zw_dist[i]
-            b1 = blas.dgemv(1.0, f_mat, zw, beta=1.0, y=e_plus @ x, overwrite_y=True)
-            y1 = lu.solve(b1)
-            rhs_z = gz_plus @ z + g2_half @ (cx + c_mat @ y1) - g2_ref[i]
+            h = lu.solve(mass2 @ x, trans="T")
+            h -= x
+            ch = c_mat @ h
             # LAPACK carries a blow-up through to z and x without a check of
             # its own; the guard below reports it with its step.
-            z = lapack.dgetrs(schur_lu, schur_piv, rhs_z)[0]
-            x = blas.dgemv(1.0, wk_half, z, beta=1.0, y=y1, overwrite_y=True)
+            z = lapack.dgetrs(schur_lu, schur_piv, gz @ z + g2_half @ (cx + ch + forcing[i]))[0]
+            uz = k_mat @ z
+            v = v_all[i]
+            v[:m] = u[i] + uz
+            x = blas.dgemv(1.0, sbb, v, beta=1.0, y=h, overwrite_y=True)
             # NaN propagates through min and +-inf shows in min or max, so
             # the extrema double as the finiteness check on x.
             x_lo, x_hi = x.min(), x.max()
@@ -263,9 +282,9 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
                 raise ConvergenceError(f"non-finite state at step {i + 1} (t={times[i + 1]:.3f})")
             theta_min = min(theta_min, x_lo)
             theta_max = max(theta_max, x_hi)
-            cx = c_mat @ x
+            cx = ch + csbb @ v
             y[i + 1] = cx
-            u[i + 1] = k_mat @ z
+            u[i + 1] = uz
             while snap_left and snap_left[0] <= times[i + 1] + 1e-12:
                 snapshots[snap_left.pop(0)] = plant.reduction.inflate(x)
 

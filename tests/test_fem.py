@@ -162,6 +162,14 @@ def test_precontracted_convection_matches_quadrature(mesh11, rng):
             assert np.abs(g[c, d].toarray() - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
 
+def test_convection_blocks_share_the_p2_coupling_pattern(mesh11, rng):
+    indptr, indices, _ = mesh11.p2_couplings
+    n, g = fem.assemble_convection(mesh11, rng.standard_normal((mesh11.num_p2, 2)))
+    for mat in (n, *g.values()):
+        assert np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices)
+        assert mat.indices is not indices  # a caller may edit its matrix in place
+
+
 # ---------------------------------------------------------------------------
 # Loads
 

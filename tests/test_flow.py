@@ -152,6 +152,29 @@ def test_ns_matches_colamd_reference(ns41):
     assert np.linalg.norm(ns.pressure - p) <= 1e-12 * np.linalg.norm(p)
 
 
+def _block_jacobian(prob, adv=None, g=None):
+    # The saddle matrix assembled block by block and permuted to solve order.
+    if adv is None:
+        blocks = [[prob.visc, None], [None, prob.visc]]
+    else:
+        a = prob.visc + adv
+        blocks = [[a + g[0, 0], g[0, 1]], [g[1, 0], a + g[1, 1]]]
+    jac = sp.bmat([blocks[0] + [-prob.dx.T], blocks[1] + [-prob.dy.T], [prob.dx, prob.dy, None]], format="csr")
+    return jac[prob.order][:, prob.order].tocsc()
+
+
+@pytest.mark.parametrize("n", [11, 21])
+def test_gathered_jacobian_matches_block_assembly(geometry, n):
+    mesh = build_structured_mesh(geometry, n)
+    prob = flow._SaddleProblem(mesh, 100.0)
+    adv, g = fem.assemble_convection(mesh, flow.solve_stokes(mesh, re=100.0).velocity)
+    for args in ((), (adv, g)):
+        got, want = prob.jacobian(*args), _block_jacobian(prob, *args)
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
+    stokes, want = prob.jacobian(), _block_jacobian(prob)
+    assert np.array_equal(stokes.indptr, want.indptr) and np.array_equal(stokes.indices, want.indices)
+
+
 def test_singular_stokes_system_is_typed(mesh11, monkeypatch):
     # A viscous operator with its pattern but zero values: SuperLU finds an
     # exactly zero pivot, which spsolve reports only as a warning.

@@ -170,6 +170,17 @@ def test_riccati_full_steps_cross_conditioning_limit(seed):
     assert np.any(np.diff(sol.residual_history) > 0)
 
 
+@pytest.mark.parametrize("seed", [249, 256])
+def test_hamiltonian_oracle_rejects_non_stabilizing_solution(seed):
+    # The same conditioning-limit problems: the stable subspace gives |X|
+    # near 4e15 and an unstable closed loop (abscissa +0.41 and +0.29).
+    rng = np.random.default_rng(seed)
+    a = 2.5 * rng.standard_normal((16, 16)) / 4
+    b = 0.01 * rng.standard_normal((16, 1))
+    with pytest.raises(ConvergenceError, match=r"not stabilizing: closed-loop abscissa \d\.\d+e-01"):
+        lti.riccati_hamiltonian(a, b, np.eye(1), np.eye(16), alpha=0.5)
+
+
 def test_initializer_schur_reordering_failure_is_typed(monkeypatch):
     # LAPACK's eigenvalue reordering can fail on ill-conditioned spectra;
     # the caller must see the typed error naming the initializer.

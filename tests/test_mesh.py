@@ -146,3 +146,16 @@ def test_nested_dissection_top_separator_is_middle_vertex_line():
     assert np.array_equal(order[-n:], np.arange(n) * n + 20)
     half = (n * n - n) // 2
     assert np.all(ix[:half] < 20) and np.all(ix[half:-n] > 20)
+
+
+def test_p2_couplings_are_the_triangle_node_pairs(mesh11):
+    indptr, indices, slot = mesh11.p2_couplings
+    tri = mesh11.triangles
+    np2 = mesh11.num_p2
+    rows = np.repeat(np.arange(np2), np.diff(indptr))
+    pairs = set(zip(np.repeat(tri, 6, axis=1).ravel().tolist(), np.tile(tri, (1, 6)).ravel().tolist()))
+    assert sorted(pairs) == list(zip(rows.tolist(), indices.tolist()))
+    assert slot.dtype == np.int32 and slot.shape == (tri.shape[0], 6, 6)
+    assert np.array_equal(rows[slot], np.broadcast_to(tri[:, :, None], slot.shape))
+    assert np.array_equal(indices[slot], np.broadcast_to(tri[:, None, :], slot.shape))
+    assert mesh11.p2_couplings is mesh11.p2_couplings

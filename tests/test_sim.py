@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,6 +9,7 @@ from thermoreg import controller as ctrl_mod
 from thermoreg import plant as plant_mod
 from thermoreg import sim
 from thermoreg.controller import ControllerRealization
+from thermoreg.errors import ConvergenceError
 from thermoreg.fem import ShapeSpec
 from thermoreg.flow import solve_navier_stokes
 
@@ -234,6 +237,72 @@ def test_matches_dense_monolithic_trapezoid(plant11):
     assert res.theta_max == pytest.approx(max(0.0, plant_states.max()), rel=1e-10)
 
 
+def _random_stable_controller(nz, seed):
+    # G1 has its spectrum in the disc of radius about 1/2 around -2.
+    rng = np.random.default_rng(seed)
+    return ControllerRealization(
+        g1=0.5 * rng.standard_normal((nz, nz)) / np.sqrt(nz) - 2.0 * np.eye(nz),
+        g2=rng.standard_normal((nz, 1)),
+        k=rng.standard_normal((1, nz)) / np.sqrt(nz),
+        label="random",
+    )
+
+
+def test_matches_dense_monolithic_trapezoid_large_controller(plant11):
+    # The same dense reference with a 40-state controller: the rank-(m + d)
+    # plant update and the controller-size step both carry the coupling.
+    nz = 40
+    ctrl = _random_stable_controller(nz, seed=11)
+    spec = sim.SignalSpec(
+        frequencies=(1.0, 2.5), ref_cos=[[0.7], [0.0]], ref_sin=[[0.0], [-1.2]],
+        dist_cos=[[0.0], [0.4]], dist_sin=[[1.5], [0.0]],
+    )
+    dt, nsteps = 0.01, 100
+    z0 = np.random.default_rng(12).standard_normal(nz)
+    res = sim.simulate(sim.assemble_closed_loop(plant11, ctrl), spec, t_end=nsteps * dt, dt=dt, z0=z0)
+
+    n = plant11.drift.shape[0]
+    mass_e = sla.block_diag(plant11.mass.toarray(), np.eye(nz))
+    a_e = np.block([
+        [plant11.drift.toarray(), plant11.control @ ctrl.k],
+        [ctrl.g2 @ plant11.observation, ctrl.g1],
+    ])
+    lhs, rhs = mass_e / dt - 0.5 * a_e, mass_e / dt + 0.5 * a_e
+    y_ref, w_d = sim.eval_signals(spec, dt * (np.arange(nsteps) + 0.5))
+    forcing = np.vstack([plant11.disturbance @ w_d, -ctrl.g2 @ y_ref])
+    states = [np.concatenate([sim.default_initial_state(plant11), z0])]
+    for i in range(nsteps):
+        states.append(np.linalg.solve(lhs, rhs @ states[-1] + forcing[:, i]))
+    states = np.array(states)
+    plant_states = states[:, :n]
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    assert close(res.y, plant_states @ plant11.observation.T)
+    assert close(res.u, states[:, n:] @ ctrl.k.T)
+    assert close(res.state_final, states[-1, :n])
+    assert close(res.controller_final, states[-1, n:])
+    assert res.theta_min == pytest.approx(min(0.0, plant_states.min()), rel=1e-10, abs=1e-12)
+    assert res.theta_max == pytest.approx(max(0.0, plant_states.max()), rel=1e-10)
+
+
+def test_step_stores_no_plant_by_controller_array(mesh41):
+    # The plant/controller coupling has rank m + d, so the step keeps no
+    # n x nz block: the traced peak stays below half of one.
+    ns = solve_navier_stokes(mesh41, re=100.0)
+    plant = plant_mod.build_plant(mesh41, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+    nz = 200
+    cl = sim.assemble_closed_loop(plant, _random_stable_controller(nz, seed=3))
+    tracemalloc.start()
+    try:
+        sim.simulate(cl, sim.paper_signals(), t_end=0.05, dt=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * plant.drift.shape[0] * nz * 8
+
+
 def test_partial_step_horizon_rejected(plant11):
     cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
     with pytest.raises(ValueError, match="whole number of steps"):
@@ -288,6 +357,26 @@ def test_blowup_reports_step_without_runtime_warning():
     # The same blow-up, with numpy's RuntimeWarning raised as an error: the
     # typed error must still be the first thing the caller sees.
     test_nan_detection_reports_step()
+
+
+def test_blowup_reports_exact_step():
+    # x is multiplied by (1/dt + 5/2) / (1/dt - 5/2) = -9 per step, and
+    # 9^324 is the first power to overflow a double.
+    plant = plant_mod.GeneralizedPlant(
+        mass=sp.identity(1, format="csr"),
+        drift=sp.csr_matrix(np.array([[5.0]])),
+        control=np.array([[1.0]]),
+        disturbance=np.array([[0.0]]),
+        observation=np.array([[1.0]]),
+        reduction=None,
+        mesh=None,
+        re=1.0,
+        pr=1.0,
+    )
+    spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[1.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
+    cl = sim.assemble_closed_loop(plant, sim.zero_controller())
+    with pytest.raises(ConvergenceError, match=r"non-finite state at step 324 \(t=162\.000\)"):
+        sim.simulate(cl, spec, t_end=400.0, dt=0.5, x0=np.array([1.0]))
 
 
 def test_steady_state_matches_dc_transfer(plant11):
