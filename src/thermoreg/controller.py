@@ -10,7 +10,7 @@ copy of the signal dynamics (eigenvalues +-i w_k), which is what makes
 the regulation robust to plant perturbations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -70,16 +70,14 @@ class ControllerRealization:
     g1: np.ndarray  # state matrix
     g2: np.ndarray  # error input map
     k: np.ndarray   # control output map
-    label: str
-    params: dict = field(default_factory=dict)
 
     @property
     def dim(self):
         return self.g1.shape[0]
 
     def as_statespace(self):
-        """Controller transfer function u = C(sI - G1)^-1 G2 e."""
-        return StateSpace(a=self.g1, b=self.g2, c=self.k, d=np.zeros((self.k.shape[0], self.g2.shape[1])))
+        """Controller transfer function u = K (sI - G1)^-1 G2 e as a StateSpace (G1, G2, K)."""
+        return StateSpace(a=self.g1, b=self.g2, c=self.k)
 
 
 @dataclass
@@ -93,7 +91,7 @@ class DualObserverSynthesis:
     filter_riccati: lti.RiccatiSolution
 
 
-def _wire_dual(im, g2n, a_k, l_gain, c_k, k2, label, params):
+def _wire_dual(im, g2n, a_k, l_gain, c_k, k2):
     """Assemble the controller equations around the internal model.
 
     z1' = G1 z1 + G2 C_K z2 + G2 e
@@ -107,7 +105,7 @@ def _wire_dual(im, g2n, a_k, l_gain, c_k, k2, label, params):
     g1[im.dim :, im.dim :] = a_k + l_gain @ c_k
     g2 = np.vstack([g2n, l_gain])
     k = np.hstack([im.k1, -k2])
-    return ControllerRealization(g1=g1, g2=g2, k=k, label=label, params=params)
+    return ControllerRealization(g1=g1, g2=g2, k=k)
 
 
 def _cascade_schur(im, b, t, z):
@@ -163,7 +161,6 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
             raise ValueError(f"{name} must be a positive finite scalar, got {weight!r}")
     r1m = r1 * np.eye(m)
     r2m = r2 * np.eye(p)
-    params = {"alpha1": alpha1, "alpha2": alpha2, "r1": float(r1), "r2": float(r2), "r": r}
 
     # (o) the one order-N Schur form, and the cascade's pair built from it
     t, z = sla.schur(design.a.T, output="real")
@@ -180,7 +177,7 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     a_s[: im.dim, : im.dim] = im.g1
     a_s[im.dim :, : im.dim] = design.b @ im.k1
     a_s[im.dim :, im.dim :] = design.a
-    c_s = np.hstack([np.zeros((p, im.dim)), design.c])  # D = 0
+    c_s = np.hstack([np.zeros((p, im.dim)), design.c])
 
     # (iii) output injection from the filter Riccati equation
     fil_sol = lti.solve_riccati_filter(a_s, c_s, r2m, np.eye(ns), alpha=alpha2, schur=(t_s, z_s))
@@ -191,14 +188,14 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
 
     # (iv) balanced truncation of the stabilized observer system
     a_kn = design.a + design.b @ k2
-    bt_input = StateSpace(a=a_kn, b=l_n, c=np.vstack([design.c, k2]), d=np.zeros((p + m, p)))
+    bt_input = StateSpace(a=a_kn, b=l_n, c=np.vstack([design.c, k2]))
     reduction = lti.balanced_truncation(bt_input, r)
     c_kr = reduction.system.c[:p]
     k2r = reduction.system.c[p:]
 
     # (v) wire both realizations
-    full = _wire_dual(im, g2n, a_kn, l_n, design.c, k2, "dual-full", params)
-    reduced = _wire_dual(im, g2n, reduction.system.a, reduction.system.b, c_kr, k2r, "dual-reduced", params)
+    full = _wire_dual(im, g2n, a_kn, l_n, design.c, k2)
+    reduced = _wire_dual(im, g2n, reduction.system.a, reduction.system.b, c_kr, k2r)
     return DualObserverSynthesis(
         full=full,
         reduced=reduced,
@@ -238,13 +235,7 @@ def synthesize_low_gain(transfer_values, frequencies, eps, p=1):
         g2[base : base + p] = -np.eye(p)
         k0[:, base : base + p] = pinv.real
         k0[:, base + p : base + 2 * p] = pinv.imag
-    return ControllerRealization(
-        g1=im.g1,
-        g2=g2,
-        k=eps * k0,
-        label="low-gain",
-        params={"eps": eps, "frequencies": list(im.frequencies)},
-    )
+    return ControllerRealization(g1=im.g1, g2=g2, k=eps * k0)
 
 
 def internal_model_eigenvalues_present(ctrl, frequencies, tol=1e-8):

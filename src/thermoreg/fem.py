@@ -1,11 +1,13 @@
 """P1/P2 finite element assembly on structured triangle meshes.
 
 Element matrices are computed for all triangles at once and scattered
-into CSR matrices, so no Python-level loop runs over elements.  Mass,
-stiffness and divergence are einsum contractions over quadrature points.
-The convection forms (advection and the velocity-gradient blocks of its
-Newton linearization) are one matrix product of per-element ``v . J^-1``
-factors with reference tensors precontracted over the quadrature rule.
+into CSR matrices, so no Python-level loop runs over elements.  Mass is an
+einsum contraction over quadrature points.  Stiffness, divergence and the
+convection forms (advection and the velocity-gradient blocks of its Newton
+linearization) are one matrix product of per-element geometric factors
+(``J^-1 J^-T``, ``J^-1``, ``v . J^-1``) with reference tensors
+precontracted over the quadrature rule; stiffness and divergence store no
+entry for a coupling that vanishes in exact arithmetic.
 Quadrature rules are exact for every product of P2 basis functions that
 appears in the weak forms (degree 5 suffices for mass, stiffness, and
 advection with a P2 velocity field).
@@ -188,13 +190,50 @@ def assemble_mass(mesh):
     return _scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
 
 
-def assemble_stiffness(mesh):
-    """P2 Dirichlet-energy matrix K_ij = integral(grad phi_i . grad phi_j)."""
+def _gradient_kernels():
+    """Reference tensors of the stiffness and divergence forms, precontracted over their rules.
+
+    Row (k, l) of the stiffness kernel holds, for every (i, j),
+    sum_q w_q dphi_i/dk dphi_j/dl (degree-2 integrand and rule).  Row k of
+    the divergence kernel holds, for every (a, j), sum_q w_q psi_a dphi_j/dk
+    with P1 functions psi (degree-2 integrand, degree-3 rule).  Both
+    contractions are exact.
+    """
     rule = triangle_rule(2)
-    gp = physical_grads(mesh, rule)
-    det, _ = element_jacobians(mesh)
-    local = np.einsum("q,eqid,eqjd,e->eij", rule.weights, gp, gp, det)
-    return _scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
+    ghat = p2_grads_reference(rule.points)
+    stiff = np.einsum("q,qik,qjl->klij", rule.weights, ghat, ghat).reshape(4, 36)
+    rule = triangle_rule(3)
+    ghat = p2_grads_reference(rule.points)
+    div = np.einsum("q,qa,qjk->kaj", rule.weights, p1_basis(rule.points), ghat).reshape(2, 18)
+    return stiff, div
+
+
+_STIFFNESS_KERNEL, _DIVERGENCE_KERNEL = _gradient_kernels()
+# Entries of an assembled stiffness or divergence matrix at most this share
+# of its largest entry are the rounding residue of couplings that vanish in
+# exact arithmetic; on the structured meshes every true entry is above 1e-2
+# of the largest.
+_CANCELLATION_TOL = 1e-12
+
+
+def _drop_cancellations(mat):
+    """Store the couplings that vanish in exact arithmetic as no entry at all."""
+    mat.data[np.abs(mat.data) <= _CANCELLATION_TOL * np.abs(mat.data).max()] = 0.0
+    mat.eliminate_zeros()
+    return mat
+
+
+def assemble_stiffness(mesh):
+    """P2 Dirichlet-energy matrix K_ij = integral(grad phi_i . grad phi_j).
+
+    The element matrices are the per-element factors det_e (J_e^-1 J_e^-T)_kl
+    times the precontracted kernel.
+    """
+    det, jinv = element_jacobians(mesh)
+    factors = (jinv @ jinv.transpose(0, 2, 1)) * det[:, None, None]
+    local = (factors.reshape(-1, 4) @ _STIFFNESS_KERNEL).reshape(-1, 6, 6)
+    tri = mesh.triangles
+    return _drop_cancellations(_scatter(local, tri, tri, (mesh.num_p2, mesh.num_p2)))
 
 
 def _convection_kernel():
@@ -268,16 +307,15 @@ def assemble_divergence(mesh):
     """Mixed divergence blocks (Dx, Dy): D_c[i, j] = integral(psi_i d_c phi_j).
 
     Rows are P1 pressure test functions, columns P2 velocity components.
+    The element matrices are the per-element factors det_e (J_e^-1)_kc times
+    the precontracted kernel.
     """
-    rule = triangle_rule(3)
-    p1 = p1_basis(rule.points)
-    gp = physical_grads(mesh, rule)
-    det, _ = element_jacobians(mesh)
+    det, jinv = element_jacobians(mesh)
     shape = (mesh.num_p1, mesh.num_p2)
     out = []
     for c in range(2):
-        local = np.einsum("q,qa,eqj,e->eaj", rule.weights, p1, gp[:, :, :, c], det)
-        out.append(_scatter(local, mesh.tri_p1, mesh.triangles, shape))
+        local = (jinv[:, :, c] * det[:, None]) @ _DIVERGENCE_KERNEL
+        out.append(_drop_cancellations(_scatter(local.reshape(-1, 3, 6), mesh.tri_p1, mesh.triangles, shape)))
     return out[0], out[1]
 
 

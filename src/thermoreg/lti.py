@@ -73,6 +73,9 @@ _OUTER_SHARE = 1e-2
 # it: on a 373-state dual design the basis of the observability factor grew
 # from 64 to 187 columns.
 _INNER_TOL = 1e-14
+# The Riccati initializer stabilizes the eigenvalues of the shifted drift with
+# real part at least -_SELECT_MARGIN.
+_SELECT_MARGIN = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +239,15 @@ def riccati_hamiltonian(a, b, r, q, alpha=0.0):
     return x
 
 
-def _subspace_stabilizing_gain(ash, b, r, margin=1e-8, schur=None):
+def _subspace_stabilizing_gain(ash, b, r, schur=None):
     """Gain K0 with ``ash - b K0`` stable, and the Schur pair of its transpose.
 
     ``schur`` is a real Schur pair ``(T, Z)`` of ``ash^T`` (the caller's, or
     an unsorted ``scipy.linalg.schur`` when None); it is overwritten.  LAPACK
     ``dtrsen`` reorders it so that the k eigenvalues with real part at least
-    ``-margin`` come first, so ``Z1^T`` spans the left unstable invariant
-    subspace of ``ash`` and ``(T11^T, Z1^T b)`` is the projected pair.  A
-    small Riccati equation stabilizes it with gain ``k_u``, and
+    ``-_SELECT_MARGIN`` come first, so ``Z1^T`` spans the left unstable
+    invariant subspace of ``ash`` and ``(T11^T, Z1^T b)`` is the projected
+    pair.  A small Riccati equation stabilizes it with gain ``k_u``, and
     ``K0 = k_u Z1^T``.  In the basis Z the transposed closed loop is
     ``[[T11 - k_u^T b1^T, T12 - k_u^T b2^T], [0, T22]]``, so a Schur form
     ``U S U^T`` of the k x k block turns ``(T, Z)`` into a real Schur pair of
@@ -256,7 +259,7 @@ def _subspace_stabilizing_gain(ash, b, r, margin=1e-8, schur=None):
     stable, which happens when the small Riccati solve is ill-conditioned.
     """
     t, z = sla.schur(ash.T, output="real") if schur is None else schur
-    select = np.diag(t) >= -margin
+    select = np.diag(t) >= -_SELECT_MARGIN
     t, z, _, _, k, _, _, info = lapack.dtrsen(select, t, z, job="N", overwrite_t=1, overwrite_q=1)
     if info != 0:
         raise ConvergenceError(
@@ -268,7 +271,7 @@ def _subspace_stabilizing_gain(ash, b, r, margin=1e-8, schur=None):
     s_u = bz[:k] @ np.linalg.solve(r, bz[:k].T)
     try:
         # The stabilized block is checked below, where its message names it.
-        x_u = _hamiltonian_solution(t[:k, :k].T + margin * np.eye(k), s_u, np.eye(k))
+        x_u = _hamiltonian_solution(t[:k, :k].T + _SELECT_MARGIN * np.eye(k), s_u, np.eye(k))
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"no stabilizing initializer: unstable block of order {k} is not controllable"
@@ -614,6 +617,9 @@ class BalancedReduction:
 def balanced_truncation(sys, r):
     """Low-rank square-root balanced truncation of a stable StateSpace to order ``r``.
 
+    The reduced system is the projection ``(T_l A T_r, T_l B, C T_r)``; like
+    every StateSpace it has no feedthrough.
+
     Both Gramians come as factors from the extended Krylov kernel
     ``_lowrank_lyap`` (inner tolerance ``_INNER_TOL``), and the Hankel
     singular values are those of ``Z_q^T Z_p`` (Gugercin & Li, 2005).  When
@@ -650,12 +656,7 @@ def balanced_truncation(sys, r):
     scale = 1.0 / np.sqrt(sv[:r])
     t_right = zp @ vt[:r].T * scale
     t_left = (u[:, :r] * scale).T @ zq.T
-    reduced = StateSpace(
-        a=t_left @ sys.a @ t_right,
-        b=t_left @ sys.b,
-        c=sys.c @ t_right,
-        d=sys.d.copy(),
-    )
+    reduced = StateSpace(a=t_left @ sys.a @ t_right, b=t_left @ sys.b, c=sys.c @ t_right)
     residuals = tuple(
         _lowrank_residual_norm(op, z, rhs) / max(np.linalg.norm(rhs.T @ rhs), 1e-300)
         for op, z, rhs in ((sys.a, zp, sys.b), (sys.a.T, zq, sys.c.T))

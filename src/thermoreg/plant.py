@@ -56,22 +56,21 @@ class GeneralizedPlant:
 
 @dataclass
 class StateSpace:
-    """Dense standard-form system (A, B, C, D)."""
+    """Dense standard-form system (A, B, C) without feedthrough."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d: np.ndarray
 
     @property
     def order(self):
         return self.a.shape[0]
 
     def transfer(self, s):
-        """Transfer value C (sI - A)^-1 B + D at one complex frequency."""
+        """Transfer value C (sI - A)^-1 B at one complex frequency."""
         n = self.order
         x = np.linalg.solve(s * np.eye(n) - self.a, self.b)
-        return self.c @ x + self.d
+        return self.c @ x
 
 
 def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, observation_shape):
@@ -114,8 +113,8 @@ def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, obse
 def to_standard_form(plant):
     """Congruence by the mass Cholesky factor: x_std = L^T x.
 
-    Returns the dense StateSpace (L^-1 A L^-T, L^-1 B, C L^-T, 0), which
-    has the same transfer function as the generalized plant.
+    Returns the dense StateSpace (L^-1 A L^-T, L^-1 B, C L^-T), which has
+    the same transfer function as the generalized plant.
     """
     try:
         chol = sla.cholesky(plant.mass.toarray(), lower=True)
@@ -125,8 +124,7 @@ def to_standard_form(plant):
     a_std = sla.solve_triangular(chol, half.T, lower=True).T
     b_std = sla.solve_triangular(chol, plant.control, lower=True)
     c_std = sla.solve_triangular(chol, plant.observation.T, lower=True).T
-    p, m = plant.observation.shape[0], plant.control.shape[1]
-    return StateSpace(a=a_std, b=b_std, c=c_std, d=np.zeros((p, m)))
+    return StateSpace(a=a_std, b=b_std, c=c_std)
 
 
 def rightmost_spectrum(plant, k=1, shift=0.0):

@@ -1,10 +1,12 @@
 """Closed-loop assembly, time integration, and tracking diagnostics.
 
 The closed loop couples the sparse generalized plant with a small dense
-controller.  Time stepping is the trapezoidal rule.  The plant block of the
-step matrix is factorized once, transposed, by sparse LU with minimum-degree
-ordering on its symmetric pattern (``MMD_AT_PLUS_A``), and solved in
-SuperLU's transposed mode.  The plant/controller coupling has rank m + d
+controller; neither has a feedthrough term.  Its spectral abscissa comes
+from the dense drift in mass-normalized coordinates (desk scale).  Time
+stepping is the trapezoidal rule.  The plant block of the step matrix is
+factorized once, transposed, by sparse LU with minimum-degree ordering on
+its symmetric pattern (``MMD_AT_PLUS_A``), and solved in SuperLU's
+transposed mode.  The plant/controller coupling has rank m + d
 (inputs plus disturbances), so each step costs one sparse product, one
 sparse solve, one rank-(m + d) update of the plant state and small dense
 algebra on the controller (a block Schur complement).
@@ -120,25 +122,17 @@ def zero_controller(p=1, m=1):
     """Trivial controller (K = 0, G2 = 0); closes the loop without feedback."""
     from .controller import ControllerRealization
 
-    return ControllerRealization(
-        g1=np.zeros((1, 1)), g2=np.zeros((1, p)), k=np.zeros((m, 1)), label="zero"
-    )
-
-
-def closed_loop_dense(cl):
-    """Dense closed-loop drift in mass-normalized coordinates (desk scale)."""
-    from .plant import to_standard_form
-
-    std = to_standard_form(cl.plant)
-    top = np.hstack([std.a, std.b @ cl.ctrl.k])
-    bottom = np.hstack([cl.ctrl.g2 @ std.c, cl.ctrl.g1])
-    return np.vstack([top, bottom])
+    return ControllerRealization(g1=np.zeros((1, 1)), g2=np.zeros((1, p)), k=np.zeros((m, 1)))
 
 
 def closed_loop_abscissa(cl):
+    """Spectral abscissa of the dense closed-loop drift in mass-normalized coordinates."""
     from .lti import spectral_abscissa
+    from .plant import to_standard_form
 
-    return spectral_abscissa(closed_loop_dense(cl))
+    std = to_standard_form(cl.plant)
+    ctrl = cl.ctrl
+    return spectral_abscissa(np.block([[std.a, std.b @ ctrl.k], [ctrl.g2 @ std.c, ctrl.g1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +150,6 @@ class SimulationResult:
     snapshots: dict = field(default_factory=dict)  # time -> full P2 nodal field
     state_final: np.ndarray = None
     controller_final: np.ndarray = None
-    controller_label: str = ""
 
 
 def default_initial_state(plant):
@@ -300,7 +293,6 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
         snapshots=snapshots,
         state_final=x,
         controller_final=z,
-        controller_label=ctrl.label,
     )
 
 

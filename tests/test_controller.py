@@ -159,7 +159,7 @@ def test_dual_design_n21_filter_takes_no_polish(mesh41, mesh21):
 
 def test_dual_requires_square_plant(design11):
     std, _ = design11
-    wide = StateSpace(a=std.a, b=np.hstack([std.b, std.b]), c=std.c, d=np.zeros((1, 2)))
+    wide = StateSpace(a=std.a, b=np.hstack([std.b, std.b]), c=std.c)
     im = ctrl_mod.build_internal_model(FREQS, p=1)
     with pytest.raises(ValueError):
         ctrl_mod.synthesize_dual_observer(wide, im)

@@ -101,6 +101,33 @@ def test_stiffness_kernel_constants(mesh21):
     assert np.max(np.abs(k @ np.ones(mesh21.num_p2))) < 1e-13
 
 
+@pytest.mark.parametrize("n", [11, 21, 41])
+def test_precontracted_stiffness_and_divergence_match_quadrature(geometry, n):
+    # Direct quadrature at the physical points, scattered without dropping
+    # anything but exact zeros.
+    mesh = build_structured_mesh(geometry, n)
+    det, _ = fem.element_jacobians(mesh)
+    rule = fem.triangle_rule(2)
+    grads = fem.physical_grads(mesh, rule)
+    local = np.einsum("q,eqid,eqjd,e->eij", rule.weights, grads, grads, det)
+    refs = [fem._scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))]
+    rule = fem.triangle_rule(3)
+    grads = fem.physical_grads(mesh, rule)
+    p1 = fem.p1_basis(rule.points)
+    for c in range(2):
+        local = np.einsum("q,qa,eqj,e->eaj", rule.weights, p1, grads[:, :, :, c], det)
+        refs.append(fem._scatter(local, mesh.tri_p1, mesh.triangles, (mesh.num_p1, mesh.num_p2)))
+    for mat, ref in zip([fem.assemble_stiffness(mesh), *fem.assemble_divergence(mesh)], refs):
+        scale = np.abs(ref.data).max()
+        assert np.abs((mat - ref).toarray()).max() <= 1e-13 * scale
+        # The reference's pattern, less the rounding residue of couplings
+        # that vanish in exact arithmetic; every stored entry is a true one.
+        ref.data[np.abs(ref.data) <= 1e-13 * scale] = 0.0
+        ref.eliminate_zeros()
+        assert np.array_equal(mat.indptr, ref.indptr) and np.array_equal(mat.indices, ref.indices)
+        assert np.abs(mat.data).min() >= 1e-2 * scale
+
+
 def test_dirichlet_energy_of_manufactured_solution(geometry):
     # theta = sin(pi x) sin(pi y) has Dirichlet energy pi^2 / 2; the nodal
     # interpolant's discrete energy converges at O(h^2).

@@ -486,7 +486,7 @@ def test_factored_residual_norm_matches_dense():
 
 def _random_system(rng, n, m=2, p=2, shift=1.5):
     a = random_stable(rng, n, shift)
-    sys = StateSpace(a=a, b=rng.standard_normal((n, m)), c=rng.standard_normal((p, n)), d=np.zeros((p, m)))
+    sys = StateSpace(a=a, b=rng.standard_normal((n, m)), c=rng.standard_normal((p, n)))
     # Some small draws are not stable after the shift; move them by their own
     # abscissa plus a margin.  The draws consumed stay the same.
     abscissa = lti.spectral_abscissa(a)
@@ -506,7 +506,7 @@ def test_bt_two_state_example_with_kron_oracle():
     a = np.diag([-1.0, -100.0])
     b = np.array([[1.0], [1.0]])
     c = np.array([[1.0, 1.0]])
-    sys = StateSpace(a=a, b=b, c=c, d=np.zeros((1, 1)))
+    sys = StateSpace(a=a, b=b, c=c)
     ctrb = lyapunov_kron_oracle(a, b @ b.T)
     obsv = lyapunov_kron_oracle(a.T, c.T @ c)
     hsv_oracle = np.sqrt(np.sort(np.linalg.eigvals(ctrb @ obsv).real)[::-1])
@@ -537,7 +537,7 @@ def test_bt_hsv_similarity_invariant(rng):
     sys = _random_system(rng, 6)
     t = rng.standard_normal((6, 6)) + 3 * np.eye(6)
     tinv = np.linalg.inv(t)
-    sys2 = StateSpace(a=tinv @ sys.a @ t, b=tinv @ sys.b, c=sys.c @ t, d=sys.d)
+    sys2 = StateSpace(a=tinv @ sys.a @ t, b=tinv @ sys.b, c=sys.c @ t)
     h1 = lti.balanced_truncation(sys, 3).hankel_singular_values
     h2 = lti.balanced_truncation(sys2, 3).hankel_singular_values
     assert np.allclose(h1, h2, rtol=1e-8)
@@ -558,7 +558,7 @@ def diffusive_system(n=150, seed=0):
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = basis @ np.diag(-np.logspace(-1.0, 3.0, n)) @ basis.T
     a = a + 0.05 * np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
-    return StateSpace(a=a, b=rng.standard_normal((n, 1)), c=rng.standard_normal((2, n)), d=np.zeros((2, 1)))
+    return StateSpace(a=a, b=rng.standard_normal((n, 1)), c=rng.standard_normal((2, n)))
 
 
 def dense_hankel_values(sys):
@@ -628,7 +628,7 @@ def test_bt_clamps_rank_deficient(rng):
     a = np.diag([-1.0, -2.0])
     b = np.array([[1.0], [0.0]])
     c = np.array([[1.0, 0.0]])
-    sys = StateSpace(a=a, b=b, c=c, d=np.zeros((1, 1)))
+    sys = StateSpace(a=a, b=b, c=c)
     with pytest.warns(UserWarning):
         red = lti.balanced_truncation(sys, 2)
     assert red.order == 1

@@ -149,7 +149,6 @@ def test_bt_error_within_bound(seed, n, m, p, near_axis, order):
         a=random_stable(rng, n, near_axis, nonnormal=2.0),
         b=rng.standard_normal((n, m)),
         c=rng.standard_normal((p, n)),
-        d=np.zeros((p, m)),
     )
     r = 1 + int(order * (n - 2))
     with warnings.catch_warnings():

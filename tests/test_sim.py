@@ -89,7 +89,6 @@ def test_zero_controller_decouples(plant11):
         g1=np.array([[0.0, 5.0], [-5.0, 0.0]]),
         g2=np.zeros((2, 1)),
         k=np.zeros((1, 2)),
-        label="autonomous",
     )
     res_spin = sim.simulate(sim.assemble_closed_loop(plant11, spinning), zero_spec, t_end=1.0, dt=0.01, x0=x0)
     assert np.array_equal(res_zero.y, res_spin.y)
@@ -97,7 +96,7 @@ def test_zero_controller_decouples(plant11):
 
 
 def test_dimension_mismatch_rejected(plant11):
-    bad = ControllerRealization(g1=np.zeros((2, 2)), g2=np.zeros((2, 3)), k=np.zeros((1, 2)), label="bad")
+    bad = ControllerRealization(g1=np.zeros((2, 2)), g2=np.zeros((2, 3)), k=np.zeros((1, 2)))
     with pytest.raises(ValueError):
         sim.assemble_closed_loop(plant11, bad)
 
@@ -170,7 +169,7 @@ def test_trapezoidal_second_order():
         re=1.0,
         pr=1.0,
     )
-    ctrl = ControllerRealization(g1=np.array([[-3.0]]), g2=np.array([[1.0]]), k=np.array([[0.5]]), label="toy")
+    ctrl = ControllerRealization(g1=np.array([[-3.0]]), g2=np.array([[1.0]]), k=np.array([[0.5]]))
     cl = sim.assemble_closed_loop(plant, ctrl)
     a_e = np.block(
         [[a.toarray(), plant.control @ ctrl.k], [ctrl.g2 @ plant.observation, ctrl.g1]]
@@ -199,7 +198,6 @@ def test_matches_dense_monolithic_trapezoid(plant11):
         g1=rng.standard_normal((nz, nz)) - 2.0 * np.eye(nz),
         g2=rng.standard_normal((nz, 1)),
         k=rng.standard_normal((1, nz)),
-        label="dense",
     )
     spec = sim.SignalSpec(
         frequencies=(1.0, 2.5), ref_cos=[[0.7], [0.0]], ref_sin=[[0.0], [-1.2]],
@@ -244,7 +242,6 @@ def _random_stable_controller(nz, seed):
         g1=0.5 * rng.standard_normal((nz, nz)) / np.sqrt(nz) - 2.0 * np.eye(nz),
         g2=rng.standard_normal((nz, 1)),
         k=rng.standard_normal((1, nz)) / np.sqrt(nz),
-        label="random",
     )
 
 
@@ -324,7 +321,7 @@ def test_snapshot_at_zero_is_initial_field(plant11):
 
 def test_singular_controller_step_rejected(plant11):
     # I/dt - G1/2 vanishes for G1 = 2/dt, and G2 = 0 leaves no coupling term.
-    ctrl = ControllerRealization(g1=np.array([[200.0]]), g2=np.zeros((1, 1)), k=np.zeros((1, 1)), label="singular")
+    ctrl = ControllerRealization(g1=np.array([[200.0]]), g2=np.zeros((1, 1)), k=np.zeros((1, 1)))
     with pytest.raises(ValueError, match="singular"):
         sim.simulate(sim.assemble_closed_loop(plant11, ctrl), sim.paper_signals(), t_end=0.1, dt=0.01)
 
@@ -491,3 +488,46 @@ def test_robust_to_plant_perturbation(tracking_run, rng):
     tail = sim.window_max_error(res, 16.0, 20.0)
     assert tail < 1e-2 * early
 
+
+# ---------------------------------------------------------------------------
+# Coarse-to-fine: controllers designed on the n=21 plant, closed around the
+# n=41 plant of the same flow
+
+
+def _perturbed_plant(plant, seed):
+    """Relative +-1e-3 perturbation of drift, control and observation."""
+    import dataclasses
+
+    rng = np.random.default_rng(seed)
+    drift = plant.drift.copy()
+    drift.data = drift.data * (1.0 + 1e-3 * rng.uniform(-1, 1, drift.data.size))
+    return dataclasses.replace(
+        plant,
+        drift=drift,
+        control=plant.control * (1.0 + 1e-3 * rng.uniform(-1, 1, plant.control.shape)),
+        observation=plant.observation * (1.0 + 1e-3 * rng.uniform(-1, 1, plant.observation.shape)),
+    )
+
+
+@pytest.fixture(scope="module")
+def coarse_to_fine(mesh21, mesh41):
+    flow = solve_navier_stokes(mesh41, re=100.0)
+    fine = plant_mod.build_plant(mesh41, flow, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+    design = plant_mod.build_plant(mesh21, flow, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+    freqs = sim.paper_signals().frequencies
+    im = ctrl_mod.build_internal_model(freqs, p=1)
+    controllers = {
+        "dual-reduced": ctrl_mod.synthesize_dual_observer(plant_mod.to_standard_form(design), im, r=10).reduced,
+        "low-gain": ctrl_mod.synthesize_low_gain(
+            [plant_mod.transfer_value(design, 1j * w) for w in freqs], freqs, 0.2
+        ),
+    }
+    return fine, controllers
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("name", ["dual-reduced", "low-gain"])
+def test_coarse_design_stabilizes_fine_plant(coarse_to_fine, name, seed):
+    fine, controllers = coarse_to_fine
+    plant = fine if seed is None else _perturbed_plant(fine, seed)
+    assert sim.closed_loop_abscissa(sim.assemble_closed_loop(plant, controllers[name])) < 0
