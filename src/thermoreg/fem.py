@@ -87,9 +87,9 @@ def triangle_rule(degree):
     raise ValueError(f"no triangle rule of degree >= {degree}")
 
 
-def edge_rule(npoints=3):
-    """Gauss-Legendre rule on [0, 1] (3 points are exact to degree 5)."""
-    x, w = np.polynomial.legendre.leggauss(npoints)
+def edge_rule():
+    """3-point Gauss-Legendre rule on [0, 1], exact to degree 5."""
+    x, w = np.polynomial.legendre.leggauss(3)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -329,8 +329,6 @@ class ShapeSpec:
     kind:
       - ``indicator-rectangle``: amplitude on [x0, x1] x [y0, y1], 0 outside
       - ``boundary-indicator``: amplitude along the tagged boundary part
-      - ``inlet-flux-profile``: smooth bump exp(-1e-4 / ((0.5-y)(0.9-y))^2)
-        supported on 0.5 < y < 0.9, used for boundary-load convergence tests
     """
 
     kind: str
@@ -338,7 +336,7 @@ class ShapeSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("indicator-rectangle", "boundary-indicator", "inlet-flux-profile"):
+        if self.kind not in ("indicator-rectangle", "boundary-indicator"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
         if self.kind == "indicator-rectangle" and (self.bounds is None or len(self.bounds) != 4):
             raise ValueError("indicator-rectangle needs bounds (x0, x1, y0, y1)")
@@ -352,12 +350,7 @@ def shape_values(shape, points):
         x0, x1, y0, y1 = shape.bounds
         inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
         return shape.amplitude * inside.astype(float)
-    if shape.kind == "boundary-indicator":
-        return np.full_like(x, shape.amplitude)
-    # inlet-flux-profile (horizontal component magnitude)
-    from .flow import inlet_profile_value
-
-    return shape.amplitude * inlet_profile_value(y)
+    return np.full_like(x, shape.amplitude)  # boundary-indicator
 
 
 def assemble_load_domain(mesh, shape):
@@ -376,30 +369,22 @@ def assemble_load_domain(mesh, shape):
     return load
 
 
-def edge_trace(mesh, tag):
-    """3-point Gauss quadrature on the quadratic boundary edges tagged ``tag``.
+def assemble_load_boundary(mesh, tag, shape):
+    """Load vector F_i = integral over tagged boundary edges of shape * phi_i.
 
-    Each edge (vertex, midpoint, vertex) is parametrized by t in [0, 1].
-    Returns the edges (ne, 3), the quadrature points (ne, nq, 2), the
-    weights (nq,), the quadratic trace basis at t (nq, 3) and the edge
-    lengths (ne,).
+    Each quadratic edge (vertex, midpoint, vertex) is parametrized by t in
+    [0, 1] and integrated with the 3-point Gauss rule.
     """
     edges = mesh.boundary_edges[mesh.edge_tags == tag]
+    if not edges.size:
+        raise ValueError(f"mesh has no boundary edges tagged {tag}")
     t, w = edge_rule()
-    trace = np.stack([(2 * t - 1) * (t - 1), 4 * t * (1 - t), t * (2 * t - 1)], axis=1)
+    trace = np.stack([(2 * t - 1) * (t - 1), 4 * t * (1 - t), t * (2 * t - 1)], axis=1)  # (nq, 3)
     pa = mesh.p2_nodes[edges[:, 0]]
     pb = mesh.p2_nodes[edges[:, 2]]
     pts = pa[:, None, :] * (1 - t)[None, :, None] + pb[:, None, :] * t[None, :, None]
-    return edges, pts, w, trace, np.linalg.norm(pb - pa, axis=1)
-
-
-def assemble_load_boundary(mesh, tag, shape):
-    """Load vector F_i = integral over tagged boundary edges of shape * phi_i."""
-    edges, pts, w, trace, lengths = edge_trace(mesh, tag)
-    if not edges.size:
-        raise ValueError(f"mesh has no boundary edges tagged {tag}")
     vals = shape_values(shape, pts)
-    local = np.einsum("q,qi,eq,e->ei", w, trace, vals, lengths)
+    local = np.einsum("q,qi,eq,e->ei", w, trace, vals, np.linalg.norm(pb - pa, axis=1))
     load = np.zeros(mesh.num_p2)
     np.add.at(load, edges.ravel(), local.ravel())
     return load

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .errors import ConvergenceError
-from .mesh import INLET, OUTLET, WALL, nested_dissection_order
+from .mesh import INLET, WALL, nested_dissection_order
 
 # The printed inlet profile is supported on 0.5 < y < 0.9 while the inlet
 # spans 0.1 <= y <= 0.4; the profile is shifted down by 0.4 so that flow
@@ -71,18 +71,12 @@ class FlowState:
     newton_iterations: int = 0
 
 
-def _dirichlet_velocity(mesh, inlet_data):
+def _dirichlet_velocity(mesh):
     """Dirichlet node set and values: zero on walls, profile on the inlet."""
     fixed = np.flatnonzero((mesh.node_tags == WALL) | (mesh.node_tags == INLET))
     values = np.zeros((fixed.size, 2))
     inlet_sel = mesh.node_tags[fixed] == INLET
-    ys = mesh.p2_nodes[fixed[inlet_sel], 1]
-    if inlet_data is not None:
-        vx, vy = inlet_data(ys)
-    else:
-        vx, vy = inlet_profile(ys)
-    values[inlet_sel, 0] = vx
-    values[inlet_sel, 1] = vy
+    values[inlet_sel] = np.column_stack(inlet_profile(mesh.p2_nodes[fixed[inlet_sel], 1]))
     return fixed, values
 
 
@@ -107,53 +101,52 @@ def _saddle_order(mesh, fixed):
     return idx[np.lexsort((component[idx], node[idx]))]
 
 
+def _saddle_pattern(mesh, dx, dy, order):
+    """Saddle matrix pattern in solve order, as CSC ``(indptr, indices, shape)``, and its gather map.
+
+    Entry k of the pattern takes its value from entry ``source[k]`` of the
+    source vector [xx, xy, yx, yy couplings, -Dx^T, -Dy^T, Dx, Dy] of
+    ``_SaddleProblem.jacobian``.  Every index array is int32.
+    """
+    np2 = mesh.num_p2
+    indptr, indices, _ = mesh.p2_couplings
+    rows = np.repeat(np.arange(np2, dtype=np.int32), np.diff(indptr))
+    dx, dy = dx.tocoo(), dy.tocoo()
+    p = 2 * np2
+    place = np.full(p + mesh.num_p1, -1, dtype=np.int32)
+    place[order] = np.arange(order.size, dtype=np.int32)
+    # Solve-order row and column of each source entry (-1 for a fixed unknown).
+    r = place[np.concatenate([rows, rows, rows + np2, rows + np2, dx.col, dy.col + np2, dx.row + p, dy.row + p])]
+    c = place[np.concatenate([indices, indices + np2, indices, indices + np2, dx.row + p, dy.row + p, dx.col, dy.col + np2])]
+    kept = np.flatnonzero((r >= 0) & (c >= 0)).astype(np.int32)
+    r, c = r[kept], c[kept]
+    by_column = np.lexsort((r, c))
+    col_ptr = np.zeros(order.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(c, minlength=order.size), out=col_ptr[1:])
+    return (col_ptr, r[by_column], (order.size, order.size)), kept[by_column]
+
+
 class _SaddleProblem:
     """Assembled Taylor-Hood operators, boundary data and the solve order.
 
-    The saddle matrix has one pattern in solve order, built when the order
-    is set: the P2 couplings (``mesh.p2_couplings``) in each of the four
-    velocity blocks, and the divergence blocks.  A Jacobian then gathers its
-    values from the viscous, convection and divergence data into that
-    pattern, with no sparse assembly per Newton step.
+    The saddle matrix has one pattern in solve order, built once: the P2
+    couplings (``mesh.p2_couplings``) in each of the four velocity blocks,
+    and the divergence blocks.  A Jacobian then gathers its values from the
+    viscous, convection and divergence data into that pattern, with no
+    sparse assembly per Newton step.
     """
 
-    def __init__(self, mesh, re, inlet_data=None):
+    def __init__(self, mesh, re):
         if not (np.isfinite(re) and re > 0):
             raise ValueError(f"Reynolds number must be positive and finite, got {re!r}")
         self.mesh = mesh
         self.visc = fem.assemble_stiffness(mesh) / re
         self.dx, self.dy = fem.assemble_divergence(mesh)
-        self.fixed, self.fixed_values = _dirichlet_velocity(mesh, inlet_data)
+        self.fixed, self.fixed_values = _dirichlet_velocity(mesh)
         self._visc = self._on_couplings(self.visc)
         self._div = np.concatenate([-self.dx.data, -self.dy.data, self.dx.data, self.dy.data])
         self.order = _saddle_order(mesh, self.fixed)
-
-    @property
-    def order(self):
-        """Indices of the saddle unknowns in solve order; setting it rebuilds the pattern."""
-        return self._order
-
-    @order.setter
-    def order(self, order):
-        np2 = self.mesh.num_p2
-        indptr, indices, _ = self.mesh.p2_couplings
-        rows = np.repeat(np.arange(np2), np.diff(indptr))
-        dx, dy = self.dx.tocoo(), self.dy.tocoo()
-        # Unknown-space row and column of each entry of the source vector
-        # [xx, xy, yx, yy couplings, -Dx^T, -Dy^T, Dx, Dy] of jacobian().
-        p = 2 * np2
-        src_rows = np.concatenate([rows, rows, rows + np2, rows + np2, dx.col, dy.col + np2, dx.row + p, dy.row + p])
-        src_cols = np.concatenate([indices, indices + np2, indices, indices + np2, dx.row + p, dy.row + p, dx.col, dy.col + np2])
-        place = np.full(p + self.mesh.num_p1, -1)
-        place[order] = np.arange(order.size)
-        r, c = place[src_rows], place[src_cols]
-        kept = np.flatnonzero((r >= 0) & (c >= 0))
-        # The CSC conversion sorts the entries; each carries its 1-based
-        # place in the source vector.
-        tags = sp.coo_matrix((kept + 1.0, (r[kept], c[kept])), shape=(order.size, order.size)).tocsc()
-        self._order = order
-        self._pattern = (tags.indptr, tags.indices, tags.shape)
-        self._source = (tags.data - 1).astype(np.int32)
+        self._pattern, self._source = _saddle_pattern(mesh, self.dx, self.dy, self.order)
 
     def _on_couplings(self, mat):
         """Values of ``mat`` at the P2 couplings, in their CSR order.
@@ -243,7 +236,7 @@ def _solve_stokes(prob):
     )
 
 
-def solve_stokes(mesh, re=1.0, inlet_data=None):
+def solve_stokes(mesh, re=1.0):
     """Steady Stokes flow as the Newton initial guess.
 
     The saddle-point system is solved directly; the stress-free outlet
@@ -251,10 +244,10 @@ def solve_stokes(mesh, re=1.0, inlet_data=None):
     tags.  ``re`` must be positive and finite (``ValueError``).  A singular
     system raises :class:`ConvergenceError`.
     """
-    return _solve_stokes(_SaddleProblem(mesh, re, inlet_data))
+    return _solve_stokes(_SaddleProblem(mesh, re))
 
 
-def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25, inlet_data=None):
+def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25):
     """Steady Navier-Stokes via Newton iteration on the full Jacobian.
 
     Starts from ``initial`` (default: the Stokes solution) and stops when
@@ -265,7 +258,7 @@ def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25, inlet_data=No
     carrying the last residual when ``max_iter`` steps do not converge, or
     carrying the step and its residual when a Jacobian is singular.
     """
-    prob = _SaddleProblem(mesh, re, inlet_data)
+    prob = _SaddleProblem(mesh, re)
     if initial is None:
         initial = _solve_stokes(prob)
     v = initial.velocity.copy()
@@ -350,17 +343,4 @@ def evaluate_p2(mesh, coeffs, points):
     bary[up] = np.column_stack([1 - eta[up], xi[up], eta[up] - xi[up]])
     basis = fem.p2_basis(bary)
     return np.einsum("pi,pi->p", basis, np.asarray(coeffs)[mesh.triangles[tri_idx]])
-
-
-def boundary_flux(mesh, velocity, tag):
-    """Outward flux of a P2 velocity field through the tagged boundary part."""
-    edges, _, w, trace, lengths = fem.edge_trace(mesh, tag)
-    mids = mesh.p2_nodes[edges[:, 1]]
-    normals = np.zeros((edges.shape[0], 2))
-    normals[np.isclose(mids[:, 0], 0.0), 0] = -1.0
-    normals[np.isclose(mids[:, 0], 1.0), 0] = 1.0
-    normals[np.isclose(mids[:, 1], 0.0), 1] = -1.0
-    normals[np.isclose(mids[:, 1], 1.0), 1] = 1.0
-    vn = np.einsum("end,ed->en", velocity[edges], normals)  # nodal v.n per edge
-    return float(np.einsum("q,qn,en,e->", w, trace, vn, lengths))
 

@@ -45,6 +45,7 @@ when the requested order reaches the Hankel values they resolve, both
 bases grow to the full space, where the Galerkin solution is exact.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -625,7 +626,9 @@ def balanced_truncation(sys, r):
     singular values are those of ``Z_q^T Z_p`` (Gugercin & Li, 2005).  When
     ``r`` reaches the number of values the factors resolve, both bases grow
     to the full space, where the Galerkin solutions are the exact Gramians.
-    If ``r`` exceeds the numerical Hankel rank it is clamped with a warning.
+    ``r`` must be an integer in [1, N] (``ValueError`` otherwise, with no
+    rounding).  If ``r`` exceeds the numerical Hankel rank it is clamped
+    with a warning.
     The reduced system satisfies the usual bound: the H-infinity error is at
     most twice the sum of the truncated Hankel singular values.  An unstable
     drift raises ``ValueError``: the basis then grows until it spans an
@@ -635,6 +638,8 @@ def balanced_truncation(sys, r):
     from .plant import StateSpace
 
     n = sys.order
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+        raise ValueError(f"reduced order must be an integer, got {r!r}")
     if not 1 <= r <= n:
         raise ValueError(f"reduced order {r} must lie in [1, {n}]")
 

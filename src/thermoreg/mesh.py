@@ -301,12 +301,3 @@ def nested_dissection_order(n):
     visit(0, n, 0, n)
     return np.concatenate(parts)
 
-
-def triangle_areas(mesh):
-    """Signed areas of all triangles (positive for the standard split)."""
-    p = mesh.p2_nodes
-    v0 = p[mesh.triangles[:, 0]]
-    v1 = p[mesh.triangles[:, 1]]
-    v2 = p[mesh.triangles[:, 2]]
-    return 0.5 * ((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1]))
-

@@ -19,7 +19,6 @@ from . import fem
 from .flow import restrict_velocity
 from .mesh import INLET
 
-_DENSE_EIG_LIMIT = 2000
 # Column ordering for sparse LU of pencils ``a M + b A``: the P2 pattern is
 # structurally symmetric, and minimum degree on A + A^T (George & Liu) gives
 # less fill than the default COLAMD.
@@ -39,19 +38,6 @@ class GeneralizedPlant:
     mesh: object
     re: float
     pr: float
-
-    @property
-    def alpha(self):
-        return 1.0 / (self.re * self.pr)
-
-    @property
-    def dims(self):
-        return {
-            "state": self.drift.shape[0],
-            "inputs": self.control.shape[1],
-            "outputs": self.observation.shape[0],
-            "disturbances": self.disturbance.shape[1],
-        }
 
 
 @dataclass
@@ -125,32 +111,6 @@ def to_standard_form(plant):
     b_std = sla.solve_triangular(chol, plant.control, lower=True)
     c_std = sla.solve_triangular(chol, plant.observation.T, lower=True).T
     return StateSpace(a=a_std, b=b_std, c=c_std)
-
-
-def rightmost_spectrum(plant, k=1, shift=0.0):
-    """The ``k`` eigenvalues of (A, M) with largest real part.
-
-    Uses a dense solve below 2000 states and shift-inverted Arnoldi above;
-    the shift targets eigenvalues near the origin, where the slow modes of
-    the dissipative transport operator live.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    n = plant.drift.shape[0]
-    if n <= _DENSE_EIG_LIMIT:
-        eigs = np.linalg.eigvals(to_standard_form(plant).a)
-    else:
-        howmany = min(n - 2, max(2 * k, 20))
-        eigs = spla.eigs(
-            plant.drift.tocsc(),
-            k=howmany,
-            M=plant.mass.tocsc(),
-            sigma=shift,
-            which="LM",
-            return_eigenvectors=False,
-        )
-    order = np.argsort(-eigs.real)
-    return eigs[order[:k]]
 
 
 def transfer_value(plant, s):

@@ -31,10 +31,10 @@ class SignalSpec:
     """Finite cosine/sine expansions of the reference and disturbance.
 
     Coefficient arrays have shape (q, p) and (q, d), with the cosine and
-    sine arrays of one signal equally wide; any other shape raises
-    ``ValueError``.  Frequencies may include 0 for constant terms (plain
-    evaluation), though controllers built here regulate only positive
-    frequencies.
+    sine arrays of one signal equally wide; any other shape, and any
+    non-finite frequency or coefficient, raises ``ValueError``.
+    Frequencies may include 0 for constant terms (plain evaluation), though
+    controllers built here regulate only positive frequencies.
     """
 
     frequencies: tuple
@@ -45,10 +45,14 @@ class SignalSpec:
 
     def __post_init__(self):
         q = len(self.frequencies)
+        if not np.all(np.isfinite(np.asarray(self.frequencies, dtype=float))):
+            raise ValueError(f"frequencies must be finite, got {self.frequencies!r}")
         for name in ("ref_cos", "ref_sin", "dist_cos", "dist_sin"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 2 or arr.shape[0] != q:
                 raise ValueError(f"{name} must be 2-D with one row per frequency ({q}), got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
         for cos, sin in ((self.ref_cos, self.ref_sin), (self.dist_cos, self.dist_sin)):
             if cos.shape != sin.shape:
@@ -108,21 +112,10 @@ class ClosedLoop:
         if self.ctrl.k.shape[0] != m:
             raise ValueError(f"controller produces {self.ctrl.k.shape[0]} inputs, plant takes {m}")
 
-    @property
-    def dims(self):
-        return self.plant.drift.shape[0], self.ctrl.dim
-
 
 def assemble_closed_loop(plant, ctrl):
     """Wire the plant and controller blocks; both stay in their native formats."""
     return ClosedLoop(plant=plant, ctrl=ctrl)
-
-
-def zero_controller(p=1, m=1):
-    """Trivial controller (K = 0, G2 = 0); closes the loop without feedback."""
-    from .controller import ControllerRealization
-
-    return ControllerRealization(g1=np.zeros((1, 1)), g2=np.zeros((1, p)), k=np.zeros((m, 1)))
 
 
 def closed_loop_abscissa(cl):
@@ -192,7 +185,7 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     if not all(0.0 <= ts <= t_end for ts in snap_left):
         raise ValueError(f"snapshot times must lie in [0, t_end={t_end}]")
     plant, ctrl = cl.plant, cl.ctrl
-    n, nz = cl.dims
+    n, nz = plant.drift.shape[0], ctrl.dim
     m = plant.control.shape[1]
     p = plant.observation.shape[0]
 

@@ -552,6 +552,12 @@ def test_bt_rejects_unstable(rng):
         lti.balanced_truncation(sys, 2)
 
 
+@pytest.mark.parametrize("r", [2.5, 10.0, np.float64(2.0), "3", True])
+def test_bt_rejects_non_integer_order(r):
+    with pytest.raises(ValueError, match="integer"):
+        lti.balanced_truncation(_random_system(np.random.default_rng(0), 12), r)
+
+
 def diffusive_system(n=150, seed=0):
     """Symmetric stable drift with spread spectrum: fast-decaying Hankel values."""
     rng = np.random.default_rng(seed)

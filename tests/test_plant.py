@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from thermoreg import fem, plant as plant_mod
 from thermoreg.fem import ShapeSpec
 from thermoreg.flow import solve_navier_stokes, solve_stokes
-from thermoreg.mesh import BoundarySegment, Geometry, build_structured_mesh
+from thermoreg.mesh import INLET, BoundarySegment, Geometry, build_structured_mesh
 
 B_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4))
 BD_SHAPE = ShapeSpec("boundary-indicator")
@@ -21,14 +21,23 @@ def small_plant(mesh11):
 
 
 def test_alpha(small_plant):
-    assert small_plant.alpha == pytest.approx(1.0 / 70.0, rel=1e-15)
+    # Diffusion and the inlet load both carry alpha = 1 / (Re Pr) = 1 / 70.
+    mesh, red = small_plant.mesh, small_plant.reduction
+    stiff = fem.assemble_stiffness(mesh)
+    adv = fem.assemble_advection(mesh, solve_navier_stokes(mesh, re=100.0).velocity)
+    drift = red.matrix(-(stiff / 70.0 + adv))
+    assert abs(small_plant.drift - drift).max() <= 1e-15 * abs(drift).max()
+    load = red.vector(fem.assemble_load_boundary(mesh, INLET, BD_SHAPE)) / 70.0
+    assert np.allclose(small_plant.disturbance[:, 0], load, rtol=1e-15, atol=0)
 
 
 def test_design_mesh_state_dimension(mesh41):
     ns = solve_navier_stokes(mesh41, re=100.0)
     p = plant_mod.build_plant(mesh41, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
-    assert 1545 <= p.dims["state"] <= 1553
-    assert p.dims == {"state": p.drift.shape[0], "inputs": 1, "outputs": 1, "disturbances": 1}
+    n = p.drift.shape[0]
+    assert 1545 <= n <= 1553
+    assert p.mass.shape == (n, n)
+    assert (p.control.shape, p.disturbance.shape, p.observation.shape) == ((n, 1), (n, 1), (1, n))
 
 
 def test_operators_nonzero(small_plant):
@@ -73,8 +82,13 @@ def test_standard_form_eigenvalues_match_generalized(small_plant):
     assert dist.min(axis=0).max() < 1e-8
 
 
+def _rightmost(plant, k):
+    eigs = np.linalg.eigvals(plant_mod.to_standard_form(plant).a)
+    return eigs[np.argsort(-eigs.real)[:k]]
+
+
 def test_rightmost_spectrum_stable_and_conjugate_closed(small_plant):
-    eigs = plant_mod.rightmost_spectrum(small_plant, k=6)
+    eigs = _rightmost(small_plant, k=6)
     assert eigs[0].real < 0
     assert np.all(np.diff(eigs.real) <= 1e-12)
     complex_ones = eigs[np.abs(eigs.imag) > 1e-10]
@@ -111,7 +125,7 @@ def test_rightmost_spectrum_pure_diffusion(geometry):
         re=re,
         pr=pr,
     )
-    lam = plant_mod.rightmost_spectrum(p, k=1)[0]
+    lam = _rightmost(p, k=1)[0]
     expected = -alpha * 2.0 * np.pi**2
     assert abs(lam.real - expected) / abs(expected) < 0.05
     assert abs(lam.imag) < 1e-10

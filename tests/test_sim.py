@@ -18,6 +18,11 @@ BD_SHAPE = ShapeSpec("boundary-indicator")
 C1_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.7, 0.9, 0.1, 0.3), amplitude=0.2**-2)
 
 
+def zero_controller():
+    """Trivial controller (K = 0, G2 = 0); closes the loop without feedback."""
+    return ControllerRealization(g1=np.zeros((1, 1)), g2=np.zeros((1, 1)), k=np.zeros((1, 1)))
+
+
 @pytest.fixture(scope="module")
 def plant11(mesh11):
     ns = solve_navier_stokes(mesh11, re=100.0)
@@ -58,14 +63,21 @@ def test_zero_coefficients_give_zero_signals():
         ("ref_sin", np.zeros((3, 2))),  # wider than ref_cos
         ("dist_sin", np.zeros((3, 2))),  # wider than dist_cos
         ("dist_cos", np.zeros((2, 1))),  # one row short
+        ("frequencies", (1.0, np.nan, 3.0)),
+        ("frequencies", (1.0, 2.0, np.inf)),
+        ("ref_sin", [[0.0], [np.nan], [0.0]]),
+        ("dist_cos", [[0.0], [0.0], [np.inf]]),
+        ("dist_sin", [[-np.inf], [0.0], [0.0]]),
     ],
 )
 def test_signal_spec_rejects_misshaped_coefficients(name, value):
     # Reshaping the transposed (2, 3) array would give [[1, 2], [3, 4], [5, 6]].
-    coeffs = {key: np.zeros((3, 1)) for key in ("ref_cos", "ref_sin", "dist_cos", "dist_sin")}
-    coeffs[name] = value
+    # Non-finite values would otherwise surface as a blow-up of simulate.
+    args = {key: np.zeros((3, 1)) for key in ("ref_cos", "ref_sin", "dist_cos", "dist_sin")}
+    args["frequencies"] = (1.0, 2.0, 3.0)
+    args[name] = value
     with pytest.raises(ValueError):
-        sim.SignalSpec(frequencies=(1.0, 2.0, 3.0), **coeffs)
+        sim.SignalSpec(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +93,7 @@ def test_zero_controller_decouples(plant11):
         dist_sin=np.zeros((3, 1)),
     )
     x0 = sim.default_initial_state(plant11)
-    cl_zero = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    cl_zero = sim.assemble_closed_loop(plant11, zero_controller())
     res_zero = sim.simulate(cl_zero, zero_spec, t_end=1.0, dt=0.01, x0=x0)
     # Same loop but with nontrivial autonomous controller dynamics: with
     # K = 0 and G2 = 0 the plant cannot see the controller at all.
@@ -102,8 +114,8 @@ def test_dimension_mismatch_rejected(plant11):
 
 
 def test_nonfinite_initial_state_rejected(plant11):
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
-    n, nz = cl.dims
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
+    n, nz = plant11.drift.shape[0], cl.ctrl.dim
     x0 = sim.default_initial_state(plant11)
     x0[n // 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -113,7 +125,7 @@ def test_nonfinite_initial_state_rejected(plant11):
 
 
 def test_error_definition(plant11):
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
     res = sim.simulate(cl, sim.paper_signals(), t_end=0.5, dt=0.01)
     assert np.allclose(res.error, res.y - res.y_ref, atol=0)
 
@@ -129,7 +141,7 @@ def test_zero_everything_stays_zero(plant11):
         dist_cos=[[0.0]],
         dist_sin=[[0.0]],
     )
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
     res = sim.simulate(cl, spec, t_end=1.0, dt=0.01, x0=np.zeros(plant11.drift.shape[0]))
     assert not np.any(res.y)
     assert not np.any(res.u)
@@ -139,7 +151,7 @@ def test_zero_everything_stays_zero(plant11):
 def test_autonomous_decay_monotone(plant11):
     # theta0 = 1, no forcing: the stable plant dissipates energy.
     spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[0.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
     n = plant11.drift.shape[0]
     x = sim.default_initial_state(plant11)
     mass = plant11.mass
@@ -301,20 +313,20 @@ def test_step_stores_no_plant_by_controller_array(mesh41):
 
 
 def test_partial_step_horizon_rejected(plant11):
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
     with pytest.raises(ValueError, match="whole number of steps"):
         sim.simulate(cl, sim.paper_signals(), t_end=0.105, dt=0.01)
 
 
 @pytest.mark.parametrize("snap", [-0.01, 0.21])
 def test_snapshot_outside_horizon_rejected(plant11, snap):
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
     with pytest.raises(ValueError, match="snapshot"):
         sim.simulate(cl, sim.paper_signals(), t_end=0.2, dt=0.01, snapshot_times=[0.1, snap])
 
 
 def test_snapshot_at_zero_is_initial_field(plant11):
-    cl = sim.assemble_closed_loop(plant11, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
     res = sim.simulate(cl, sim.paper_signals(), t_end=0.1, dt=0.01, snapshot_times=[0.0])
     assert np.array_equal(res.snapshots[0.0], plant11.reduction.inflate(sim.default_initial_state(plant11)))
 
@@ -341,7 +353,7 @@ def test_nan_detection_reports_step():
     )
     # The open unstable plant overflows to inf after a few hundred steps;
     # the non-finite guard must abort with the step index.
-    cl = sim.assemble_closed_loop(plant, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant, zero_controller())
     spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[1.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
     from thermoreg.errors import ConvergenceError
 
@@ -371,7 +383,7 @@ def test_blowup_reports_exact_step():
         pr=1.0,
     )
     spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[1.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
-    cl = sim.assemble_closed_loop(plant, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant, zero_controller())
     with pytest.raises(ConvergenceError, match=r"non-finite state at step 324 \(t=162\.000\)"):
         sim.simulate(cl, spec, t_end=400.0, dt=0.5, x0=np.array([1.0]))
 
@@ -384,7 +396,7 @@ def test_steady_state_matches_dc_transfer(plant11):
     pd0 = plant_mod.transfer_value(plant11, 0.0)  # uses B; swap channels below
     plant_step = dataclasses.replace(plant11, disturbance=plant11.control)
     spec = sim.SignalSpec(frequencies=(0.0,), ref_cos=[[0.0]], ref_sin=[[0.0]], dist_cos=[[amp]], dist_sin=[[0.0]])
-    cl = sim.assemble_closed_loop(plant_step, sim.zero_controller())
+    cl = sim.assemble_closed_loop(plant_step, zero_controller())
     res = sim.simulate(cl, spec, t_end=80.0, dt=0.05, x0=np.zeros(plant11.drift.shape[0]))
     y_inf = res.y[-1, 0]
     assert abs(y_inf - pd0[0, 0].real * amp) < 1e-4 * max(1.0, abs(y_inf))
