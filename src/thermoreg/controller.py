@@ -10,13 +10,14 @@ copy of the signal dynamics (eigenvalues +-i w_k), which is what makes
 the regulation robust to plant perturbations.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import lti
-from .plant import StateSpace
+from .lti import StateSpace
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,14 @@ class InternalModel:
 
 
 def build_internal_model(frequencies, p=1):
-    """Internal model for distinct positive finite frequencies and output dimension p."""
+    """Internal model for distinct positive finite frequencies and an integer output dimension p >= 1.
+
+    K1 observes every such model (Hautus): G1's eigenvectors for +-i w_k are ``[a; +-i a]`` on the
+    block of w_k, and K1 maps them to ``a``.  Other input raises ``ValueError``.
+    """
     freqs = tuple(float(w) for w in frequencies)
-    if p < 1:
-        raise ValueError("output dimension must be at least 1")
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+        raise ValueError(f"output dimension must be an integer of at least 1, got {p!r}")
     if not all(np.isfinite(w) and w > 0 for w in freqs):
         raise ValueError(f"frequencies must be positive and finite, got {freqs}")
     if len(set(freqs)) != len(freqs):
@@ -56,10 +61,6 @@ def build_internal_model(frequencies, p=1):
         g1[base : base + p, base + p : base + 2 * p] = w * eye
         g1[base + p : base + 2 * p, base : base + p] = -w * eye
         k1[:, base : base + p] = eye
-    # K1 must observe the whole internal model (distinct frequencies do).
-    obs = np.vstack([k1 @ np.linalg.matrix_power(g1, j) for j in range(dim)])
-    if np.linalg.matrix_rank(obs) != dim:
-        raise ValueError("internal model is not observable through K1")
     return InternalModel(g1=g1, k1=k1, frequencies=freqs, p=p)
 
 

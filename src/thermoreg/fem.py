@@ -329,6 +329,8 @@ class ShapeSpec:
     kind:
       - ``indicator-rectangle``: amplitude on [x0, x1] x [y0, y1], 0 outside
       - ``boundary-indicator``: amplitude along the tagged boundary part
+
+    Non-finite values and empty rectangles raise ``ValueError``.
     """
 
     kind: str
@@ -338,8 +340,14 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in ("indicator-rectangle", "boundary-indicator"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.kind == "indicator-rectangle" and (self.bounds is None or len(self.bounds) != 4):
-            raise ValueError("indicator-rectangle needs bounds (x0, x1, y0, y1)")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
+        if self.kind == "indicator-rectangle":
+            if self.bounds is None or len(self.bounds) != 4:
+                raise ValueError("indicator-rectangle needs bounds (x0, x1, y0, y1)")
+            x0, x1, y0, y1 = self.bounds
+            if not (np.all(np.isfinite(self.bounds)) and x0 < x1 and y0 < y1):
+                raise ValueError(f"indicator-rectangle needs finite x0 < x1 and y0 < y1, got {self.bounds!r}")
 
 
 def shape_values(shape, points):
@@ -418,11 +426,6 @@ class DirichletReduction:
         return out
 
 
-def dirichlet_reduction(mesh, tags=(WALL,)):
-    """Reduction map removing P2 nodes whose tag is in ``tags``."""
-    drop = np.isin(mesh.node_tags, np.asarray(tags, dtype=mesh.node_tags.dtype))
-    free = np.flatnonzero(~drop)
-    if free.size == 0:
-        raise ValueError("Dirichlet tags cover every degree of freedom")
-    return DirichletReduction(free=free, full_size=mesh.num_p2)
-
+def dirichlet_reduction(mesh):
+    """Reduction map removing the P2 nodes on the walls, where the temperature is pinned."""
+    return DirichletReduction(free=np.flatnonzero(mesh.node_tags != WALL), full_size=mesh.num_p2)

@@ -298,49 +298,16 @@ def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25):
 
 
 def restrict_velocity(flow, target_mesh):
-    """Velocity coefficients of ``flow`` on the (coarser) temperature mesh.
+    """Velocity coefficients of ``flow`` on a temperature mesh nested in its grid.
 
-    Identical meshes return a copy; nested structured grids sample shared
-    nodes exactly; anything else falls back to pointwise P2 evaluation.
+    The target P2 grid must be the flow grid or a coarsening of it by a
+    whole ratio, ``(n_flow - 1) % (n - 1) == 0``; every target node is then
+    a flow node, whose coefficients are copied exactly.  Any other mesh
+    raises ``ValueError``.
     """
     src = flow.mesh
-    if target_mesh.n == src.n:
-        return flow.velocity.copy()
-    if (src.n - 1) % (target_mesh.n - 1) == 0:
-        ratio = (src.n - 1) // (target_mesh.n - 1)
-        tgt = np.arange(target_mesh.num_p2)
-        iy, ix = divmod(tgt, target_mesh.n)
-        idx = ratio * iy * src.n + ratio * ix
-        return flow.velocity[idx].copy()
-    out = np.empty((target_mesh.num_p2, 2))
-    for c in range(2):
-        out[:, c] = evaluate_p2(src, flow.velocity[:, c], target_mesh.p2_nodes)
-    return out
-
-
-def evaluate_p2(mesh, coeffs, points):
-    """Evaluate a P2 coefficient vector at points of the closed unit square.
-
-    Points on the right or top edge belong to the last cell; a point
-    outside [0, 1]^2 (or not finite) raises ``ValueError``.
-    """
-    pts = np.asarray(points, dtype=float)
-    if not np.all((pts >= 0.0) & (pts <= 1.0)):
-        raise ValueError("points must lie in the unit square [0, 1]^2")
-    ncell = (mesh.n - 1) // 2
-    hh = 1.0 / ncell  # cell width
-    cx = np.minimum((pts[:, 0] // hh).astype(int), ncell - 1)
-    cy = np.minimum((pts[:, 1] // hh).astype(int), ncell - 1)
-    xi = pts[:, 0] / hh - cx
-    eta = pts[:, 1] / hh - cy
-    lower = xi >= eta
-    tri_idx = 2 * (cy * ncell + cx) + np.where(lower, 0, 1)
-    bary = np.empty((pts.shape[0], 3))
-    # Lower triangle (v00, v10, v11): lambda = (1 - xi, xi - eta, eta).
-    bary[lower] = np.column_stack([1 - xi[lower], xi[lower] - eta[lower], eta[lower]])
-    # Upper triangle (v00, v11, v01): lambda = (1 - eta, xi, eta - xi).
-    up = ~lower
-    bary[up] = np.column_stack([1 - eta[up], xi[up], eta[up] - xi[up]])
-    basis = fem.p2_basis(bary)
-    return np.einsum("pi,pi->p", basis, np.asarray(coeffs)[mesh.triangles[tri_idx]])
-
+    if (src.n - 1) % (target_mesh.n - 1):
+        raise ValueError(f"a mesh with n={target_mesh.n} is not nested in the flow grid with n={src.n}")
+    ratio = (src.n - 1) // (target_mesh.n - 1)
+    iy, ix = divmod(np.arange(target_mesh.num_p2), target_mesh.n)
+    return flow.velocity[ratio * (iy * src.n + ix)]

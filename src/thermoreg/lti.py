@@ -1,4 +1,4 @@
-"""Dense LTI numerics: Lyapunov and Riccati solvers, balanced truncation.
+"""Dense LTI numerics: standard-form systems, Lyapunov and Riccati solvers, balanced truncation.
 
 The Lyapunov solver is Bartels-Stewart: one real Schur decomposition
 followed by a quasi-triangular back-substitution.  The back-substitution
@@ -602,13 +602,32 @@ def solve_riccati_filter(a, c, r, q, alpha=0.0, schur=None):
 
 
 # ---------------------------------------------------------------------------
-# Balanced truncation
+# Standard-form systems and balanced truncation
+
+@dataclass
+class StateSpace:
+    """Dense standard-form system (A, B, C) without feedthrough."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    @property
+    def order(self):
+        return self.a.shape[0]
+
+    def transfer(self, s):
+        """Transfer value C (sI - A)^-1 B at one complex frequency."""
+        n = self.order
+        x = np.linalg.solve(s * np.eye(n) - self.a, self.b)
+        return self.c @ x
+
 
 @dataclass
 class BalancedReduction:
     """Reduced system with Hankel singular values and the H-infinity bound."""
 
-    system: object                       # StateSpace of order r
+    system: StateSpace                   # of order r
     hankel_singular_values: np.ndarray   # the values the Gramian factors resolve, nonincreasing
     error_bound: float                   # 2 * sum of truncated values
     order: int
@@ -635,8 +654,6 @@ def balanced_truncation(sys, r):
     invariant subspace or the full space, and the projection there is not
     stable.
     """
-    from .plant import StateSpace
-
     n = sys.order
     if isinstance(r, bool) or not isinstance(r, numbers.Integral):
         raise ValueError(f"reduced order must be an integer, got {r!r}")

@@ -10,6 +10,7 @@ deterministic functions of ``n``.
 
 import dataclasses
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,13 +135,13 @@ class Mesh:
 def build_structured_mesh(geometry, n):
     """Triangulate the unit square with ``n`` P2 nodes per direction.
 
-    ``n`` must be odd and at least 5 so that the P2 grid contains the
+    ``n`` must be an odd integer >= 5 so that the P2 grid contains the
     vertex grid.  Every cell of the ``(n-1)/2 x (n-1)/2`` vertex grid is
     split along its bottom-left to top-right diagonal.  Returns a mesh
     with boundary nodes and edges already classified against ``geometry``.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 5, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 5 or n % 2 == 0:
+        raise ValueError(f"n must be an odd integer >= 5, got {n!r}")
 
     m = (n + 1) // 2  # vertices per direction
     coords_1d = np.linspace(0.0, 1.0, n)
@@ -244,23 +245,22 @@ def classify_boundary(mesh, geometry):
     ij = np.arange(mesh.num_p2)
     on_boundary = (ij % n == 0) | (ij % n == n - 1) | (ij < n) | (ij >= n * (n - 1))
 
-    def segment_tag(x, y, strict):
+    def segment_tag(x, y):
         side = _side_of(x, y)
         if side is None:
             raise MeshConsistencyError(f"node ({x}, {y}) is not on the boundary")
         along = y if side in ("left", "right") else x
-        eps = _SEG_EPS if strict else -_SEG_EPS
         for seg, tag in ((geometry.inlet, INLET), (geometry.outlet, OUTLET)):
-            if side == seg.side and seg.lo + eps < along < seg.hi - eps:
+            if side == seg.side and seg.lo + _SEG_EPS < along < seg.hi - _SEG_EPS:
                 return tag
         return WALL
 
     for i in np.flatnonzero(on_boundary):
-        node_tags[i] = segment_tag(nodes[i, 0], nodes[i, 1], strict=True)
+        node_tags[i] = segment_tag(nodes[i, 0], nodes[i, 1])
 
     edge_tags = np.empty(mesh.boundary_edges.shape[0], dtype=np.int8)
     for e, (_, mid, _) in enumerate(mesh.boundary_edges):
-        edge_tags[e] = segment_tag(nodes[mid, 0], nodes[mid, 1], strict=True)
+        edge_tags[e] = segment_tag(nodes[mid, 0], nodes[mid, 1])
 
     return dataclasses.replace(mesh, node_tags=node_tags, edge_tags=edge_tags)
 

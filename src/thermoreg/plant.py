@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .flow import restrict_velocity
+from .lti import StateSpace
 from .mesh import INLET
 
 # Column ordering for sparse LU of pencils ``a M + b A``: the P2 pattern is
@@ -35,37 +36,15 @@ class GeneralizedPlant:
     disturbance: np.ndarray   # (n, d)
     observation: np.ndarray   # (p, n)
     reduction: fem.DirichletReduction
-    mesh: object
-    re: float
-    pr: float
-
-
-@dataclass
-class StateSpace:
-    """Dense standard-form system (A, B, C) without feedthrough."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    @property
-    def order(self):
-        return self.a.shape[0]
-
-    def transfer(self, s):
-        """Transfer value C (sI - A)^-1 B at one complex frequency."""
-        n = self.order
-        x = np.linalg.solve(s * np.eye(n) - self.a, self.b)
-        return self.c @ x
 
 
 def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, observation_shape):
     """Assemble the Dirichlet-reduced plant for the given shapes.
 
-    The flow field is restricted onto ``mesh`` (exact on nested grids).
-    ``observation_shape`` may be a single ShapeSpec or a sequence; each
-    yields one output row.  ``re`` and ``pr`` must be positive and finite
-    (``ValueError``).
+    The flow field is copied onto ``mesh``, which must be the flow grid or
+    nested in it (:func:`flow.restrict_velocity`, ``ValueError`` otherwise).
+    Each shape yields one column of B and B_d, or one row of C.  ``re`` and
+    ``pr`` must be positive and finite (``ValueError``).
     """
     if not all(np.isfinite(v) and v > 0 for v in (re, pr)):
         raise ValueError(f"Re and Pr must be positive and finite, got {re!r} and {pr!r}")
@@ -79,8 +58,7 @@ def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, obse
 
     b_full = fem.assemble_load_domain(mesh, control_shape)
     bd_full = alpha * fem.assemble_load_boundary(mesh, INLET, disturbance_shape)
-    obs_shapes = observation_shape if isinstance(observation_shape, (list, tuple)) else [observation_shape]
-    c_full = np.stack([fem.assemble_load_domain(mesh, s) for s in obs_shapes])
+    c_full = fem.assemble_load_domain(mesh, observation_shape)
 
     red = fem.dirichlet_reduction(mesh)
     return GeneralizedPlant(
@@ -88,11 +66,8 @@ def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, obse
         drift=red.matrix(drift_full),
         control=red.vector(b_full)[:, None],
         disturbance=red.vector(bd_full)[:, None],
-        observation=c_full[:, red.free],
+        observation=red.vector(c_full)[None, :],
         reduction=red,
-        mesh=mesh,
-        re=re,
-        pr=pr,
     )
 
 
@@ -114,12 +89,11 @@ def to_standard_form(plant):
 
 
 def transfer_value(plant, s):
-    """Transfer matrix P(s) = C (sM - A)^-1 B via one sparse solve per column."""
+    """Transfer matrix P(s) = C (sM - A)^-1 B via one sparse LU."""
     shifted = (s * plant.mass - plant.drift).tocsc()
     try:
         lu = spla.splu(shifted.astype(np.complex128), permc_spec=PENCIL_ORDERING)
     except RuntimeError as exc:
         raise RuntimeError(f"shift {s} is singular (eigenvalue of the plant): {exc}") from exc
-    cols = [lu.solve(plant.control[:, j].astype(np.complex128)) for j in range(plant.control.shape[1])]
-    return plant.observation @ np.column_stack(cols)
+    return plant.observation @ lu.solve(plant.control.astype(np.complex128))
 

@@ -20,7 +20,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .errors import ConvergenceError
-from .plant import PENCIL_ORDERING
+from .lti import spectral_abscissa
+from .plant import PENCIL_ORDERING, to_standard_form
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +121,6 @@ def assemble_closed_loop(plant, ctrl):
 
 def closed_loop_abscissa(cl):
     """Spectral abscissa of the dense closed-loop drift in mass-normalized coordinates."""
-    from .lti import spectral_abscissa
-    from .plant import to_standard_form
-
     std = to_standard_form(cl.plant)
     ctrl = cl.ctrl
     return spectral_abscissa(np.block([[std.a, std.b @ ctrl.k], [ctrl.g2 @ std.c, ctrl.g1]]))

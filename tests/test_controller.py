@@ -6,7 +6,7 @@ from thermoreg import controller as ctrl_mod
 from thermoreg import lti, plant as plant_mod
 from thermoreg.fem import ShapeSpec
 from thermoreg.flow import solve_navier_stokes
-from thermoreg.plant import StateSpace
+from thermoreg.lti import StateSpace
 
 B_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4))
 BD_SHAPE = ShapeSpec("boundary-indicator")
@@ -56,10 +56,26 @@ def test_internal_model_rejects_bad_frequencies():
         ctrl_mod.build_internal_model([1.0, 1.0], p=1)
     with pytest.raises(ValueError):
         ctrl_mod.build_internal_model([0.0, 1.0], p=1)
-    # Non-finite values would reach the observability rank test as NaN.
+    # Non-finite values would put NaN or inf into G1.
     for bad in ([np.nan], [np.inf], [1.0, np.inf]):
         with pytest.raises(ValueError, match="positive and finite"):
             ctrl_mod.build_internal_model(bad, p=1)
+
+
+def test_internal_model_with_ten_harmonics():
+    # K1 observes every internal model with distinct frequencies (Hautus),
+    # however badly conditioned its Krylov matrix [K1 G1^j] is.
+    freqs = tuple(float(k) for k in range(1, 11))
+    assert ctrl_mod.build_internal_model(freqs, p=1).dim == 20
+    ctrl = ctrl_mod.synthesize_low_gain([np.array([[1.0 + 0j]])] * 10, freqs, eps=0.1)
+    assert ctrl.dim == 20
+    assert ctrl_mod.internal_model_eigenvalues_present(ctrl, freqs)
+
+
+@pytest.mark.parametrize("p", [0, -1, 1.5, 2.0, True, "1"])
+def test_internal_model_rejects_bad_output_dimension(p):
+    with pytest.raises(ValueError, match="output dimension"):
+        ctrl_mod.build_internal_model(FREQS, p=p)
 
 
 # ---------------------------------------------------------------------------

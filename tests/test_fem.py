@@ -3,7 +3,7 @@ import pytest
 import sympy
 
 from thermoreg import fem
-from thermoreg.mesh import INLET, OUTLET, WALL, build_structured_mesh
+from thermoreg.mesh import INLET, OUTLET, build_structured_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,25 @@ def test_boundary_load_zero_shape(mesh11):
     assert not np.any(load)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"kind": "boundary-indicator", "amplitude": np.nan},
+        {"kind": "indicator-rectangle", "bounds": (0.7, 0.9, 0.1, 0.3), "amplitude": np.inf},
+        {"kind": "indicator-rectangle", "bounds": (0.7, np.nan, 0.1, 0.3)},
+        {"kind": "indicator-rectangle", "bounds": (-np.inf, 0.9, 0.1, 0.3)},
+        {"kind": "indicator-rectangle", "bounds": (0.9, 0.7, 0.1, 0.3)},
+        {"kind": "indicator-rectangle", "bounds": (0.7, 0.7, 0.1, 0.3)},
+        {"kind": "indicator-rectangle", "bounds": (0.7, 0.9, 0.3, 0.1)},
+        {"kind": "indicator-rectangle", "bounds": (0.7, 0.9, 0.2, 0.2)},
+    ],
+    ids=["nan-amplitude", "inf-amplitude", "nan-bound", "inf-bound", "x-reversed", "x-empty", "y-reversed", "y-empty"],
+)
+def test_shape_spec_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        fem.ShapeSpec(**kwargs)
+
+
 def test_boundary_load_unknown_tag(mesh11):
     with pytest.raises(ValueError):
         fem.assemble_load_boundary(mesh11, 77, fem.ShapeSpec("boundary-indicator"))
@@ -248,18 +267,6 @@ def test_reduction_dimensions(geometry):
     mesh41 = build_structured_mesh(geometry, 41)
     red41 = fem.dirichlet_reduction(mesh41)
     assert 1545 <= red41.size <= 1553
-
-
-def test_reduction_identity_when_no_dirichlet(mesh11):
-    red = fem.dirichlet_reduction(mesh11, tags=(77,))
-    assert red.size == mesh11.num_p2
-    m = fem.assemble_mass(mesh11)
-    assert (red.matrix(m) != m.tocsr()).nnz == 0
-
-
-def test_reduction_covering_everything_rejected(mesh11):
-    with pytest.raises(ValueError):
-        fem.dirichlet_reduction(mesh11, tags=(0, INLET, OUTLET, WALL))
 
 
 def test_inflate_roundtrip(mesh11, rng):

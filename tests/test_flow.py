@@ -287,38 +287,10 @@ def test_restrict_constant_field(mesh41, mesh21):
     assert np.allclose(out, 3.5, atol=0)
 
 
-def test_restrict_non_nested_grids_reproduces_quadratics(mesh41, geometry):
-    # 40 is no multiple of 30: no shared grid, pointwise P2 evaluation.
-    mesh31 = build_structured_mesh(geometry, 31)
-
-    def field(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return np.column_stack([1.0 + 2 * x - y + x * y + 0.5 * x**2, y**2 - 3 * x * y + 0.25])
-
-    st = flow.FlowState(mesh=mesh41, velocity=field(mesh41.p2_nodes), pressure=np.zeros(mesh41.num_p1), residual_norm=0.0)
-    out = flow.restrict_velocity(st, mesh31)
-    assert np.max(np.abs(out - field(mesh31.p2_nodes))) < 1e-13
-
-
-def test_evaluate_p2_reproduces_quadratics(mesh11):
-    pts = np.array([[0.13, 0.57], [0.5, 0.5], [0.99, 0.01], [0.0, 1.0]])
-    x, y = mesh11.p2_nodes[:, 0], mesh11.p2_nodes[:, 1]
-    coeffs = 1.0 + 2 * x - y + x * y + 0.5 * x**2
-    vals = flow.evaluate_p2(mesh11, coeffs, pts)
-    exact = 1.0 + 2 * pts[:, 0] - pts[:, 1] + pts[:, 0] * pts[:, 1] + 0.5 * pts[:, 0] ** 2
-    assert np.allclose(vals, exact, atol=1e-13)
-
-
-@pytest.mark.parametrize("point", [[-1e-12, 0.5], [0.5, 1.0 + 1e-12], [1.5, 0.2], [np.nan, 0.5]])
-def test_evaluate_p2_rejects_points_outside_square(mesh11, point):
-    coeffs = np.ones(mesh11.num_p2)
-    with pytest.raises(ValueError):
-        flow.evaluate_p2(mesh11, coeffs, np.array([[0.5, 0.5], point]))
-
-
-def test_evaluate_p2_top_right_edges_use_last_cell(mesh11):
-    pts = np.array([[1.0, 1.0], [1.0, 0.37], [0.61, 1.0]])
-    x, y = mesh11.p2_nodes[:, 0], mesh11.p2_nodes[:, 1]
-    vals = flow.evaluate_p2(mesh11, x * y - y**2, pts)
-    assert np.allclose(vals, pts[:, 0] * pts[:, 1] - pts[:, 1] ** 2, atol=1e-13)
-
+@pytest.mark.parametrize("flow_n, n", [(41, 31), (21, 41)])
+def test_restrict_rejects_meshes_not_nested_in_the_flow_grid(geometry, flow_n, n):
+    # 40 is no multiple of 30, and a finer grid is never nested in a coarser one.
+    src = build_structured_mesh(geometry, flow_n)
+    st = flow.FlowState(mesh=src, velocity=np.zeros((src.num_p2, 2)), pressure=np.zeros(src.num_p1), residual_norm=0.0)
+    with pytest.raises(ValueError, match="not nested"):
+        flow.restrict_velocity(st, build_structured_mesh(geometry, n))

@@ -7,7 +7,7 @@ from scipy.linalg import lapack
 
 from thermoreg import lti
 from thermoreg.errors import ConvergenceError
-from thermoreg.plant import StateSpace
+from thermoreg.lti import StateSpace
 
 
 def lyapunov_kron_oracle(a, q):

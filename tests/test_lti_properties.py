@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoreg import lti
-from thermoreg.plant import StateSpace
+from thermoreg.lti import StateSpace
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=15, database=None)
 

@@ -26,10 +26,14 @@ def test_smallest_mesh_counts(mesh5):
     assert mesh5.triangles.shape[0] == 8
 
 
-@pytest.mark.parametrize("n", [4, 3, 6, 80])
+@pytest.mark.parametrize("n", [4, 3, 6, 80, 21.5, 21.0, "21"])
 def test_invalid_n_rejected(geometry, n):
     with pytest.raises(ValueError):
         build_structured_mesh(geometry, n)
+
+
+def test_numpy_integer_n_accepted(geometry):
+    assert build_structured_mesh(geometry, np.int64(21)).num_p2 == 441
 
 
 @pytest.mark.parametrize("n", [5, 11, 21, 41])

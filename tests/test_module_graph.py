@@ -1,0 +1,44 @@
+"""The package's import graph is one-way and visible at module level.
+
+No module of ``thermoreg`` imports inside a function, so the graph can be
+read off the module headers, and ``lti`` sits at its bottom: it imports
+nothing from the package but ``errors``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import thermoreg
+
+PACKAGE = Path(thermoreg.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    nested = [
+        f"{path.name}:{node.lineno}"
+        for func in ast.walk(_tree(path))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, f"imports inside a function: {nested}"
+
+
+def test_lti_imports_only_errors_from_the_package():
+    imported = set()
+    for node in ast.walk(_tree(PACKAGE / "lti.py")):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import ..., from . import x
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "thermoreg":
+            imported.add(node.module.removeprefix("thermoreg").lstrip(".") or "thermoreg")
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "thermoreg")
+    assert imported == {"errors"}

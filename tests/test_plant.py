@@ -20,9 +20,9 @@ def small_plant(mesh11):
     return plant_mod.build_plant(mesh11, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
 
 
-def test_alpha(small_plant):
+def test_alpha(small_plant, mesh11):
     # Diffusion and the inlet load both carry alpha = 1 / (Re Pr) = 1 / 70.
-    mesh, red = small_plant.mesh, small_plant.reduction
+    mesh, red = mesh11, small_plant.reduction
     stiff = fem.assemble_stiffness(mesh)
     adv = fem.assemble_advection(mesh, solve_navier_stokes(mesh, re=100.0).velocity)
     drift = red.matrix(-(stiff / 70.0 + adv))
@@ -62,9 +62,6 @@ def test_standard_form_identity_mass(small_plant):
         disturbance=small_plant.disturbance,
         observation=small_plant.observation,
         reduction=small_plant.reduction,
-        mesh=small_plant.mesh,
-        re=small_plant.re,
-        pr=small_plant.pr,
     )
     std = plant_mod.to_standard_form(eye_plant)
     assert np.allclose(std.a, small_plant.drift.toarray(), atol=1e-14)
@@ -121,9 +118,6 @@ def test_rightmost_spectrum_pure_diffusion(geometry):
         disturbance=np.ones((red.size, 1)),
         observation=np.ones((1, red.size)),
         reduction=red,
-        mesh=mesh,
-        re=re,
-        pr=pr,
     )
     lam = _rightmost(p, k=1)[0]
     expected = -alpha * 2.0 * np.pi**2

@@ -177,9 +177,6 @@ def test_trapezoidal_second_order():
         disturbance=np.array([[0.0], [0.0]]),
         observation=np.array([[1.0, -0.3]]),
         reduction=None,
-        mesh=None,
-        re=1.0,
-        pr=1.0,
     )
     ctrl = ControllerRealization(g1=np.array([[-3.0]]), g2=np.array([[1.0]]), k=np.array([[0.5]]))
     cl = sim.assemble_closed_loop(plant, ctrl)
@@ -347,9 +344,6 @@ def test_nan_detection_reports_step():
         disturbance=np.array([[0.0]]),
         observation=np.array([[1.0]]),
         reduction=None,
-        mesh=None,
-        re=1.0,
-        pr=1.0,
     )
     # The open unstable plant overflows to inf after a few hundred steps;
     # the non-finite guard must abort with the step index.
@@ -378,9 +372,6 @@ def test_blowup_reports_exact_step():
         disturbance=np.array([[0.0]]),
         observation=np.array([[1.0]]),
         reduction=None,
-        mesh=None,
-        re=1.0,
-        pr=1.0,
     )
     spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[1.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
     cl = sim.assemble_closed_loop(plant, zero_controller())
