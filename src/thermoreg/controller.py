@@ -210,8 +210,8 @@ def synthesize_low_gain(transfer_values, frequencies, eps, p=1):
     """Low-gain robust controller from plant transfer values at +-i w_k.
 
     G1 is the internal model, G2 stacks [-I_p; 0_p] blocks, and
-    K = eps * [Re(P(iw_k)^-1), Im(P(iw_k)^-1)]_k, with ``eps`` positive and
-    finite (``ValueError`` otherwise).
+    K = eps * [Re(P(iw_k)^-1), Im(P(iw_k)^-1)]_k, with ``eps`` positive and finite
+    and every value a finite, invertible p x p matrix (``ValueError`` otherwise).
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"low-gain parameter must be positive and finite, got {eps!r}")
@@ -221,14 +221,17 @@ def synthesize_low_gain(transfer_values, frequencies, eps, p=1):
     if len(values) != q:
         raise ValueError("need one transfer value per frequency")
     g2 = np.zeros((im.dim, p))
-    k0 = np.zeros((values[0].shape[1], im.dim))
+    k0 = np.zeros((p, im.dim))
     for j, pval in enumerate(values):
-        if pval.shape[0] != p:
-            raise ValueError("transfer value has wrong output dimension")
+        w = im.frequencies[j]
+        if pval.shape != (p, p):
+            raise ValueError(f"plant transfer value at frequency {w} has shape {pval.shape}, need {(p, p)}")
+        if not np.all(np.isfinite(pval)):
+            raise ValueError(f"plant transfer value at frequency {w} is not finite")
         cond = np.linalg.cond(pval)
         if not np.isfinite(cond) or cond > 1e12:
             raise ValueError(
-                f"plant transfer value at frequency {im.frequencies[j]} is singular "
+                f"plant transfer value at frequency {w} is singular "
                 "(transmission zero at a regulated frequency)"
             )
         pinv = np.linalg.inv(pval)

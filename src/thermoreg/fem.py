@@ -11,6 +11,8 @@ entry for a coupling that vanishes in exact arithmetic.
 Quadrature rules are exact for every product of P2 basis functions that
 appears in the weak forms (degree 5 suffices for mass, stiffness, and
 advection with a P2 velocity field).
+Matrices and loads cover every P2 node, wall nodes included.  The module
+imports nothing from the package.
 """
 
 import warnings
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .mesh import WALL
 
 
 # ---------------------------------------------------------------------------
@@ -397,35 +397,3 @@ def assemble_load_boundary(mesh, tag, shape):
     np.add.at(load, edges.ravel(), local.ravel())
     return load
 
-
-# ---------------------------------------------------------------------------
-# Dirichlet elimination
-
-@dataclass(frozen=True)
-class DirichletReduction:
-    """Row/column elimination map for Dirichlet degrees of freedom."""
-
-    free: np.ndarray  # indices of retained DOFs
-    full_size: int
-
-    @property
-    def size(self):
-        return self.free.size
-
-    def matrix(self, a):
-        return a[self.free][:, self.free].tocsr()
-
-    def vector(self, f):
-        return np.asarray(f)[self.free]
-
-    def inflate(self, x):
-        """Reinstate eliminated DOFs as zeros (state snapshots)."""
-        x = np.asarray(x)
-        out = np.zeros(x.shape[:-1] + (self.full_size,), dtype=x.dtype)
-        out[..., self.free] = x
-        return out
-
-
-def dirichlet_reduction(mesh):
-    """Reduction map removing the P2 nodes on the walls, where the temperature is pinned."""
-    return DirichletReduction(free=np.flatnonzero(mesh.node_tags != WALL), full_size=mesh.num_p2)

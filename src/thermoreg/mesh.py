@@ -90,8 +90,6 @@ class Mesh:
         INLET/OUTLET/WALL per boundary edge.
     node_tags : (n*n,) int array
         INTERIOR for interior nodes, else INLET/OUTLET/WALL.
-    h : float
-        P2 grid spacing, ``1/(n-1)``.
     """
 
     n: int
@@ -102,7 +100,6 @@ class Mesh:
     boundary_edges: np.ndarray
     edge_tags: np.ndarray
     node_tags: np.ndarray
-    h: float
 
     @property
     def num_p2(self):
@@ -194,7 +191,6 @@ def build_structured_mesh(geometry, n):
         boundary_edges=boundary_edges,
         edge_tags=np.full(boundary_edges.shape[0], WALL, dtype=np.int8),
         node_tags=np.zeros(n * n, dtype=np.int8),
-        h=1.0 / (n - 1),
     )
     return classify_boundary(mesh, geometry)
 

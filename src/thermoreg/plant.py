@@ -1,7 +1,7 @@
 """Discretized temperature dynamics as a generalized state-space plant.
 
 The semidiscrete model is ``M theta' = A theta + B u + B_d w_d`` with
-``y = C theta`` on the wall-eliminated P2 degrees of freedom, where
+``y = C theta`` on the P2 nodes off the walls (pinned at zero), where
 ``A = -(alpha K + N)`` combines diffusion (alpha = 1/(Re Pr)) and
 advection by the steady flow field.  The Neumann disturbance enters
 directly as the alpha-scaled inlet boundary load, so both feedthrough
@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from . import fem
 from .flow import restrict_velocity
 from .lti import StateSpace
-from .mesh import INLET
+from .mesh import INLET, WALL
 
 # Column ordering for sparse LU of pencils ``a M + b A``: the P2 pattern is
 # structurally symmetric, and minimum degree on A + A^T (George & Liu) gives
@@ -28,18 +28,17 @@ PENCIL_ORDERING = "MMD_AT_PLUS_A"
 
 @dataclass
 class GeneralizedPlant:
-    """Mass-matrix form ``M x' = A x + B u + B_d w_d``, ``y = C x``."""
+    """Mass-matrix form ``M x' = A x + B u + B_d w_d``, ``y = C x``; x holds the non-wall nodes."""
 
     mass: sp.csr_matrix
     drift: sp.csr_matrix
     control: np.ndarray       # (n, m)
     disturbance: np.ndarray   # (n, d)
     observation: np.ndarray   # (p, n)
-    reduction: fem.DirichletReduction
 
 
 def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, observation_shape):
-    """Assemble the Dirichlet-reduced plant for the given shapes.
+    """Assemble the plant on the non-wall nodes of ``mesh`` for the given shapes.
 
     The flow field is copied onto ``mesh``, which must be the flow grid or
     nested in it (:func:`flow.restrict_velocity`, ``ValueError`` otherwise).
@@ -60,14 +59,13 @@ def build_plant(mesh, flow_state, re, pr, control_shape, disturbance_shape, obse
     bd_full = alpha * fem.assemble_load_boundary(mesh, INLET, disturbance_shape)
     c_full = fem.assemble_load_domain(mesh, observation_shape)
 
-    red = fem.dirichlet_reduction(mesh)
+    free = np.flatnonzero(mesh.node_tags != WALL)
     return GeneralizedPlant(
-        mass=red.matrix(mass),
-        drift=red.matrix(drift_full),
-        control=red.vector(b_full)[:, None],
-        disturbance=red.vector(bd_full)[:, None],
-        observation=red.vector(c_full)[None, :],
-        reduction=red,
+        mass=mass[free][:, free].tocsr(),
+        drift=drift_full[free][:, free].tocsr(),
+        control=b_full[free][:, None],
+        disturbance=bd_full[free][:, None],
+        observation=c_full[free][None, :],
     )
 
 

@@ -13,7 +13,7 @@ algebra on the controller (a block Schur complement).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -131,6 +131,8 @@ def closed_loop_abscissa(cl):
 
 @dataclass
 class SimulationResult:
+    """Sampled signals of :func:`simulate`, the plant state extrema and the final states."""
+
     t: np.ndarray
     y: np.ndarray        # (nt, p)
     y_ref: np.ndarray    # (nt, p)
@@ -138,7 +140,6 @@ class SimulationResult:
     u: np.ndarray        # (nt, m)
     theta_min: float
     theta_max: float
-    snapshots: dict = field(default_factory=dict)  # time -> full P2 nodal field
     state_final: np.ndarray = None
     controller_final: np.ndarray = None
 
@@ -146,13 +147,13 @@ class SimulationResult:
 def default_initial_state(plant):
     """Constant-1 temperature field: all retained coefficients are one.
 
-    The wall values stay pinned at zero, which the Dirichlet reduction
-    encodes by omission.
+    The wall values stay pinned at zero, which the plant's coordinates
+    encode by omission.
     """
     return np.ones(plant.drift.shape[0])
 
 
-def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
+def simulate(cl, signals, t_end, dt, x0=None, z0=None):
     """Trapezoidal integration of the closed loop over [0, t_end].
 
     The step system is solved through a block Schur complement.  The plant
@@ -164,12 +165,12 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     ``S [B, B_d]`` with ``S = E-^-1``, an n x (m + d) block, so each step
     costs one sparse product, one sparse solve, one rank-(m + d) update and
     a few controller-size products.
-    Exogenous signals are sampled at half-steps.  A snapshot at time ``ts``
-    holds the field at the first step time at or after ``ts``.
+    Exogenous signals are sampled at half-steps.  No temperature field is
+    kept along the way: the result holds y, u, the error, the extrema of
+    the plant state and the final plant and controller states.
 
-    ``t_end`` must be a whole number of steps and every snapshot time must
-    lie in ``[0, t_end]``; otherwise, and for non-finite initial states
-    ``x0`` or ``z0``, ``ValueError`` is raised.  Raises
+    ``t_end`` must be a whole number of steps; otherwise, and for
+    non-finite initial states ``x0`` or ``z0``, ``ValueError`` is raised.  Raises
     :class:`ConvergenceError` with the index and time of the first step
     whose plant or controller state is non-finite.
     """
@@ -179,9 +180,6 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     nsteps = int(round(steps))
     if abs(steps - nsteps) > 1e-9 * steps:
         raise ValueError(f"t_end={t_end} is not a whole number of steps dt={dt}")
-    snap_left = sorted(float(ts) for ts in snapshot_times)
-    if not all(0.0 <= ts <= t_end for ts in snap_left):
-        raise ValueError(f"snapshot times must lie in [0, t_end={t_end}]")
     plant, ctrl = cl.plant, cl.ctrl
     n, nz = plant.drift.shape[0], ctrl.dim
     m = plant.control.shape[1]
@@ -241,9 +239,6 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
     u[0] = k_mat @ z
     theta_min = min(0.0, x.min())
     theta_max = max(0.0, x.max())
-    snapshots = {}
-    while snap_left and snap_left[0] <= 1e-12:
-        snapshots[snap_left.pop(0)] = plant.reduction.inflate(x)
 
     # During a blow-up the step products meet 0 * inf before the guard below
     # reports the step; numpy's warnings about that would only be noise.
@@ -269,8 +264,6 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
             cx = ch + csbb @ v
             y[i + 1] = cx
             u[i + 1] = uz
-            while snap_left and snap_left[0] <= times[i + 1] + 1e-12:
-                snapshots[snap_left.pop(0)] = plant.reduction.inflate(x)
 
     y_ref = y_ref_all.T
     return SimulationResult(
@@ -281,7 +274,6 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None, snapshot_times=()):
         u=u,
         theta_min=float(theta_min),
         theta_max=float(theta_max),
-        snapshots=snapshots,
         state_final=x,
         controller_final=z,
     )

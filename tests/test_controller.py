@@ -230,6 +230,23 @@ def test_low_gain_rejects_singular_transfer():
         ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.1)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[1.0 + 0j, 2.0 + 0j]]), r"frequency 2\.0 has shape \(1, 2\), need \(1, 1\)"),
+        (np.ones((2, 2), dtype=complex), r"frequency 2\.0 has shape \(2, 2\), need \(1, 1\)"),
+        (np.array([[np.nan + 0j]]), r"frequency 2\.0 is not finite"),
+        (np.array([[1.0 + 1j * np.inf]]), r"frequency 2\.0 is not finite"),
+    ],
+    ids=["1x2", "2x2", "nan", "inf"],
+)
+def test_low_gain_rejects_malformed_transfer_value(bad, message):
+    # The bad value must be named before np.linalg.cond or inv sees it.
+    vals = [np.array([[1.0 + 0j]]), bad, np.array([[1.0 + 0j]])]
+    with pytest.raises(ValueError, match=f"plant transfer value at {message}"):
+        ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.1)
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
 def test_low_gain_rejects_bad_eps(eps):
     vals = [np.array([[1.0 + 0j]])] * 3

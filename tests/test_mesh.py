@@ -16,7 +16,7 @@ from thermoreg.mesh import (
 def test_node_counts_and_spacing(geometry):
     mesh = build_structured_mesh(geometry, 81)
     assert mesh.num_p2 == 6561
-    assert mesh.h == pytest.approx(0.0125, abs=1e-15)
+    assert np.allclose(np.diff(np.unique(mesh.p2_nodes[:, 0])), 0.0125, rtol=0, atol=1e-15)
     assert build_structured_mesh(geometry, 41).num_p2 == 1681
 
 

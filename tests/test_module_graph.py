@@ -1,8 +1,8 @@
 """The package's import graph is one-way and visible at module level.
 
 No module of ``thermoreg`` imports inside a function, so the graph can be
-read off the module headers, and ``lti`` sits at its bottom: it imports
-nothing from the package but ``errors``.
+read off the module headers.  ``lti`` sits at its bottom: it imports
+nothing from the package but ``errors``; ``fem`` imports nothing from it.
 """
 
 import ast
@@ -32,13 +32,21 @@ def test_no_import_inside_a_function(path):
     assert not nested, f"imports inside a function: {nested}"
 
 
-def test_lti_imports_only_errors_from_the_package():
+def _package_imports(name):
     imported = set()
-    for node in ast.walk(_tree(PACKAGE / "lti.py")):
+    for node in ast.walk(_tree(PACKAGE / name)):
         if isinstance(node, ast.ImportFrom) and node.level:  # from .x import ..., from . import x
             imported.update([node.module] if node.module else [a.name for a in node.names])
         elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "thermoreg":
             imported.add(node.module.removeprefix("thermoreg").lstrip(".") or "thermoreg")
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "thermoreg")
-    assert imported == {"errors"}
+    return imported
+
+
+def test_lti_imports_only_errors_from_the_package():
+    assert _package_imports("lti.py") == {"errors"}
+
+
+def test_fem_imports_nothing_from_the_package():
+    assert _package_imports("fem.py") == set()

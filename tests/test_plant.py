@@ -5,8 +5,8 @@ import scipy.sparse as sp
 
 from thermoreg import fem, plant as plant_mod
 from thermoreg.fem import ShapeSpec
-from thermoreg.flow import solve_navier_stokes, solve_stokes
-from thermoreg.mesh import INLET, BoundarySegment, Geometry, build_structured_mesh
+from thermoreg.flow import restrict_velocity, solve_navier_stokes, solve_stokes
+from thermoreg.mesh import INLET, WALL, BoundarySegment, Geometry, build_structured_mesh
 
 B_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4))
 BD_SHAPE = ShapeSpec("boundary-indicator")
@@ -14,21 +14,43 @@ C1_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.7, 0.9, 0.1, 0.3), amplitu
 
 
 @pytest.fixture(scope="module")
-def small_plant(mesh11):
+def small_flow(mesh11):
     st = solve_stokes(mesh11, re=100.0)
-    ns = solve_navier_stokes(mesh11, re=100.0, initial=st)
-    return plant_mod.build_plant(mesh11, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+    return solve_navier_stokes(mesh11, re=100.0, initial=st)
+
+
+@pytest.fixture(scope="module")
+def small_plant(mesh11, small_flow):
+    return plant_mod.build_plant(mesh11, small_flow, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
 
 
 def test_alpha(small_plant, mesh11):
     # Diffusion and the inlet load both carry alpha = 1 / (Re Pr) = 1 / 70.
-    mesh, red = mesh11, small_plant.reduction
+    mesh = mesh11
+    free = np.flatnonzero(mesh.node_tags != WALL)
     stiff = fem.assemble_stiffness(mesh)
     adv = fem.assemble_advection(mesh, solve_navier_stokes(mesh, re=100.0).velocity)
-    drift = red.matrix(-(stiff / 70.0 + adv))
+    drift = (-(stiff / 70.0 + adv))[free][:, free]
     assert abs(small_plant.drift - drift).max() <= 1e-15 * abs(drift).max()
-    load = red.vector(fem.assemble_load_boundary(mesh, INLET, BD_SHAPE)) / 70.0
+    load = fem.assemble_load_boundary(mesh, INLET, BD_SHAPE)[free] / 70.0
     assert np.allclose(small_plant.disturbance[:, 0], load, rtol=1e-15, atol=0)
+
+
+def test_plant_is_the_full_assembly_off_the_walls(small_plant, small_flow, mesh11):
+    # Every plant array is the full P2 assembly with the wall rows and
+    # columns dropped, bit for bit.
+    mesh = mesh11
+    free = np.flatnonzero(mesh.node_tags != WALL)
+    assert free.size < mesh.num_p2
+    alpha = 1.0 / (100.0 * 0.7)
+    adv = fem.assemble_advection(mesh, restrict_velocity(small_flow, mesh))
+    drift = -(alpha * fem.assemble_stiffness(mesh) + adv)
+    assert np.array_equal(small_plant.mass.toarray(), fem.assemble_mass(mesh).toarray()[np.ix_(free, free)])
+    assert np.array_equal(small_plant.drift.toarray(), drift.toarray()[np.ix_(free, free)])
+    assert np.array_equal(small_plant.control[:, 0], fem.assemble_load_domain(mesh, B_SHAPE)[free])
+    bd = alpha * fem.assemble_load_boundary(mesh, INLET, BD_SHAPE)
+    assert np.array_equal(small_plant.disturbance[:, 0], bd[free])
+    assert np.array_equal(small_plant.observation[0], fem.assemble_load_domain(mesh, C1_SHAPE)[free])
 
 
 def test_design_mesh_state_dimension(mesh41):
@@ -61,7 +83,6 @@ def test_standard_form_identity_mass(small_plant):
         control=small_plant.control,
         disturbance=small_plant.disturbance,
         observation=small_plant.observation,
-        reduction=small_plant.reduction,
     )
     std = plant_mod.to_standard_form(eye_plant)
     assert np.allclose(std.a, small_plant.drift.toarray(), atol=1e-14)
@@ -98,8 +119,6 @@ def test_rightmost_spectrum_pure_diffusion(geometry):
     # Laplacian on the unit square is -alpha * 2 pi^2.
     import dataclasses
 
-    from thermoreg.mesh import WALL
-
     mesh = build_structured_mesh(Geometry(), 21)
     mesh = dataclasses.replace(
         mesh,
@@ -110,14 +129,13 @@ def test_rightmost_spectrum_pure_diffusion(geometry):
     alpha = 1.0 / (re * pr)
     mass = fem.assemble_mass(mesh)
     stiff = fem.assemble_stiffness(mesh)
-    red = fem.dirichlet_reduction(mesh)
+    free = np.flatnonzero(mesh.node_tags != WALL)
     p = plant_mod.GeneralizedPlant(
-        mass=red.matrix(mass),
-        drift=red.matrix((-alpha * stiff).tocsr()),
-        control=np.ones((red.size, 1)),
-        disturbance=np.ones((red.size, 1)),
-        observation=np.ones((1, red.size)),
-        reduction=red,
+        mass=mass[free][:, free].tocsr(),
+        drift=(-alpha * stiff).tocsr()[free][:, free].tocsr(),
+        control=np.ones((free.size, 1)),
+        disturbance=np.ones((free.size, 1)),
+        observation=np.ones((1, free.size)),
     )
     lam = _rightmost(p, k=1)[0]
     expected = -alpha * 2.0 * np.pi**2
