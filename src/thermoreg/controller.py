@@ -39,7 +39,7 @@ class InternalModel:
 
 
 def build_internal_model(frequencies, p=1):
-    """Internal model for distinct positive finite frequencies and an integer output dimension p >= 1.
+    """Internal model for one or more distinct positive finite frequencies and an integer output dimension p >= 1.
 
     K1 observes every such model (Hautus): G1's eigenvectors for +-i w_k are ``[a; +-i a]`` on the
     block of w_k, and K1 maps them to ``a``.  Other input raises ``ValueError``.
@@ -47,6 +47,8 @@ def build_internal_model(frequencies, p=1):
     freqs = tuple(float(w) for w in frequencies)
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
         raise ValueError(f"output dimension must be an integer of at least 1, got {p!r}")
+    if not freqs:
+        raise ValueError("an internal model needs at least one frequency")
     if not all(np.isfinite(w) and w > 0 for w in freqs):
         raise ValueError(f"frequencies must be positive and finite, got {freqs}")
     if len(set(freqs)) != len(freqs):

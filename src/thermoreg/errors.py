@@ -12,7 +12,3 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-class MeshConsistencyError(RuntimeError):
-    """Internal mesh invariant violated (signals a construction bug)."""

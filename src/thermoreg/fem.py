@@ -1,15 +1,19 @@
 """P1/P2 finite element assembly on structured triangle meshes.
 
-Element matrices are computed for all triangles at once and scattered
-into CSR matrices, so no Python-level loop runs over elements.  Mass is an
-einsum contraction over quadrature points.  Stiffness, divergence and the
-convection forms (advection and the velocity-gradient blocks of its Newton
-linearization) are one matrix product of per-element geometric factors
-(``J^-1 J^-T``, ``J^-1``, ``v . J^-1``) with reference tensors
-precontracted over the quadrature rule; stiffness and divergence store no
-entry for a coupling that vanishes in exact arithmetic.
-Quadrature rules are exact for every product of P2 basis functions that
-appears in the weak forms (degree 5 suffices for mass, stiffness, and
+Element matrices are computed for all triangles at once, so no
+Python-level loop runs over elements.  Every P2 x P2 matrix (mass,
+stiffness, advection and the velocity-gradient blocks of its Newton
+linearization) is summed onto the mesh's P2 coupling pattern
+(``mesh.p2_couplings``) by one ``bincount``; the P1 x P2 divergence blocks
+are scattered onto a CSR pattern of their own.  Mass is an einsum
+contraction over quadrature points.  Stiffness, divergence and the
+convection forms are one matrix product of per-element geometric factors
+(``J^-1 J^-T``, ``J^-1``, ``v . J^-1``) with reference tensors precontracted
+over the quadrature rule.  A coupling that vanishes in exact arithmetic is
+stored as an exact zero in the stiffness and not stored at all in the
+divergence.
+One quadrature rule, exact to degree 5, serves every form: no product of
+P2 basis functions in the weak forms has a higher degree (degree 5 is
 advection with a P2 velocity field).
 Matrices and loads cover every P2 node, wall nodes included.  The module
 imports nothing from the package.
@@ -38,13 +42,11 @@ class QuadratureRule:
     degree: int
 
 
-def _rule_degree2():
-    pts = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    w = np.full(3, 1.0 / 6.0)
-    return QuadratureRule(pts, w, 2)
+def triangle_rule():
+    """The 7-point rule exact to degree 5 (Radon), the one triangle rule of the module.
 
-
-def _rule_degree5():
+    No weak form assembled here has an integrand of higher degree.
+    """
     s15 = np.sqrt(15.0)
     b1 = (6.0 + s15) / 21.0
     a1 = 1.0 - 2.0 * b1
@@ -60,33 +62,6 @@ def _rule_degree5():
     return QuadratureRule(np.array(pts), np.array(wts), 5)
 
 
-def _rule_degree6():
-    g1 = (0.873821971016996, 0.063089014491502, 0.050844906370207 / 2.0)
-    g2 = (0.501426509658179, 0.249286745170910, 0.116786275726379 / 2.0)
-    a3, b3 = 0.053145049844816, 0.310352451033785
-    c3 = 1.0 - a3 - b3
-    w3 = 0.082851075618374 / 2.0
-    pts, wts = [], []
-    for (a, b, w) in (g1, g2):
-        pts += [[a, b, b], [b, a, b], [b, b, a]]
-        wts += [w, w, w]
-    for p in ((a3, b3, c3), (a3, c3, b3), (b3, a3, c3), (b3, c3, a3), (c3, a3, b3), (c3, b3, a3)):
-        pts.append(list(p))
-        wts.append(w3)
-    return QuadratureRule(np.array(pts), np.array(wts), 6)
-
-
-_TRIANGLE_RULES = {2: _rule_degree2, 5: _rule_degree5, 6: _rule_degree6}
-
-
-def triangle_rule(degree):
-    """Smallest available rule exact for polynomials up to ``degree``."""
-    for d in sorted(_TRIANGLE_RULES):
-        if d >= degree:
-            return _TRIANGLE_RULES[d]()
-    raise ValueError(f"no triangle rule of degree >= {degree}")
-
-
 def edge_rule():
     """3-point Gauss-Legendre rule on [0, 1], exact to degree 5."""
     x, w = np.polynomial.legendre.leggauss(3)
@@ -95,11 +70,6 @@ def edge_rule():
 
 # ---------------------------------------------------------------------------
 # Basis functions
-
-def p1_basis(bary):
-    """P1 values at barycentric points; shape (nq, 3)."""
-    return np.asarray(bary, dtype=float)
-
 
 def p2_basis(bary):
     """P2 values at barycentric points; shape (nq, 6).
@@ -178,33 +148,41 @@ def _scatter(local, rows_conn, cols_conn, shape):
     return mat
 
 
+def _p2_matrix(mesh, local):
+    """Sum element matrices, (ne, 6, 6) or flat (ne, 36), onto ``mesh.p2_couplings`` with one ``bincount``.
+
+    The CSR result holds copies of the couplings' index arrays, so a caller
+    may edit it in place; a coupling whose contributions cancel stays stored.
+    """
+    indptr, indices, slot = mesh.p2_couplings
+    data = np.bincount(slot.ravel(), local.ravel(), indices.size)
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), (mesh.num_p2, mesh.num_p2))
+
+
 # ---------------------------------------------------------------------------
 # Assembly
 
 def assemble_mass(mesh):
     """P2 L2 pairing matrix M_ij = integral(phi_i phi_j); symmetric positive definite."""
-    rule = triangle_rule(4)
+    rule = triangle_rule()
     basis = p2_basis(rule.points)
     det, _ = element_jacobians(mesh)
-    local = np.einsum("q,qi,qj,e->eij", rule.weights, basis, basis, det)
-    return _scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
+    return _p2_matrix(mesh, np.einsum("q,qi,qj,e->eij", rule.weights, basis, basis, det))
 
 
 def _gradient_kernels():
-    """Reference tensors of the stiffness and divergence forms, precontracted over their rules.
+    """Reference tensors of the stiffness and divergence forms, precontracted over the rule.
 
     Row (k, l) of the stiffness kernel holds, for every (i, j),
-    sum_q w_q dphi_i/dk dphi_j/dl (degree-2 integrand and rule).  Row k of
-    the divergence kernel holds, for every (a, j), sum_q w_q psi_a dphi_j/dk
-    with P1 functions psi (degree-2 integrand, degree-3 rule).  Both
-    contractions are exact.
+    sum_q w_q dphi_i/dk dphi_j/dl.  Row k of the divergence kernel holds,
+    for every (a, j), sum_q w_q psi_a dphi_j/dk with the P1 functions psi,
+    which are the barycentric coordinates.  Both integrands are degree 2, so
+    both contractions are exact.
     """
-    rule = triangle_rule(2)
+    rule = triangle_rule()
     ghat = p2_grads_reference(rule.points)
     stiff = np.einsum("q,qik,qjl->klij", rule.weights, ghat, ghat).reshape(4, 36)
-    rule = triangle_rule(3)
-    ghat = p2_grads_reference(rule.points)
-    div = np.einsum("q,qa,qjk->kaj", rule.weights, p1_basis(rule.points), ghat).reshape(2, 18)
+    div = np.einsum("q,qa,qjk->kaj", rule.weights, rule.points, ghat).reshape(2, 18)
     return stiff, div
 
 
@@ -216,10 +194,9 @@ _STIFFNESS_KERNEL, _DIVERGENCE_KERNEL = _gradient_kernels()
 _CANCELLATION_TOL = 1e-12
 
 
-def _drop_cancellations(mat):
-    """Store the couplings that vanish in exact arithmetic as no entry at all."""
+def _zero_cancellations(mat):
+    """Set the couplings that vanish in exact arithmetic to exact zeros, in place."""
     mat.data[np.abs(mat.data) <= _CANCELLATION_TOL * np.abs(mat.data).max()] = 0.0
-    mat.eliminate_zeros()
     return mat
 
 
@@ -227,13 +204,12 @@ def assemble_stiffness(mesh):
     """P2 Dirichlet-energy matrix K_ij = integral(grad phi_i . grad phi_j).
 
     The element matrices are the per-element factors det_e (J_e^-1 J_e^-T)_kl
-    times the precontracted kernel.
+    times the precontracted kernel.  The couplings that vanish in exact
+    arithmetic are stored as exact zeros.
     """
     det, jinv = element_jacobians(mesh)
     factors = (jinv @ jinv.transpose(0, 2, 1)) * det[:, None, None]
-    local = (factors.reshape(-1, 4) @ _STIFFNESS_KERNEL).reshape(-1, 6, 6)
-    tri = mesh.triangles
-    return _drop_cancellations(_scatter(local, tri, tri, (mesh.num_p2, mesh.num_p2)))
+    return _zero_cancellations(_p2_matrix(mesh, factors.reshape(-1, 4) @ _STIFFNESS_KERNEL))
 
 
 def _convection_kernel():
@@ -244,7 +220,7 @@ def _convection_kernel():
     form: sum_q w_q phi_i phi_j dphi_k/dr.  Both integrands are degree 5, so
     the contraction is exact.
     """
-    rule = triangle_rule(5)
+    rule = triangle_rule()
     phi = p2_basis(rule.points)
     ghat = p2_grads_reference(rule.points)
     adv = np.einsum("q,qi,qk,qjr->krij", rule.weights, phi, phi, ghat)
@@ -273,8 +249,7 @@ def assemble_advection(mesh, velocity):
     the rule integrates exactly.
     """
     f = _velocity_factors(mesh, velocity)
-    local = (f[:, 0, 0] + f[:, 1, 1]) @ _CONVECTION_KERNEL[:12]
-    return _scatter(local.reshape(-1, 6, 6), mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))
+    return _p2_matrix(mesh, (f[:, 0, 0] + f[:, 1, 1]) @ _CONVECTION_KERNEL[:12])
 
 
 def assemble_convection(mesh, velocity):
@@ -283,10 +258,7 @@ def assemble_convection(mesh, velocity):
     Returns ``(N, G)`` with ``G[c, d]_ij = integral((d_d v_c) phi_i phi_j)``,
     so that the derivative of ``N(v) v_c`` in direction ``w`` is
     ``N(v) w_c + sum_d G[c, d] w_d``.  The element matrices come from two
-    products of the per-element factors with the precontracted kernel, and
-    each of the five matrices is summed onto the mesh's P2 coupling pattern
-    (``mesh.p2_couplings``) by one ``bincount``; entries that cancel stay
-    stored as zeros.
+    products of the per-element factors with the precontracted kernel.
     """
     f = _velocity_factors(mesh, velocity)
     ne = f.shape[0]
@@ -296,10 +268,7 @@ def assemble_convection(mesh, velocity):
     local = np.empty((5, ne, 36))
     np.matmul(f[:, 0, 0] + f[:, 1, 1], _CONVECTION_KERNEL[:12], out=local[0])
     np.matmul(f.reshape(ne, 4, 12).transpose(1, 0, 2), _CONVECTION_KERNEL[12:], out=local[1:])
-    indptr, indices, slot = mesh.p2_couplings
-    slot = slot.ravel()
-    nnz, shape = indices.size, (mesh.num_p2, mesh.num_p2)
-    mats = [sp.csr_matrix((np.bincount(slot, w.ravel(), nnz), indices.copy(), indptr.copy()), shape) for w in local]
+    mats = [_p2_matrix(mesh, w) for w in local]
     return mats[0], {(c, d): mats[1 + 2 * c + d] for c in range(2) for d in range(2)}
 
 
@@ -315,7 +284,9 @@ def assemble_divergence(mesh):
     out = []
     for c in range(2):
         local = (jinv[:, :, c] * det[:, None]) @ _DIVERGENCE_KERNEL
-        out.append(_drop_cancellations(_scatter(local.reshape(-1, 3, 6), mesh.tri_p1, mesh.triangles, shape)))
+        mat = _zero_cancellations(_scatter(local.reshape(-1, 3, 6), mesh.tri_p1, mesh.triangles, shape))
+        mat.eliminate_zeros()
+        out.append(mat)
     return out[0], out[1]
 
 
@@ -365,7 +336,7 @@ def assemble_load_domain(mesh, shape):
     """Load vector F_i = integral(shape * phi_i) over the domain (P2)."""
     if shape.kind != "indicator-rectangle":
         raise ValueError("domain loads take indicator-rectangle shapes")
-    rule = triangle_rule(5)
+    rule = triangle_rule()
     basis = p2_basis(rule.points)
     det, _ = element_jacobians(mesh)
     vals = shape_values(shape, physical_points(mesh, rule))  # (ne, nq)

@@ -131,9 +131,10 @@ class _SaddleProblem:
 
     The saddle matrix has one pattern in solve order, built once: the P2
     couplings (``mesh.p2_couplings``) in each of the four velocity blocks,
-    and the divergence blocks.  A Jacobian then gathers its values from the
-    viscous, convection and divergence data into that pattern, with no
-    sparse assembly per Newton step.
+    and the divergence blocks.  ``fem`` assembles the viscous and convection
+    matrices on those couplings, so a Jacobian gathers their ``data`` arrays
+    and the divergence values into that pattern as they are, with no sparse
+    assembly per Newton step.
     """
 
     def __init__(self, mesh, re):
@@ -143,24 +144,10 @@ class _SaddleProblem:
         self.visc = fem.assemble_stiffness(mesh) / re
         self.dx, self.dy = fem.assemble_divergence(mesh)
         self.fixed, self.fixed_values = _dirichlet_velocity(mesh)
-        self._visc = self._on_couplings(self.visc)
+        self._visc = self.visc.data
         self._div = np.concatenate([-self.dx.data, -self.dy.data, self.dx.data, self.dy.data])
         self.order = _saddle_order(mesh, self.fixed)
         self._pattern, self._source = _saddle_pattern(mesh, self.dx, self.dy, self.order)
-
-    def _on_couplings(self, mat):
-        """Values of ``mat`` at the P2 couplings, in their CSR order.
-
-        A matrix on the couplings' own pattern, as ``fem.assemble_convection``
-        returns them, hands over its values.  Any other is sampled at the
-        couplings, which drops entries off them; no P2 element matrix has any.
-        """
-        indptr, indices, _ = self.mesh.p2_couplings
-        mat = mat.tocsr()
-        if np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices):
-            return mat.data
-        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        return np.asarray(mat[rows, indices]).ravel()
 
     def initial_state(self):
         v = np.zeros((self.mesh.num_p2, 2))
@@ -185,9 +172,8 @@ class _SaddleProblem:
             zero = np.zeros_like(self._visc)
             velocity = [self._visc, zero, zero, self._visc]
         else:
-            a = self._visc + self._on_couplings(adv)
-            on = {cd: self._on_couplings(blk) for cd, blk in g.items()}
-            velocity = [a + on[0, 0], on[0, 1], on[1, 0], a + on[1, 1]]
+            a = self._visc + adv.data
+            velocity = [a + g[0, 0].data, g[0, 1].data, g[1, 0].data, a + g[1, 1].data]
         indptr, indices, shape = self._pattern
         data = np.concatenate(velocity + [self._div])[self._source]
         jac = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=shape)
@@ -267,7 +253,7 @@ def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25):
     v[prob.fixed] = prob.fixed_values
 
     # The achievable residual floor scales with the viscous operator.
-    atol_eff = 1e-12 * max(1.0, np.abs(prob.visc.data).max() if prob.visc.nnz else 1.0)
+    atol_eff = 1e-12 * max(1.0, np.abs(prob.visc.data).max())
     adv, g = fem.assemble_convection(mesh, v)
     res = prob.residual(v, p, adv)
     scale = max(np.linalg.norm(res), atol_eff)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshConsistencyError
-
 # Node/edge tags.
 INTERIOR = 0
 INLET = 1
@@ -243,8 +241,6 @@ def classify_boundary(mesh, geometry):
 
     def segment_tag(x, y):
         side = _side_of(x, y)
-        if side is None:
-            raise MeshConsistencyError(f"node ({x}, {y}) is not on the boundary")
         along = y if side in ("left", "right") else x
         for seg, tag in ((geometry.inlet, INLET), (geometry.outlet, OUTLET)):
             if side == seg.side and seg.lo + _SEG_EPS < along < seg.hi - _SEG_EPS:

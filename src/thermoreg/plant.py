@@ -87,7 +87,13 @@ def to_standard_form(plant):
 
 
 def transfer_value(plant, s):
-    """Transfer matrix P(s) = C (sM - A)^-1 B via one sparse LU."""
+    """Transfer matrix P(s) = C (sM - A)^-1 B via one sparse LU.
+
+    A non-finite shift raises ``ValueError``; a shift at an eigenvalue of the
+    plant raises ``RuntimeError``.
+    """
+    if not np.isfinite(s):
+        raise ValueError(f"shift {s} is not finite")
     shifted = (s * plant.mass - plant.drift).tocsc()
     try:
         lu = spla.splu(shifted.astype(np.complex128), permc_spec=PENCIL_ORDERING)

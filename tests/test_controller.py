@@ -78,6 +78,17 @@ def test_internal_model_rejects_bad_output_dimension(p):
         ctrl_mod.build_internal_model(FREQS, p=p)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: ctrl_mod.build_internal_model(()), lambda: ctrl_mod.synthesize_low_gain([], (), eps=0.1)],
+    ids=["internal-model", "low-gain"],
+)
+def test_empty_frequency_set_rejected(build):
+    # A controller without an internal model would regulate nothing.
+    with pytest.raises(ValueError, match="at least one frequency"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Dual observer-based controller
 

@@ -164,6 +164,20 @@ def test_transfer_decays_at_infinity(small_plant):
     assert vals[2] < 1e-6
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_transfer_value_rejects_non_finite_shift(small_plant, s):
+    with pytest.raises(ValueError, match="not finite"):
+        plant_mod.transfer_value(small_plant, s)
+
+
+def test_transfer_value_at_an_eigenvalue_is_singular():
+    eye = sp.identity(2, format="csr")
+    diag = sp.diags([-1.0, -2.0], format="csr")
+    gen = plant_mod.GeneralizedPlant(eye, diag, np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 2)))
+    with pytest.raises(RuntimeError, match="singular"):
+        plant_mod.transfer_value(gen, -1.0)
+
+
 def test_invalid_parameters(mesh11):
     st = solve_stokes(mesh11, re=100.0)
     with pytest.raises(ValueError):
