@@ -29,23 +29,13 @@ import scipy.sparse as sp
 # ---------------------------------------------------------------------------
 # Quadrature
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Triangle quadrature in barycentric coordinates.
-
-    Weights sum to the reference-triangle area 1/2; a physical integral is
-    ``|det J| * sum_q w_q f(x_q)``.
-    """
-
-    points: np.ndarray  # (nq, 3) barycentric
-    weights: np.ndarray  # (nq,)
-    degree: int
-
-
 def triangle_rule():
     """The 7-point rule exact to degree 5 (Radon), the one triangle rule of the module.
 
-    No weak form assembled here has an integrand of higher degree.
+    Returns ``(points, weights)``: barycentric points (nq, 3) and weights
+    (nq,) that sum to the reference-triangle area 1/2, so a physical
+    integral is ``|det J| * sum_q w_q f(x_q)``.  No weak form assembled here
+    has an integrand of higher degree.
     """
     s15 = np.sqrt(15.0)
     b1 = (6.0 + s15) / 21.0
@@ -59,7 +49,7 @@ def triangle_rule():
     for (a, b, w) in ((a1, b1, w1), (a2, b2, w2)):
         pts += [[a, b, b], [b, a, b], [b, b, a]]
         wts += [w, w, w]
-    return QuadratureRule(np.array(pts), np.array(wts), 5)
+    return np.array(pts), np.array(wts)
 
 
 def edge_rule():
@@ -122,17 +112,17 @@ def element_jacobians(mesh):
     return det, jinv
 
 
-def physical_points(mesh, rule):
-    """Physical coordinates of quadrature points; shape (ne, nq, 2)."""
+def physical_points(mesh, points):
+    """Physical coordinates of barycentric quadrature points; shape (ne, nq, 2)."""
     p = mesh.p2_nodes
     verts = p[mesh.triangles[:, :3]]  # (ne, 3, 2)
-    return np.einsum("qk,ekd->eqd", rule.points, verts)
+    return np.einsum("qk,ekd->eqd", points, verts)
 
 
-def physical_grads(mesh, rule):
-    """Physical P2 basis gradients at quadrature points; shape (ne, nq, 6, 2)."""
+def physical_grads(mesh, points):
+    """Physical P2 basis gradients at barycentric quadrature points; shape (ne, nq, 6, 2)."""
     _, jinv = element_jacobians(mesh)
-    ghat = p2_grads_reference(rule.points)
+    ghat = p2_grads_reference(points)
     return np.einsum("qik,ekd->eqid", ghat, jinv)
 
 
@@ -164,10 +154,10 @@ def _p2_matrix(mesh, local):
 
 def assemble_mass(mesh):
     """P2 L2 pairing matrix M_ij = integral(phi_i phi_j); symmetric positive definite."""
-    rule = triangle_rule()
-    basis = p2_basis(rule.points)
+    points, weights = triangle_rule()
+    basis = p2_basis(points)
     det, _ = element_jacobians(mesh)
-    return _p2_matrix(mesh, np.einsum("q,qi,qj,e->eij", rule.weights, basis, basis, det))
+    return _p2_matrix(mesh, np.einsum("q,qi,qj,e->eij", weights, basis, basis, det))
 
 
 def _gradient_kernels():
@@ -179,10 +169,10 @@ def _gradient_kernels():
     which are the barycentric coordinates.  Both integrands are degree 2, so
     both contractions are exact.
     """
-    rule = triangle_rule()
-    ghat = p2_grads_reference(rule.points)
-    stiff = np.einsum("q,qik,qjl->klij", rule.weights, ghat, ghat).reshape(4, 36)
-    div = np.einsum("q,qa,qjk->kaj", rule.weights, rule.points, ghat).reshape(2, 18)
+    points, weights = triangle_rule()
+    ghat = p2_grads_reference(points)
+    stiff = np.einsum("q,qik,qjl->klij", weights, ghat, ghat).reshape(4, 36)
+    div = np.einsum("q,qa,qjk->kaj", weights, points, ghat).reshape(2, 18)
     return stiff, div
 
 
@@ -220,11 +210,11 @@ def _convection_kernel():
     form: sum_q w_q phi_i phi_j dphi_k/dr.  Both integrands are degree 5, so
     the contraction is exact.
     """
-    rule = triangle_rule()
-    phi = p2_basis(rule.points)
-    ghat = p2_grads_reference(rule.points)
-    adv = np.einsum("q,qi,qk,qjr->krij", rule.weights, phi, phi, ghat)
-    grad = np.einsum("q,qi,qj,qkr->krij", rule.weights, phi, phi, ghat)
+    points, weights = triangle_rule()
+    phi = p2_basis(points)
+    ghat = p2_grads_reference(points)
+    adv = np.einsum("q,qi,qk,qjr->krij", weights, phi, phi, ghat)
+    grad = np.einsum("q,qi,qj,qkr->krij", weights, phi, phi, ghat)
     return np.concatenate([adv.reshape(12, 36), grad.reshape(12, 36)])
 
 
@@ -336,11 +326,11 @@ def assemble_load_domain(mesh, shape):
     """Load vector F_i = integral(shape * phi_i) over the domain (P2)."""
     if shape.kind != "indicator-rectangle":
         raise ValueError("domain loads take indicator-rectangle shapes")
-    rule = triangle_rule()
-    basis = p2_basis(rule.points)
+    points, weights = triangle_rule()
+    basis = p2_basis(points)
     det, _ = element_jacobians(mesh)
-    vals = shape_values(shape, physical_points(mesh, rule))  # (ne, nq)
-    local = np.einsum("q,qi,eq,e->ei", rule.weights, basis, vals, det)
+    vals = shape_values(shape, physical_points(mesh, points))  # (ne, nq)
+    local = np.einsum("q,qi,eq,e->ei", weights, basis, vals, det)
     load = np.zeros(mesh.num_p2)
     np.add.at(load, mesh.triangles.ravel(), local.ravel())
     if not np.any(load):
@@ -351,10 +341,11 @@ def assemble_load_domain(mesh, shape):
 def assemble_load_boundary(mesh, tag, shape):
     """Load vector F_i = integral over tagged boundary edges of shape * phi_i.
 
-    Each quadratic edge (vertex, midpoint, vertex) is parametrized by t in
-    [0, 1] and integrated with the 3-point Gauss rule.
+    A boundary edge takes the tag of its midpoint node.  Each quadratic
+    edge (vertex, midpoint, vertex) is parametrized by t in [0, 1] and
+    integrated with the 3-point Gauss rule.
     """
-    edges = mesh.boundary_edges[mesh.edge_tags == tag]
+    edges = mesh.boundary_edges[mesh.node_tags[mesh.boundary_edges[:, 1]] == tag]
     if not edges.size:
         raise ValueError(f"mesh has no boundary edges tagged {tag}")
     t, w = edge_rule()

@@ -14,6 +14,7 @@ SuperLU's threshold partial pivoting handles the zero pressure block.
 At n=61 this gives 1.07M nonzeros in L+U against 1.68M for COLAMD.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -243,7 +244,10 @@ def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25):
     allowed one included.  Raises :class:`ConvergenceError`
     carrying the last residual when ``max_iter`` steps do not converge, or
     carrying the step and its residual when a Jacobian is singular.
+    ``max_iter`` must be an integer >= 0 and not a bool (``ValueError``).
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     prob = _SaddleProblem(mesh, re)
     if initial is None:
         initial = _solve_stokes(prob)

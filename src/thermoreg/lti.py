@@ -617,9 +617,13 @@ class StateSpace:
         return self.a.shape[0]
 
     def transfer(self, s):
-        """Transfer value C (sI - A)^-1 B at one complex frequency."""
-        n = self.order
-        x = np.linalg.solve(s * np.eye(n) - self.a, self.b)
+        """C (sI - A)^-1 B at one complex s; ``ValueError`` if s is not finite, ``RuntimeError`` at a pole."""
+        if not np.isfinite(s):
+            raise ValueError(f"shift {s} is not finite")
+        try:
+            x = np.linalg.solve(s * np.eye(self.order) - self.a, self.b)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"shift {s} is singular (eigenvalue of the system): {exc}") from exc
         return self.c @ x
 
 
@@ -693,8 +697,10 @@ def balanced_truncation(sys, r):
 
 
 def sample_frequency_error(sys1, sys2, omegas):
-    """Largest spectral-norm transfer difference over the frequency grid."""
+    """Largest spectral-norm transfer difference over a non-empty, finite frequency grid (else ``ValueError``)."""
     omegas = np.atleast_1d(omegas)
+    if not (omegas.size and np.all(np.isfinite(omegas))):
+        raise ValueError(f"the frequency grid must be non-empty and finite, got {omegas!r}")
     worst = 0.0
     for w in omegas:
         diff = sys1.transfer(1j * w) - sys2.transfer(1j * w)

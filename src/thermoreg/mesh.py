@@ -1,27 +1,28 @@
 """Structured triangulations of the rectangular room.
 
-The room is the unit square with an inlet on the left edge and an outlet
-on the right edge.  Meshes carry two nodal layouts at once: the quadratic
-(P2) grid with ``n`` nodes per direction and the linear (P1) vertex
-subgrid with ``(n+1)/2`` nodes per direction.  Every grid cell is cut
-along the same diagonal, so node orderings and connectivity are fully
-deterministic functions of ``n``.
+The room is the unit square.  Air enters through an inlet on the left wall
+(x = 0) and leaves through an outlet on the right wall (x = 1); the
+geometry fixes these walls and gives only the y-range of each opening.
+Meshes carry two nodal layouts at once: the quadratic (P2) grid with ``n``
+nodes per direction and the linear (P1) vertex subgrid with ``(n+1)/2``
+nodes per direction.  Every grid cell is cut along the same diagonal, so
+node orderings, connectivity and boundary tags are fully deterministic
+functions of ``n`` and the geometry, and all are set when the mesh is built.
 """
 
-import dataclasses
 import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-# Node/edge tags.
+# Node tags.
 INTERIOR = 0
 INLET = 1
 OUTLET = 2
 WALL = 3
 
-# Tolerance for "strictly inside a boundary segment"; grid spacings are
+# Tolerance for "strictly inside a boundary range"; grid spacings are
 # >= 1/80 in practice so this cleanly separates endpoint hits.
 _SEG_EPS = 1e-12
 
@@ -31,45 +32,29 @@ ND_LEAF_NODES = 16
 
 
 @dataclass(frozen=True)
-class BoundarySegment:
-    """Axis-aligned segment on the unit-square boundary.
-
-    ``side`` is one of ``left``, ``right``, ``bottom``, ``top``; ``lo`` and
-    ``hi`` bound the coordinate that varies along that side.
-    """
-
-    side: str
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.side not in ("left", "right", "bottom", "top"):
-            raise ValueError(f"unknown side {self.side!r}")
-        if not (0.0 <= self.lo < self.hi <= 1.0):
-            raise ValueError(f"segment [{self.lo}, {self.hi}] must have positive length inside [0, 1]")
-
-
-@dataclass(frozen=True)
 class Geometry:
-    """Unit-square room with inlet and outlet boundary segments.
+    """Unit-square room: inlet on the left wall, outlet on the right wall.
 
-    Defaults follow the reference configuration: inlet on the left edge
-    over 0.1 <= y <= 0.4, outlet on the right edge over 0.5 <= y <= 0.9.
+    ``inlet`` and ``outlet`` are ``(lo, hi)`` ranges of y on the wall
+    x = 0 and the wall x = 1; each must be two real numbers with
+    ``0 <= lo < hi <= 1`` (``ValueError`` otherwise).  The defaults follow
+    the reference configuration: inlet over 0.1 <= y <= 0.4, outlet over
+    0.5 <= y <= 0.9.
     """
 
-    inlet: BoundarySegment = BoundarySegment("left", 0.1, 0.4)
-    outlet: BoundarySegment = BoundarySegment("right", 0.5, 0.9)
+    inlet: tuple = (0.1, 0.4)
+    outlet: tuple = (0.5, 0.9)
 
     def __post_init__(self):
-        if self.inlet.side == self.outlet.side:
-            no_overlap = self.inlet.hi <= self.outlet.lo or self.outlet.hi <= self.inlet.lo
-            if not no_overlap:
-                raise ValueError("inlet and outlet segments must be disjoint")
+        for name, rng in (("inlet", self.inlet), ("outlet", self.outlet)):
+            real = np.shape(rng) == (2,) and all(isinstance(v, numbers.Real) for v in rng)
+            if not (real and 0.0 <= rng[0] < rng[1] <= 1.0):
+                raise ValueError(f"{name} range {rng!r} must be two numbers lo, hi with 0 <= lo < hi <= 1")
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Structured right-triangle mesh with P1/P2 nodal layouts.
+    """Structured right-triangle mesh with P1/P2 nodal layouts and boundary tags.
 
     Attributes
     ----------
@@ -84,10 +69,10 @@ class Mesh:
         Vertex connectivity in P1 numbering (same triangle order).
     boundary_edges : (nbe, 3) int array
         P2 node triples (vertex, midpoint, vertex) along the boundary.
-    edge_tags : (nbe,) int array
-        INLET/OUTLET/WALL per boundary edge.
-    node_tags : (n*n,) int array
-        INTERIOR for interior nodes, else INLET/OUTLET/WALL.
+    node_tags : (n*n,) int8 array
+        INTERIOR for interior nodes, else INLET/OUTLET/WALL.  These are the
+        only boundary tags: an edge belongs to the part its midpoint is
+        tagged with.
     """
 
     n: int
@@ -96,7 +81,6 @@ class Mesh:
     triangles: np.ndarray
     tri_p1: np.ndarray
     boundary_edges: np.ndarray
-    edge_tags: np.ndarray
     node_tags: np.ndarray
 
     @property
@@ -128,12 +112,14 @@ class Mesh:
 
 
 def build_structured_mesh(geometry, n):
-    """Triangulate the unit square with ``n`` P2 nodes per direction.
+    """Triangulate the unit square with ``n`` P2 nodes per direction and tag its boundary.
 
     ``n`` must be an odd integer >= 5 so that the P2 grid contains the
     vertex grid.  Every cell of the ``(n-1)/2 x (n-1)/2`` vertex grid is
-    split along its bottom-left to top-right diagonal.  Returns a mesh
-    with boundary nodes and edges already classified against ``geometry``.
+    split along its bottom-left to top-right diagonal.  Each boundary node
+    is WALL unless it lies strictly inside ``geometry.inlet`` on the left
+    wall (INLET) or ``geometry.outlet`` on the right wall (OUTLET), so the
+    endpoints of a range and the corners are walls.
     """
     if not isinstance(n, numbers.Integral) or n < 5 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 5, got {n!r}")
@@ -178,19 +164,21 @@ def build_structured_mesh(geometry, n):
             tri_p1[k] = [p1_id(*p) for p in vs]
             k += 1
 
-    boundary_edges = _boundary_edges(n)
+    node_tags = np.zeros((n, n), dtype=np.int8)  # indexed [iy, ix]
+    node_tags[[0, -1], :] = WALL
+    node_tags[:, [0, -1]] = WALL
+    for ix, (lo, hi), tag in ((0, geometry.inlet, INLET), (n - 1, geometry.outlet, OUTLET)):
+        node_tags[(lo + _SEG_EPS < coords_1d) & (coords_1d < hi - _SEG_EPS), ix] = tag
 
-    mesh = Mesh(
+    return Mesh(
         n=n,
         p2_nodes=p2_nodes,
         p1_nodes=p1_nodes,
         triangles=triangles,
         tri_p1=tri_p1,
-        boundary_edges=boundary_edges,
-        edge_tags=np.full(boundary_edges.shape[0], WALL, dtype=np.int8),
-        node_tags=np.zeros(n * n, dtype=np.int8),
+        boundary_edges=_boundary_edges(n),
+        node_tags=node_tags.ravel(),
     )
-    return classify_boundary(mesh, geometry)
 
 
 def _boundary_edges(n):
@@ -201,7 +189,7 @@ def _boundary_edges(n):
     """
     edges = []
     last = n - 1
-    for k in range(0, last, 2):  # bottom (y=0) and top (y=1)
+    for k in range(0, last, 2):  # bottom (y=0)
         edges.append((k, k + 1, k + 2))
     for k in range(0, last, 2):  # right (x=1)
         edges.append((k * n + last, (k + 1) * n + last, (k + 2) * n + last))
@@ -210,51 +198,6 @@ def _boundary_edges(n):
     for k in range(0, last, 2):  # left (x=0)
         edges.append((k * n, (k + 1) * n, (k + 2) * n))
     return np.array(edges, dtype=np.int64)
-
-
-def _side_of(x, y):
-    if x == 0.0:
-        return "left"
-    if x == 1.0:
-        return "right"
-    if y == 0.0:
-        return "bottom"
-    if y == 1.0:
-        return "top"
-    return None
-
-
-def classify_boundary(mesh, geometry):
-    """Tag boundary nodes and edges as inlet, outlet, or wall.
-
-    A node is tagged inlet/outlet only if it lies strictly inside the
-    respective segment; segment endpoints are walls.  A boundary edge is
-    tagged by its midpoint, so an edge whose closure lies in the segment
-    belongs to it.  Returns a new mesh with tags filled.
-    """
-    nodes = mesh.p2_nodes
-    node_tags = np.zeros(mesh.num_p2, dtype=np.int8)
-
-    n = mesh.n
-    ij = np.arange(mesh.num_p2)
-    on_boundary = (ij % n == 0) | (ij % n == n - 1) | (ij < n) | (ij >= n * (n - 1))
-
-    def segment_tag(x, y):
-        side = _side_of(x, y)
-        along = y if side in ("left", "right") else x
-        for seg, tag in ((geometry.inlet, INLET), (geometry.outlet, OUTLET)):
-            if side == seg.side and seg.lo + _SEG_EPS < along < seg.hi - _SEG_EPS:
-                return tag
-        return WALL
-
-    for i in np.flatnonzero(on_boundary):
-        node_tags[i] = segment_tag(nodes[i, 0], nodes[i, 1])
-
-    edge_tags = np.empty(mesh.boundary_edges.shape[0], dtype=np.int8)
-    for e, (_, mid, _) in enumerate(mesh.boundary_edges):
-        edge_tags[e] = segment_tag(nodes[mid, 0], nodes[mid, 1])
-
-    return dataclasses.replace(mesh, node_tags=node_tags, edge_tags=edge_tags)
 
 
 def nested_dissection_order(n):

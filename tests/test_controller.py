@@ -228,6 +228,13 @@ def test_low_gain_scalar_unity_plant():
     assert np.allclose(ctrl.g2[1::2, 0], 0.0)
 
 
+def test_low_gain_transfer_at_an_internal_model_pole_is_singular():
+    # The low-gain controller's drift is G1, whose eigenvalues are +-i w_k.
+    ctrl = ctrl_mod.synthesize_low_gain([np.array([[1.0 + 0j]])] * 3, FREQS, eps=0.1)
+    with pytest.raises(RuntimeError, match="shift 1j"):
+        ctrl.as_statespace().transfer(1j)
+
+
 def test_low_gain_scaling():
     vals = [np.array([[2.0 - 1j]])] * 3
     c1 = ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.08)

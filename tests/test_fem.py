@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
 
 from thermoreg import fem
-from thermoreg.mesh import INLET, OUTLET, WALL, build_structured_mesh
+from thermoreg.mesh import INLET, INTERIOR, OUTLET, WALL, build_structured_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -23,21 +25,20 @@ def _rule_degree6():
     for p in ((a3, b3, c3), (a3, c3, b3), (b3, a3, c3), (b3, c3, a3), (c3, a3, b3), (c3, b3, a3)):
         pts.append(list(p))
         wts.append(w3)
-    return fem.QuadratureRule(np.array(pts), np.array(wts), 6)
+    return np.array(pts), np.array(wts)
 
 
 @pytest.mark.parametrize("degree", [5, 6])
 def test_quadrature_exact_for_monomials(degree):
-    rule = fem.triangle_rule() if degree == 5 else _rule_degree6()
-    assert rule.degree == degree
-    assert np.all(rule.weights > 0)
-    assert abs(rule.weights.sum() - 0.5) < 1e-14
+    points, weights = fem.triangle_rule() if degree == 5 else _rule_degree6()
+    assert np.all(weights > 0)
+    assert abs(weights.sum() - 0.5) < 1e-14
     # Reference-triangle integral of x^a y^b is a! b! / (a + b + 2)!.
-    for a in range(rule.degree + 1):
-        for b in range(rule.degree + 1 - a):
-            x = rule.points[:, 1]
-            y = rule.points[:, 2]
-            approx = np.sum(rule.weights * x**a * y**b)
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            x = points[:, 1]
+            y = points[:, 2]
+            approx = np.sum(weights * x**a * y**b)
             import math
 
             exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
@@ -73,9 +74,9 @@ def test_p1_element_matrices_match_symbolic_oracle():
     assert np.allclose(mass_unit_area, np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 12.0, atol=1e-15)
     assert np.allclose(np.array(stiff_sym, dtype=float), 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]]), atol=1e-15)
     # The quadrature pipeline reproduces the symbolic values on the reference element.
-    rule = fem.triangle_rule()
-    basis = rule.points  # the P1 functions are the barycentric coordinates
-    mass_quad = np.einsum("q,qi,qj->ij", rule.weights, basis, basis)
+    points, weights = fem.triangle_rule()
+    basis = points  # the P1 functions are the barycentric coordinates
+    mass_quad = np.einsum("q,qi,qj->ij", weights, basis, basis)
     assert np.allclose(mass_quad, np.array(mass_sym, dtype=float), atol=1e-15)
 
 
@@ -99,10 +100,10 @@ def test_mass_partition_of_unity(mesh21):
 def test_mass_row_sums_are_basis_integrals(mesh11):
     # Row sums of M equal integral(phi_i) by partition of unity.
     m = fem.assemble_mass(mesh11)
-    rule = fem.triangle_rule()
-    basis = fem.p2_basis(rule.points)
+    points, weights = fem.triangle_rule()
+    basis = fem.p2_basis(points)
     det, _ = fem.element_jacobians(mesh11)
-    local = np.einsum("q,qi,e->ei", rule.weights, basis, det)
+    local = np.einsum("q,qi,e->ei", weights, basis, det)
     integrals = np.zeros(mesh11.num_p2)
     np.add.at(integrals, mesh11.triangles.ravel(), local.ravel())
     assert np.allclose(np.asarray(m.sum(axis=1)).ravel(), integrals, atol=1e-14)
@@ -125,12 +126,12 @@ def test_precontracted_stiffness_and_divergence_match_quadrature(geometry, n):
     # anything but exact zeros.
     mesh = build_structured_mesh(geometry, n)
     det, _ = fem.element_jacobians(mesh)
-    rule = fem.triangle_rule()
-    grads = fem.physical_grads(mesh, rule)
-    local = np.einsum("q,eqid,eqjd,e->eij", rule.weights, grads, grads, det)
+    points, weights = fem.triangle_rule()
+    grads = fem.physical_grads(mesh, points)
+    local = np.einsum("q,eqid,eqjd,e->eij", weights, grads, grads, det)
     refs = [fem._scatter(local, mesh.triangles, mesh.triangles, (mesh.num_p2, mesh.num_p2))]
     for c in range(2):
-        local = np.einsum("q,qa,eqj,e->eaj", rule.weights, rule.points, grads[:, :, :, c], det)
+        local = np.einsum("q,qa,eqj,e->eaj", weights, points, grads[:, :, :, c], det)
         refs.append(fem._scatter(local, mesh.tri_p1, mesh.triangles, (mesh.num_p1, mesh.num_p2)))
     for mat, ref in zip([fem.assemble_stiffness(mesh), *fem.assemble_divergence(mesh)], refs):
         scale = np.abs(ref.data).max()
@@ -186,14 +187,14 @@ def test_advection_dimension_mismatch(mesh11):
 def test_precontracted_convection_matches_quadrature(mesh11, rng):
     # Direct degree-5 quadrature of N(v) and G_cd(v) at the physical points.
     vel = rng.standard_normal((mesh11.num_p2, 2))
-    rule = fem.triangle_rule()
-    phi = fem.p2_basis(rule.points)
-    grads = fem.physical_grads(mesh11, rule)
+    points, weights = fem.triangle_rule()
+    phi = fem.p2_basis(points)
+    grads = fem.physical_grads(mesh11, points)
     det, _ = fem.element_jacobians(mesh11)
     tri = mesh11.triangles
     shape = (mesh11.num_p2, mesh11.num_p2)
     vq = np.einsum("eid,qi->eqd", vel[tri], phi)
-    local = np.einsum("q,qi,eqd,eqjd,e->eij", rule.weights, phi, vq, grads, det)
+    local = np.einsum("q,qi,eqd,eqjd,e->eij", weights, phi, vq, grads, det)
     n_ref = fem._scatter(local, tri, tri, shape).toarray()
     n, g = fem.assemble_convection(mesh11, vel)
     scale = np.abs(n_ref).max()
@@ -202,7 +203,7 @@ def test_precontracted_convection_matches_quadrature(mesh11, rng):
     for c in range(2):
         dv = np.einsum("ei,eqid->eqd", vel[tri, c], grads)
         for d in range(2):
-            local = np.einsum("q,qi,qj,eq,e->eij", rule.weights, phi, phi, dv[:, :, d], det)
+            local = np.einsum("q,qi,qj,eq,e->eij", weights, phi, phi, dv[:, :, d], det)
             g_ref = fem._scatter(local, tri, tri, shape).toarray()
             assert np.abs(g[c, d].toarray() - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
@@ -275,6 +276,15 @@ def test_shape_spec_rejects_bad_values(kwargs):
         fem.ShapeSpec(**kwargs)
 
 
+def test_boundary_edges_take_their_midpoint_node_tag(mesh11):
+    # The node tags are the one source of boundary tags: with every boundary
+    # node a wall, no edge is left on the inlet.
+    walls = np.where(mesh11.node_tags != INTERIOR, WALL, INTERIOR).astype(np.int8)
+    mesh = dataclasses.replace(mesh11, node_tags=walls)
+    with pytest.raises(ValueError):
+        fem.assemble_load_boundary(mesh, INLET, fem.ShapeSpec("boundary-indicator"))
+
+
 def test_boundary_load_unknown_tag(mesh11):
     with pytest.raises(ValueError):
         fem.assemble_load_boundary(mesh11, 77, fem.ShapeSpec("boundary-indicator"))
@@ -298,12 +308,12 @@ def test_l2_projection_error_order(geometry):
     errors = []
     for n in (11, 21, 41):
         mesh = build_structured_mesh(geometry, n)
-        rule = _rule_degree6()
-        pts = fem.physical_points(mesh, rule)
+        points, weights = _rule_degree6()
+        pts = fem.physical_points(mesh, points)
         exact = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
-        basis = fem.p2_basis(rule.points)
+        basis = fem.p2_basis(points)
         det, _ = fem.element_jacobians(mesh)
-        rhs_local = np.einsum("q,qi,eq,e->ei", rule.weights, basis, exact, det)
+        rhs_local = np.einsum("q,qi,eq,e->ei", weights, basis, exact, det)
         rhs = np.zeros(mesh.num_p2)
         np.add.at(rhs, mesh.triangles.ravel(), rhs_local.ravel())
         m = fem.assemble_mass(mesh)
@@ -311,7 +321,7 @@ def test_l2_projection_error_order(geometry):
 
         proj = spsolve(m.tocsc(), rhs)
         approx = np.einsum("qi,ei->eq", basis, proj[mesh.triangles])
-        err2 = np.einsum("q,eq,e->", rule.weights, (approx - exact) ** 2, det)
+        err2 = np.einsum("q,eq,e->", weights, (approx - exact) ** 2, det)
         errors.append(np.sqrt(err2))
     ratio1 = errors[0] / errors[1]
     ratio2 = errors[1] / errors[2]

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from thermoreg import fem, flow
 from thermoreg.errors import ConvergenceError
-from thermoreg.mesh import INLET, OUTLET, BoundarySegment, Geometry, build_structured_mesh
+from thermoreg.mesh import INLET, OUTLET, Geometry, build_structured_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def test_stokes_zero_inflow(mesh21, monkeypatch):
 
 
 def test_stokes_poiseuille_exact(monkeypatch):
-    geo = Geometry(inlet=BoundarySegment("left", 0.0, 1.0), outlet=BoundarySegment("right", 0.0, 1.0))
+    geo = Geometry(inlet=(0.0, 1.0), outlet=(0.0, 1.0))
     mesh = build_structured_mesh(geo, 21)
     para = lambda y: (4.0 * y * (1.0 - y), np.zeros_like(y))
     monkeypatch.setattr(flow, "inlet_profile", para)
@@ -227,6 +227,12 @@ def test_ns_nonconvergence_reports_residual(mesh11):
     with pytest.raises(ConvergenceError) as exc:
         flow.solve_navier_stokes(mesh11, re=100.0, max_iter=1)
     assert exc.value.residual is not None
+
+
+@pytest.mark.parametrize("max_iter", [1.5, -1, True, "3"], ids=["float", "negative", "bool", "str"])
+def test_bad_max_iter_rejected(mesh11, max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        flow.solve_navier_stokes(mesh11, re=100.0, max_iter=max_iter)
 
 
 def test_invalid_reynolds(mesh11):

@@ -648,6 +648,20 @@ def test_frequency_error_identical_systems(rng):
     assert lti.sample_frequency_error(sys, sys, [0.1, 1.0, 10.0]) == 0.0
 
 
+@pytest.mark.parametrize("grid", [[], [np.nan], [1.0, np.inf]], ids=["empty", "nan", "inf"])
+def test_frequency_error_rejects_bad_grid(grid):
+    sys = StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="frequency grid"):
+        lti.sample_frequency_error(sys, sys, grid)
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_transfer_rejects_non_finite_shift(s):
+    sys = StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="not finite"):
+        sys.transfer(s)
+
+
 def test_frequency_error_conjugate_symmetry(rng):
     s1 = _random_system(rng, 5)
     s2 = _random_system(rng, 4)

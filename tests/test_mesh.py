@@ -8,7 +8,6 @@ from thermoreg.mesh import (
     WALL,
     Geometry,
     build_structured_mesh,
-    classify_boundary,
     nested_dissection_order,
 )
 
@@ -80,9 +79,10 @@ def test_half_open_endpoint_convention(geometry):
     assert tag_at(0.5, 0.0) == WALL
 
 
-def test_boundary_edge_tags_cover_segments(geometry, mesh41):
-    # Inlet edges cover exactly [0.1, 0.4] on the left side: total length 0.3.
-    sel = mesh41.edge_tags == INLET
+def test_inlet_edges_cover_inlet_range(geometry, mesh41):
+    # Inlet edges, selected by their midpoint's tag, cover exactly [0.1, 0.4]
+    # on the left side: total length 0.3.
+    sel = mesh41.node_tags[mesh41.boundary_edges[:, 1]] == INLET
     pa = mesh41.p2_nodes[mesh41.boundary_edges[sel, 0]]
     pb = mesh41.p2_nodes[mesh41.boundary_edges[sel, 2]]
     lengths = np.linalg.norm(pb - pa, axis=1)
@@ -109,27 +109,22 @@ def test_every_boundary_node_tagged(mesh21):
     assert np.all(mesh21.node_tags[~on_b] == 0)
 
 
-def test_reclassify_is_idempotent(geometry, mesh21):
-    again = classify_boundary(mesh21, geometry)
-    assert np.array_equal(again.node_tags, mesh21.node_tags)
-    assert np.array_equal(again.edge_tags, mesh21.edge_tags)
-
-
 def test_custom_geometry_full_sides():
-    from thermoreg.mesh import BoundarySegment
-
-    geo = Geometry(inlet=BoundarySegment("left", 0.0, 1.0), outlet=BoundarySegment("right", 0.0, 1.0))
+    geo = Geometry(inlet=(0.0, 1.0), outlet=(0.0, 1.0))
     mesh = build_structured_mesh(geo, 11)
     # Corners are walls under the half-open convention.
     corner = np.argmin(np.sum((mesh.p2_nodes - [0.0, 0.0]) ** 2, axis=1))
     assert mesh.node_tags[corner] == WALL
 
 
-def test_overlapping_segments_rejected():
-    from thermoreg.mesh import BoundarySegment
-
-    with pytest.raises(ValueError):
-        Geometry(inlet=BoundarySegment("left", 0.1, 0.5), outlet=BoundarySegment("left", 0.4, 0.9))
+@pytest.mark.parametrize("side", ["inlet", "outlet"])
+@pytest.mark.parametrize(
+    "rng", [(0.4, 0.1), (0.2, 0.2), (-0.1, 0.4), (0.1, 1.1), (np.nan, 0.4)],
+    ids=["reversed", "empty", "below-0", "above-1", "nan"],
+)
+def test_bad_ranges_rejected(side, rng):
+    with pytest.raises(ValueError, match=side):
+        Geometry(**{side: rng})
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 11, 21, 41])

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from thermoreg import fem, plant as plant_mod
 from thermoreg.fem import ShapeSpec
 from thermoreg.flow import restrict_velocity, solve_navier_stokes, solve_stokes
-from thermoreg.mesh import INLET, WALL, BoundarySegment, Geometry, build_structured_mesh
+from thermoreg.mesh import INLET, WALL, Geometry, build_structured_mesh
 
 B_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4))
 BD_SHAPE = ShapeSpec("boundary-indicator")
@@ -123,7 +123,6 @@ def test_rightmost_spectrum_pure_diffusion(geometry):
     mesh = dataclasses.replace(
         mesh,
         node_tags=np.where(mesh.node_tags != 0, WALL, 0).astype(np.int8),
-        edge_tags=np.full_like(mesh.edge_tags, WALL),
     )
     re, pr = 100.0, 0.7
     alpha = 1.0 / (re * pr)
