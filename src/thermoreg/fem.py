@@ -291,7 +291,8 @@ class ShapeSpec:
       - ``indicator-rectangle``: amplitude on [x0, x1] x [y0, y1], 0 outside
       - ``boundary-indicator``: amplitude along the tagged boundary part
 
-    Non-finite values and empty rectangles raise ``ValueError``.
+    Non-finite values, empty rectangles and bounds on a
+    ``boundary-indicator`` raise ``ValueError``.
     """
 
     kind: str
@@ -303,6 +304,8 @@ class ShapeSpec:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
+        if self.kind == "boundary-indicator" and self.bounds is not None:
+            raise ValueError(f"boundary-indicator takes no bounds, got {self.bounds!r}")
         if self.kind == "indicator-rectangle":
             if self.bounds is None or len(self.bounds) != 4:
                 raise ValueError("indicator-rectangle needs bounds (x0, x1, y0, y1)")

@@ -2,8 +2,8 @@
 
 The velocity is discretized with quadratic elements (two components per
 P2 node) and the pressure with linear elements on the vertex grid
-(Taylor-Hood).  Walls carry no-slip conditions, the inlet a prescribed
-horizontal flux profile, and the outlet the natural stress-free
+(Taylor-Hood).  Walls carry no-slip conditions, the inlet the fixed
+profile of :func:`inlet_profile`, and the outlet the natural stress-free
 condition.  The nonlinear problem is solved by a Newton iteration with
 the full convection Jacobian, started from the Stokes solution.
 
@@ -27,8 +27,8 @@ from .errors import ConvergenceError
 from .mesh import INLET, WALL, nested_dissection_order
 
 # The printed inlet profile is supported on 0.5 < y < 0.9 while the inlet
-# spans 0.1 <= y <= 0.4; the profile is shifted down by 0.4 so that flow
-# actually enters the room (see inlet_profile).
+# spans 0.1 <= y <= 0.4.  Shifted down by 0.4, its support 0.1 < y < 0.5
+# meets the inlet, and the wall nodes at y >= 0.4 cut it off.
 _PROFILE_LO = 0.5
 _PROFILE_HI = 0.9
 _REMAP_SHIFT = 0.4
@@ -37,25 +37,21 @@ _REMAP_SHIFT = 0.4
 _NEWTON_TOL = 1e-10
 
 
-def inlet_profile_value(y):
-    """Smooth bump exp(-1e-4 / ((0.5 - y)(0.9 - y))^2) on 0.5 < y < 0.9, else 0."""
-    y = np.asarray(y, dtype=float)
-    inside = (y > _PROFILE_LO) & (y < _PROFILE_HI)
-    out = np.zeros_like(y)
-    ys = y[inside]
-    denom = ((_PROFILE_LO - ys) * (_PROFILE_HI - ys)) ** 2
-    out[inside] = np.exp(-1e-4 / denom)
-    return out
-
-
 def inlet_profile(y):
-    """Inlet velocity (vx, vy) at boundary coordinate ``y``.
+    """Inlet velocity (vx, vy) at height ``y`` on the left wall.
 
-    The profile is evaluated at ``y + 0.4``, which carries its support
-    onto the inlet segment.
+    vx is the printed bump exp(-1e-4 / ((0.5 - s)(0.9 - s))^2) at
+    s = y + 0.4, positive for 0.1 < y < 0.5 and 0 elsewhere; vy is 0.
+    The wall nodes at y >= 0.4 are pinned to 0, so the inflow is cut off
+    near its peak: at n=41 the top inlet node (y = 0.375) gets 0.919 and
+    the wall node above it 0.  An affine map of the bump onto the inlet
+    would make the data continuous, but would move every number after it.
     """
-    y = np.asarray(y, dtype=float)
-    vx = inlet_profile_value(y + _REMAP_SHIFT)
+    s = np.asarray(y, dtype=float) + _REMAP_SHIFT
+    inside = (s > _PROFILE_LO) & (s < _PROFILE_HI)
+    vx = np.zeros_like(s)
+    ss = s[inside]
+    vx[inside] = np.exp(-1e-4 / ((_PROFILE_LO - ss) * (_PROFILE_HI - ss)) ** 2)
     return vx, np.zeros_like(vx)
 
 
@@ -244,10 +240,15 @@ def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25):
     allowed one included.  Raises :class:`ConvergenceError`
     carrying the last residual when ``max_iter`` steps do not converge, or
     carrying the step and its residual when a Jacobian is singular.
-    ``max_iter`` must be an integer >= 0 and not a bool (``ValueError``).
+    ``max_iter`` must be an integer >= 0 and not a bool, and ``initial``
+    must hold a (num_p2, 2) velocity and a (num_p1,) pressure of ``mesh``
+    (``ValueError``).
     """
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    need = ((mesh.num_p2, 2), (mesh.num_p1,))
+    if initial is not None and (shapes := (np.shape(initial.velocity), np.shape(initial.pressure))) != need:
+        raise ValueError(f"initial state has shapes {shapes}, need {need}")
     prob = _SaddleProblem(mesh, re)
     if initial is None:
         initial = _solve_stokes(prob)

@@ -1,18 +1,19 @@
 """Structured triangulations of the rectangular room.
 
-The room is the unit square.  Air enters through an inlet on the left wall
-(x = 0) and leaves through an outlet on the right wall (x = 1); the
-geometry fixes these walls and gives only the y-range of each opening.
+The room is the unit square of the reference configuration, and no other:
+air enters through an inlet on the left wall (x = 0, 0.1 <= y <= 0.4) and
+leaves through an outlet on the right wall (x = 1, 0.5 <= y <= 0.9).
 Meshes carry two nodal layouts at once: the quadratic (P2) grid with ``n``
 nodes per direction and the linear (P1) vertex subgrid with ``(n+1)/2``
 nodes per direction.  Every grid cell is cut along the same diagonal, so
 node orderings, connectivity and boundary tags are fully deterministic
-functions of ``n`` and the geometry, and all are set when the mesh is built.
+functions of ``n``, and all are set when the mesh is built.
 """
 
 import functools
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,23 +34,15 @@ ND_LEAF_NODES = 16
 
 @dataclass(frozen=True)
 class Geometry:
-    """Unit-square room: inlet on the left wall, outlet on the right wall.
+    """The reference room: inlet on the left wall, outlet on the right wall.
 
-    ``inlet`` and ``outlet`` are ``(lo, hi)`` ranges of y on the wall
-    x = 0 and the wall x = 1; each must be two real numbers with
-    ``0 <= lo < hi <= 1`` (``ValueError`` otherwise).  The defaults follow
-    the reference configuration: inlet over 0.1 <= y <= 0.4, outlet over
-    0.5 <= y <= 0.9.
+    ``inlet`` and ``outlet`` are constant ``(lo, hi)`` ranges of y on the
+    walls x = 0 and x = 1, not fields: the inlet velocity
+    (:func:`flow.inlet_profile`) feeds this inlet and no other.
     """
 
-    inlet: tuple = (0.1, 0.4)
-    outlet: tuple = (0.5, 0.9)
-
-    def __post_init__(self):
-        for name, rng in (("inlet", self.inlet), ("outlet", self.outlet)):
-            real = np.shape(rng) == (2,) and all(isinstance(v, numbers.Real) for v in rng)
-            if not (real and 0.0 <= rng[0] < rng[1] <= 1.0):
-                raise ValueError(f"{name} range {rng!r} must be two numbers lo, hi with 0 <= lo < hi <= 1")
+    inlet: ClassVar[tuple] = (0.1, 0.4)
+    outlet: ClassVar[tuple] = (0.5, 0.9)
 
 
 @dataclass(frozen=True)
@@ -116,10 +109,11 @@ def build_structured_mesh(geometry, n):
 
     ``n`` must be an odd integer >= 5 so that the P2 grid contains the
     vertex grid.  Every cell of the ``(n-1)/2 x (n-1)/2`` vertex grid is
-    split along its bottom-left to top-right diagonal.  Each boundary node
-    is WALL unless it lies strictly inside ``geometry.inlet`` on the left
-    wall (INLET) or ``geometry.outlet`` on the right wall (OUTLET), so the
-    endpoints of a range and the corners are walls.
+    split along its bottom-left to top-right diagonal.  Every ``geometry``
+    is the same room: each boundary node is WALL unless it lies strictly
+    inside ``Geometry.inlet`` on the left wall (INLET) or
+    ``Geometry.outlet`` on the right wall (OUTLET), so the endpoints of a
+    range and the corners are walls.
     """
     if not isinstance(n, numbers.Integral) or n < 5 or n % 2 == 0:
         raise ValueError(f"n must be an odd integer >= 5, got {n!r}")

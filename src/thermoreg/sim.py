@@ -59,14 +59,6 @@ class SignalSpec:
             if cos.shape != sin.shape:
                 raise ValueError(f"cosine and sine coefficients differ in shape: {cos.shape} and {sin.shape}")
 
-    @property
-    def p(self):
-        return self.ref_cos.shape[1]
-
-    @property
-    def d(self):
-        return self.dist_cos.shape[1]
-
 
 def paper_signals():
     """Reference sin(t) + 2 cos(2t) and disturbance 1.5 cos(3t)."""

@@ -268,8 +268,12 @@ def test_boundary_load_zero_shape(mesh11):
         {"kind": "indicator-rectangle", "bounds": (0.7, 0.7, 0.1, 0.3)},
         {"kind": "indicator-rectangle", "bounds": (0.7, 0.9, 0.3, 0.1)},
         {"kind": "indicator-rectangle", "bounds": (0.7, 0.9, 0.2, 0.2)},
+        {"kind": "boundary-indicator", "bounds": (0.0, 1.0, 0.0, 1.0)},
     ],
-    ids=["nan-amplitude", "inf-amplitude", "nan-bound", "inf-bound", "x-reversed", "x-empty", "y-reversed", "y-empty"],
+    ids=[
+        "nan-amplitude", "inf-amplitude", "nan-bound", "inf-bound", "x-reversed", "x-empty", "y-reversed", "y-empty",
+        "boundary-bounds",
+    ],
 )
 def test_shape_spec_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

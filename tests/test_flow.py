@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -8,30 +9,33 @@ import scipy.sparse.linalg as spla
 
 from thermoreg import fem, flow
 from thermoreg.errors import ConvergenceError
-from thermoreg.mesh import INLET, OUTLET, Geometry, build_structured_mesh
+from thermoreg.mesh import INLET, OUTLET, build_structured_mesh
 
 
 # ---------------------------------------------------------------------------
 # Inlet profile
 
 def test_profile_midpoint_value():
-    # exp(-1e-4 / 0.04^2) = exp(-0.0625) at the support midpoint y = 0.7.
-    val = flow.inlet_profile_value(0.7)
-    assert val == pytest.approx(np.exp(-0.0625), rel=1e-14)
+    # exp(-1e-4 / 0.04^2) = exp(-0.0625) at the shifted support's midpoint y = 0.3.
+    vx, vy = flow.inlet_profile(0.3)
+    assert vx == pytest.approx(np.exp(-0.0625), rel=1e-14)
+    assert vy == 0.0
 
 
 def test_profile_vanishes_at_support_endpoints():
-    vals = flow.inlet_profile_value(np.array([0.5, 0.9, 0.3, 0.95, 0.5 + 1e-9]))
-    assert np.all(vals[:4] == 0.0) or np.all(vals[:2] == 0.0)
-    assert vals[2] == 0.0 and vals[3] == 0.0
-    assert vals[4] < 1e-300 or vals[4] == 0.0
+    vx, vy = flow.inlet_profile(np.array([0.1, 0.5, -0.1, 0.55, 0.1 + 1e-9]))
+    assert np.all(vx[:4] == 0.0)
+    assert vx[4] < 1e-300 or vx[4] == 0.0
+    assert np.all(vy == 0.0)
 
 
-def test_profile_remap_identity():
-    vx_remap, vy = flow.inlet_profile(0.25)
-    assert vx_remap == pytest.approx(flow.inlet_profile_value(0.65), rel=1e-15)
-    assert vy == 0.0
-    assert flow.inlet_profile_value(0.25) == 0.0  # literal formula has no support on the inlet
+@pytest.mark.parametrize("n", [11, 21, 41, 81])
+def test_every_inlet_node_takes_inflow(geometry, n):
+    # The profile and the mesh's inlet tags are fixed separately; every
+    # tagged inlet node must lie inside the profile's support.
+    mesh = build_structured_mesh(geometry, n)
+    vx, _ = flow.inlet_profile(mesh.p2_nodes[mesh.node_tags == INLET, 1])
+    assert vx.size > 0 and vx.min() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +49,12 @@ def test_stokes_zero_inflow(mesh21, monkeypatch):
     assert np.max(np.abs(st.pressure)) < 1e-12
 
 
-def test_stokes_poiseuille_exact(monkeypatch):
-    geo = Geometry(inlet=(0.0, 1.0), outlet=(0.0, 1.0))
-    mesh = build_structured_mesh(geo, 21)
+def test_stokes_poiseuille_exact(mesh21, monkeypatch):
+    # A channel: the inner nodes of the left column are inlet, of the right outlet.
+    tags = mesh21.node_tags.reshape(21, 21).copy()
+    tags[1:-1, 0] = INLET
+    tags[1:-1, -1] = OUTLET
+    mesh = dataclasses.replace(mesh21, node_tags=tags.ravel())
     para = lambda y: (4.0 * y * (1.0 - y), np.zeros_like(y))
     monkeypatch.setattr(flow, "inlet_profile", para)
     re = 10.0
@@ -267,6 +274,17 @@ def test_ns_nan_initial_state_is_not_converged(mesh11):
     initial.velocity[60, 0] = np.nan
     with pytest.raises(ConvergenceError, match="Newton step 1"):
         flow.solve_navier_stokes(mesh11, re=100.0, initial=initial)
+
+
+@pytest.mark.parametrize("case", ["coarser-mesh", "short-pressure"])
+def test_ns_initial_state_of_another_shape_rejected(mesh11, mesh21, case):
+    if case == "coarser-mesh":
+        initial = flow.solve_stokes(mesh11, re=100.0)
+    else:
+        initial = flow.solve_stokes(mesh21, re=100.0)
+        initial.pressure = initial.pressure[:-1]
+    with pytest.raises(ValueError, match=r"initial state has shapes .*need \(\(441, 2\), \(121,\)\)"):
+        flow.solve_navier_stokes(mesh21, re=100.0, initial=initial)
 
 
 # ---------------------------------------------------------------------------
