@@ -136,9 +136,10 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     The state weights of both Riccati equations are identity on the design
     space (mass-weighted coordinates); the input and output weights are
     ``r1 I`` and ``r2 I`` for positive finite scalars ``r1`` and ``r2``
-    (``ValueError`` otherwise).  Returns the unreduced controller of
-    order ``im.dim + N``, the balanced-truncated controller of order
-    ``im.dim + r``, and the reduction diagnostics.
+    (``ValueError`` otherwise), and ``r`` must pass
+    :func:`lti.check_reduced_order` with N.  Returns the unreduced
+    controller of order ``im.dim + N``, the balanced-truncated controller of
+    order ``im.dim + r``, and the reduction diagnostics.
 
     One order-N real Schur form, ``A^T = Z T Z^T``, serves both Riccati
     initializers.  The control solve takes it as it is.  The internal
@@ -162,6 +163,7 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     for name, weight in (("r1", r1), ("r2", r2)):
         if not (np.ndim(weight) == 0 and np.isfinite(weight) and weight > 0):
             raise ValueError(f"{name} must be a positive finite scalar, got {weight!r}")
+    lti.check_reduced_order(r, n)  # before the Riccati solves, not after them
     r1m = r1 * np.eye(m)
     r2m = r2 * np.eye(p)
 
@@ -208,18 +210,20 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     )
 
 
-def synthesize_low_gain(transfer_values, frequencies, eps, p=1):
+def synthesize_low_gain(transfer_values, frequencies, eps):
     """Low-gain robust controller from plant transfer values at +-i w_k.
 
     G1 is the internal model, G2 stacks [-I_p; 0_p] blocks, and
     K = eps * [Re(P(iw_k)^-1), Im(P(iw_k)^-1)]_k, with ``eps`` positive and finite
-    and every value a finite, invertible p x p matrix (``ValueError`` otherwise).
+    and every value a finite, invertible p x p matrix (``ValueError`` otherwise);
+    p is the row count of the first value.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"low-gain parameter must be positive and finite, got {eps!r}")
+    values = [np.atleast_2d(np.asarray(v)) for v in transfer_values]
+    p = values[0].shape[0] if values else 1
     im = build_internal_model(frequencies, p)
     q = len(im.frequencies)
-    values = [np.atleast_2d(np.asarray(v)) for v in transfer_values]
     if len(values) != q:
         raise ValueError("need one transfer value per frequency")
     g2 = np.zeros((im.dim, p))

@@ -62,7 +62,6 @@ class FlowState:
     mesh: object
     velocity: np.ndarray  # (num_p2, 2)
     pressure: np.ndarray  # (num_p1,)
-    residual_norm: float
     residual_history: list = field(default_factory=list)
     divergence_norm: float = 0.0
     newton_iterations: int = 0
@@ -208,13 +207,11 @@ def _solve_stokes(prob):
     v, p = prob.initial_state()
     delta = prob.solve(prob.jacobian(), -prob.residual(v, p), "Stokes")
     v, p = prob.apply_update(v, p, delta)
-    res_norm = np.linalg.norm(prob.residual(v, p))
     return FlowState(
         mesh=prob.mesh,
         velocity=v,
         pressure=p,
-        residual_norm=res_norm,
-        residual_history=[res_norm],
+        residual_history=[np.linalg.norm(prob.residual(v, p))],
         divergence_norm=prob.divergence_norm(v),
     )
 
@@ -281,7 +278,6 @@ def solve_navier_stokes(mesh, re=100.0, initial=None, max_iter=25):
         mesh=mesh,
         velocity=v,
         pressure=p,
-        residual_norm=history[-1],
         residual_history=history,
         divergence_norm=prob.divergence_norm(v),
         newton_iterations=len(history) - 1,

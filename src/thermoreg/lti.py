@@ -475,7 +475,8 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
     an exact step follows.  A solve that stagnates, loses closed-loop
     stability or does not converge raises :class:`ConvergenceError`.
     ``closed_loop_decay`` comes from the eigenvalues of the final closed
-    loop.
+    loop.  R and Q must be finite and symmetric to 1e-12 relative in the
+    Frobenius norm (``ValueError`` otherwise).
     """
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
@@ -483,6 +484,9 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
     b = np.atleast_2d(np.asarray(b, dtype=float))
     r = np.atleast_2d(np.asarray(r, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
+    for name, w in (("R", r), ("Q", q)):  # Cholesky reads one triangle, the gain all of R
+        if w.shape != w.T.shape or not np.linalg.norm(w - w.T) <= 1e-12 * np.linalg.norm(w):
+            raise ValueError(f"weight {name} must be finite and symmetric")
     n = a.shape[0]
     ash = a + alpha * np.eye(n)
     rinv_bt = np.linalg.solve(r, b.T)
@@ -638,6 +642,14 @@ class BalancedReduction:
     gramian_residuals: tuple             # |A P + P A^T + B B^T|_F / |B B^T|_F and its dual
 
 
+def check_reduced_order(r, n):
+    """Reject a reduced order ``r`` that is not an integer in [1, n] (``ValueError``, with no rounding)."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+        raise ValueError(f"reduced order must be an integer, got {r!r}")
+    if not 1 <= r <= n:
+        raise ValueError(f"reduced order {r} must lie in [1, {n}]")
+
+
 def balanced_truncation(sys, r):
     """Low-rank square-root balanced truncation of a stable StateSpace to order ``r``.
 
@@ -649,9 +661,8 @@ def balanced_truncation(sys, r):
     singular values are those of ``Z_q^T Z_p`` (Gugercin & Li, 2005).  When
     ``r`` reaches the number of values the factors resolve, both bases grow
     to the full space, where the Galerkin solutions are the exact Gramians.
-    ``r`` must be an integer in [1, N] (``ValueError`` otherwise, with no
-    rounding).  If ``r`` exceeds the numerical Hankel rank it is clamped
-    with a warning.
+    ``r`` must pass :func:`check_reduced_order` with N.  If ``r`` exceeds
+    the numerical Hankel rank it is clamped with a warning.
     The reduced system satisfies the usual bound: the H-infinity error is at
     most twice the sum of the truncated Hankel singular values.  An unstable
     drift raises ``ValueError``: the basis then grows until it spans an
@@ -659,10 +670,7 @@ def balanced_truncation(sys, r):
     stable.
     """
     n = sys.order
-    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
-        raise ValueError(f"reduced order must be an integer, got {r!r}")
-    if not 1 <= r <= n:
-        raise ValueError(f"reduced order {r} must lie in [1, {n}]")
+    check_reduced_order(r, n)
 
     def gramian_factors(tol):
         zp = _lowrank_lyap(sys.a, sys.b, cap=n, tol=tol)

@@ -6,8 +6,11 @@ leaves through an outlet on the right wall (x = 1, 0.5 <= y <= 0.9).
 Meshes carry two nodal layouts at once: the quadratic (P2) grid with ``n``
 nodes per direction and the linear (P1) vertex subgrid with ``(n+1)/2``
 nodes per direction.  Every grid cell is cut along the same diagonal, so
-node orderings, connectivity and boundary tags are fully deterministic
-functions of ``n``, and all are set when the mesh is built.
+node orderings, connectivity and boundary tags are deterministic functions
+of ``n``, set when the mesh is built by index arithmetic on the P2 grid: a
+table of grid steps from each cell's corner gives the triangles, the even
+rows and columns give the P1 layout, and steps along each side give the
+boundary edges.
 """
 
 import functools
@@ -30,6 +33,15 @@ _SEG_EPS = 1e-12
 # Largest block that nested_dissection_order numbers without bisecting it;
 # 16 gave the fastest Taylor-Hood saddle factorization at n = 41..81.
 ND_LEAF_NODES = 16
+
+# (dx, dy) P2 grid steps from a cell's lower-left vertex to the six nodes of its
+# lower and upper triangle: three vertices, then the midpoints opposite them.
+_CELL_STEPS = np.array(
+    [
+        [(0, 0), (2, 0), (2, 2), (2, 1), (1, 1), (1, 0)],
+        [(0, 0), (2, 2), (0, 2), (1, 2), (0, 1), (1, 1)],
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -122,47 +134,20 @@ def build_structured_mesh(geometry, n):
     coords_1d = np.linspace(0.0, 1.0, n)
     xg, yg = np.meshgrid(coords_1d, coords_1d, indexing="xy")
     p2_nodes = np.column_stack([xg.ravel(), yg.ravel()])  # id = iy*n + ix
+    p1_nodes = p2_nodes.reshape(n, n, 2)[::2, ::2].reshape(-1, 2)
 
-    coords_p1 = np.linspace(0.0, 1.0, m)
-    xg1, yg1 = np.meshgrid(coords_p1, coords_p1, indexing="xy")
-    p1_nodes = np.column_stack([xg1.ravel(), yg1.ravel()])
-
-    def p2_id(ix, iy):
-        return iy * n + ix
-
-    def p1_id(ix, iy):
-        # P2 grid coordinates of a vertex are even.
-        return (iy // 2) * m + ix // 2
-
-    ncell = m - 1
-    triangles = np.empty((2 * ncell * ncell, 6), dtype=np.int64)
-    tri_p1 = np.empty((2 * ncell * ncell, 3), dtype=np.int64)
-    k = 0
-    for j in range(ncell):
-        for i in range(ncell):
-            x0, y0 = 2 * i, 2 * j  # P2 grid coords of the cell's lower-left vertex
-            v00 = (x0, y0)
-            v10 = (x0 + 2, y0)
-            v11 = (x0 + 2, y0 + 2)
-            v01 = (x0, y0 + 2)
-            # Lower triangle (v00, v10, v11), midpoints opposite each vertex.
-            vs = (v00, v10, v11)
-            ms = ((x0 + 2, y0 + 1), (x0 + 1, y0 + 1), (x0 + 1, y0))
-            triangles[k] = [p2_id(*p) for p in vs + ms]
-            tri_p1[k] = [p1_id(*p) for p in vs]
-            k += 1
-            # Upper triangle (v00, v11, v01).
-            vs = (v00, v11, v01)
-            ms = ((x0 + 1, y0 + 2), (x0, y0 + 1), (x0 + 1, y0 + 1))
-            triangles[k] = [p2_id(*p) for p in vs + ms]
-            tri_p1[k] = [p1_id(*p) for p in vs]
-            k += 1
+    cells = 2 * np.arange(m - 1)
+    corners = (cells[:, None] * n + cells).ravel()  # lower-left vertex, row by row
+    steps = _CELL_STEPS[..., 0] + n * _CELL_STEPS[..., 1]
+    triangles = (corners[:, None, None] + steps).reshape(-1, 6)
+    v = triangles[:, :3]
+    tri_p1 = (v // n // 2) * m + v % n // 2
 
     node_tags = np.zeros((n, n), dtype=np.int8)  # indexed [iy, ix]
     node_tags[[0, -1], :] = WALL
-    node_tags[:, [0, -1]] = WALL
-    for ix, (lo, hi), tag in ((0, geometry.inlet, INLET), (n - 1, geometry.outlet, OUTLET)):
-        node_tags[(lo + _SEG_EPS < coords_1d) & (coords_1d < hi - _SEG_EPS), ix] = tag
+    lo, hi = np.transpose([geometry.inlet, geometry.outlet])[:, :, None]  # left, right wall
+    inside = (lo + _SEG_EPS < coords_1d) & (coords_1d < hi - _SEG_EPS)
+    node_tags[:, [0, -1]] = np.where(inside, [[INLET], [OUTLET]], WALL).T
 
     return Mesh(
         n=n,
@@ -181,17 +166,10 @@ def _boundary_edges(n):
     Sides are walked bottom, right, top, left; within a side edges run in
     increasing coordinate order, which keeps the enumeration deterministic.
     """
-    edges = []
     last = n - 1
-    for k in range(0, last, 2):  # bottom (y=0)
-        edges.append((k, k + 1, k + 2))
-    for k in range(0, last, 2):  # right (x=1)
-        edges.append((k * n + last, (k + 1) * n + last, (k + 2) * n + last))
-    for k in range(0, last, 2):  # top
-        edges.append((last * n + k, last * n + k + 1, last * n + k + 2))
-    for k in range(0, last, 2):  # left (x=0)
-        edges.append((k * n, (k + 1) * n, (k + 2) * n))
-    return np.array(edges, dtype=np.int64)
+    k = np.arange(0, last, 2)
+    along = np.stack([k, k + 1, k + 2], axis=1)
+    return np.concatenate([along, along * n + last, last * n + along, along * n])
 
 
 def nested_dissection_order(n):

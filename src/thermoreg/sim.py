@@ -161,7 +161,8 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
     kept along the way: the result holds y, u, the error, the extrema of
     the plant state and the final plant and controller states.
 
-    ``t_end`` must be a whole number of steps; otherwise, and for
+    ``t_end`` must be a whole number of steps, and the signals as wide as
+    the plant's outputs and disturbance inputs; otherwise, and for
     non-finite initial states ``x0`` or ``z0``, ``ValueError`` is raised.  Raises
     :class:`ConvergenceError` with the index and time of the first step
     whose plant or controller state is non-finite.
@@ -176,6 +177,10 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
     n, nz = plant.drift.shape[0], ctrl.dim
     m = plant.control.shape[1]
     p = plant.observation.shape[0]
+    d = plant.disturbance.shape[1]
+    widths = (signals.ref_cos.shape[1], signals.dist_cos.shape[1])
+    if widths != (p, d):
+        raise ValueError(f"signals have (reference, disturbance) widths {widths}, the plant needs {(p, d)}")
 
     x = default_initial_state(plant) if x0 is None else np.asarray(x0, dtype=float).copy()
     z = np.zeros(nz) if z0 is None else np.asarray(z0, dtype=float).copy()
@@ -221,7 +226,7 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
     # With cx = C x and ch = C h, the right-hand side is
     # (I/dt + P) z + G2 (cx + ch + C S B_d w_d - 2 y_r) / 2.
     forcing = (csbb[:, m:] @ w_d_half - 2.0 * y_ref_half).T  # (nsteps, p)
-    v_all = np.zeros((nsteps, m + plant.disturbance.shape[1]))
+    v_all = np.zeros((nsteps, m + d))
     v_all[:, m:] = w_d_half.T
 
     y = np.empty((nsteps + 1, p))
@@ -278,8 +283,6 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
 class TrackingMetrics:
     sup_tail: float
     decay_rate: float
-    theta_min: float
-    theta_max: float
 
 
 def window_max_error(res, t0, t1):
@@ -291,7 +294,7 @@ def window_max_error(res, t0, t1):
 
 
 def tracking_metrics(res):
-    """Sup of the tail error, fitted envelope decay rate, state extrema.
+    """Sup of the tail error and fitted envelope decay rate.
 
     The tail is the last fifth of the simulated horizon.  The decay rate
     is the least-squares slope of log peak-envelope of |e(t)|, or of
@@ -317,10 +320,5 @@ def tracking_metrics(res):
         if idx.size < 2:
             raise ValueError("envelope fit needs at least two samples with nonzero error")
         rate = float(-np.polyfit(res.t[idx], np.log(enorm[idx]), 1)[0])
-    return TrackingMetrics(
-        sup_tail=sup_tail,
-        decay_rate=rate,
-        theta_min=res.theta_min,
-        theta_max=res.theta_max,
-    )
+    return TrackingMetrics(sup_tail=sup_tail, decay_rate=rate)
 

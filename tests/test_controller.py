@@ -202,6 +202,23 @@ def test_dual_weights_must_be_positive_finite_scalars(design11, name, weight):
         ctrl_mod.synthesize_dual_observer(std, im, **{name: weight})
 
 
+@pytest.mark.parametrize("r", [0, "N+1", 2.5, True], ids=["0", "N+1", "2.5", "True"])
+def test_dual_rejects_bad_order_before_any_riccati_solve(design11, monkeypatch, schur_orders, r):
+    std, _ = design11
+    solve = lti.solve_riccati_control  # the filter solver calls it too
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(np.shape(args[0])[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lti, "solve_riccati_control", counting)
+    im = ctrl_mod.build_internal_model(FREQS, p=1)
+    with pytest.raises(ValueError, match="reduced order"):
+        ctrl_mod.synthesize_dual_observer(std, im, r=std.order + 1 if r == "N+1" else r)
+    assert solves == [] and schur_orders == []
+
+
 @pytest.mark.parametrize("name", ["alpha1", "alpha2"])
 @pytest.mark.parametrize("alpha", [np.nan, np.inf])
 def test_dual_decay_margins_must_be_finite(design11, name, alpha):
@@ -263,6 +280,16 @@ def test_low_gain_rejects_malformed_transfer_value(bad, message):
     vals = [np.array([[1.0 + 0j]]), bad, np.array([[1.0 + 0j]])]
     with pytest.raises(ValueError, match=f"plant transfer value at {message}"):
         ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.1)
+
+
+def test_low_gain_reads_output_dimension_off_the_values():
+    # P_k = 2^k [[1, i], [0, 2]] has the exact inverse 2^-k [[1, -i/2], [0, 1/2]].
+    vals = [2.0**k * np.array([[1.0, 1j], [0.0, 2.0]]) for k in range(3)]
+    ctrl = ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.5)
+    re, im = np.array([[1.0, 0.0], [0.0, 0.5]]), np.array([[0.0, -0.5], [0.0, 0.0]])
+    assert np.array_equal(ctrl.k, 0.5 * np.hstack([2.0**-k * blk for k in range(3) for blk in (re, im)]))
+    assert np.array_equal(ctrl.g1, ctrl_mod.build_internal_model(FREQS, p=2).g1)
+    assert np.array_equal(ctrl.g2, np.tile(np.vstack([-np.eye(2), np.zeros((2, 2))]), (3, 1)))
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])

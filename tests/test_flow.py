@@ -307,7 +307,7 @@ def test_restrict_nested_grids(mesh41, mesh21):
 
 
 def test_restrict_constant_field(mesh41, mesh21):
-    st = flow.FlowState(mesh=mesh41, velocity=np.full((mesh41.num_p2, 2), 3.5), pressure=np.zeros(mesh41.num_p1), residual_norm=0.0)
+    st = flow.FlowState(mesh=mesh41, velocity=np.full((mesh41.num_p2, 2), 3.5), pressure=np.zeros(mesh41.num_p1))
     out = flow.restrict_velocity(st, mesh21)
     assert np.allclose(out, 3.5, atol=0)
 
@@ -316,6 +316,6 @@ def test_restrict_constant_field(mesh41, mesh21):
 def test_restrict_rejects_meshes_not_nested_in_the_flow_grid(geometry, flow_n, n):
     # 40 is no multiple of 30, and a finer grid is never nested in a coarser one.
     src = build_structured_mesh(geometry, flow_n)
-    st = flow.FlowState(mesh=src, velocity=np.zeros((src.num_p2, 2)), pressure=np.zeros(src.num_p1), residual_norm=0.0)
+    st = flow.FlowState(mesh=src, velocity=np.zeros((src.num_p2, 2)), pressure=np.zeros(src.num_p1))
     with pytest.raises(ValueError, match="not nested"):
         flow.restrict_velocity(st, build_structured_mesh(geometry, n))

@@ -23,6 +23,9 @@ def test_smallest_mesh_counts(mesh5):
     assert mesh5.num_p2 == 25
     assert mesh5.num_p1 == 9
     assert mesh5.triangles.shape[0] == 8
+    # Cells run row by row, each as its lower then its upper triangle, both
+    # starting at the cell's lower-left vertex.
+    assert mesh5.triangles[[0, 1, -1]].tolist() == [[0, 2, 12, 7, 6, 1], [0, 12, 10, 11, 5, 6], [12, 24, 22, 23, 17, 18]]
 
 
 @pytest.mark.parametrize("n", [4, 3, 6, 80, 21.5, 21.0, "21"])
@@ -107,6 +110,25 @@ def test_every_boundary_node_tagged(mesh21):
     )
     assert np.all(mesh21.node_tags[on_b] != 0)
     assert np.all(mesh21.node_tags[~on_b] == 0)
+
+
+@pytest.mark.parametrize("n", [5, 11, 41])
+def test_local_numbering_by_geometry(geometry, n):
+    mesh = build_structured_mesh(geometry, n)
+    # Node 3+i of a triangle is the midpoint of the edge opposite vertex i.
+    pts = mesh.p2_nodes[mesh.triangles]
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        assert np.allclose(pts[:, 3 + i], 0.5 * (pts[:, j] + pts[:, k]), rtol=0, atol=1e-15)
+    assert np.array_equal(mesh.p1_nodes[mesh.tri_p1], pts[:, :3])
+    # Boundary edges: middle node at the midpoint, sides walked bottom,
+    # right, top, left, each in increasing coordinate.
+    ends = mesh.p2_nodes[mesh.boundary_edges]
+    assert np.allclose(ends[:, 1], 0.5 * (ends[:, 0] + ends[:, 2]), rtol=0, atol=1e-15)
+    s = np.linspace(0.0, 1.0, (n + 1) // 2)
+    for end, along in ((0, s[:-1]), (2, s[1:])):
+        zero, one = np.zeros_like(along), np.ones_like(along)
+        sides = [(along, zero), (one, along), (along, one), (zero, along)]
+        assert np.allclose(ends[:, end], np.concatenate([np.column_stack(c) for c in sides]), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("side", ["inlet", "outlet"])

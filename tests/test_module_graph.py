@@ -3,7 +3,8 @@
 No module of ``thermoreg`` imports inside a function, so the graph can be
 read off the module headers.  ``lti`` sits at its bottom: it imports
 nothing from the package but ``errors``; ``fem`` and ``mesh`` import
-nothing from it.
+nothing from it.  Every file of the package and of its tests parses as
+Python 3.10, the oldest version ``pyproject.toml`` allows.
 """
 
 import ast
@@ -15,6 +16,7 @@ import thermoreg
 
 PACKAGE = Path(thermoreg.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _tree(path):
@@ -52,3 +54,9 @@ def test_lti_imports_only_errors_from_the_package():
 def test_fem_imports_nothing_from_the_package():
     for name in ("fem.py", "mesh.py"):
         assert _package_imports(name) == set(), name
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10, so later syntax such as except* is out.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

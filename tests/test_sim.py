@@ -113,6 +113,22 @@ def test_dimension_mismatch_rejected(plant11):
         sim.assemble_closed_loop(plant11, bad)
 
 
+@pytest.mark.parametrize("signal", ["ref", "dist"])
+def test_signal_widths_must_fit_the_plant(plant11, monkeypatch, signal):
+    # A second reference or disturbance column is named before the factorization.
+    args = {key: np.zeros((3, 1)) for key in ("ref_cos", "ref_sin", "dist_cos", "dist_sin")}
+    args[f"{signal}_cos"] = args[f"{signal}_sin"] = np.ones((3, 2))
+    spec = sim.SignalSpec(frequencies=(1.0, 2.0, 3.0), **args)
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorized before the signal widths were checked")
+
+    monkeypatch.setattr(sim.spla, "splu", no_factorization)
+    widths = r"\(2, 1\)" if signal == "ref" else r"\(1, 2\)"
+    with pytest.raises(ValueError, match=rf"widths {widths}, the plant needs \(1, 1\)"):
+        sim.simulate(sim.assemble_closed_loop(plant11, zero_controller()), spec, t_end=0.1, dt=0.01)
+
+
 def test_nonfinite_initial_state_rejected(plant11):
     cl = sim.assemble_closed_loop(plant11, zero_controller())
     n, nz = plant11.drift.shape[0], cl.ctrl.dim
