@@ -4,7 +4,8 @@ Two designs are provided.  The dual observer-based controller combines a
 state-feedback gain from a shifted control Riccati equation, an output
 injection computed from the filter Riccati equation of the internal
 model/plant cascade, and a balanced-truncation reduction of the
-stabilized observer system.  The low-gain controller only needs plant
+stabilized observer system.  Both Riccati equations have unit weights and
+the decay margin ``_DECAY_MARGIN``.  The low-gain controller only needs plant
 transfer values at the regulated frequencies.  Both controllers carry a
 copy of the signal dynamics (eigenvalues +-i w_k), which is what makes
 the regulation robust to plant perturbations.
@@ -18,6 +19,10 @@ import scipy.linalg as sla
 
 from . import lti
 from .lti import StateSpace
+
+# Shift of both Riccati equations of the dual observer design: each closed
+# loop decays faster than exp(-_DECAY_MARGIN t).
+_DECAY_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -130,13 +135,14 @@ def _cascade_schur(im, b, t, z):
     return t_s, z_s
 
 
-def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0, r=10):
+def synthesize_dual_observer(design, im, r=10):
     """Dual observer-based controller from a standard-form design plant.
 
-    The state weights of both Riccati equations are identity on the design
-    space (mass-weighted coordinates); the input and output weights are
-    ``r1 I`` and ``r2 I`` for positive finite scalars ``r1`` and ``r2``
-    (``ValueError`` otherwise), and ``r`` must pass
+    The state feedback solves
+    ``(A + aI)^T X + X (A + aI) - X B B^T X + I = 0`` and the output
+    injection the filter equation of the cascade ``(A_s, C_s)``, both with
+    ``a = _DECAY_MARGIN`` and identity weights on the design space
+    (mass-weighted coordinates); ``r`` must pass
     :func:`lti.check_reduced_order` with N.  Returns the unreduced
     controller of order ``im.dim + N``, the balanced-truncated controller of
     order ``im.dim + r``, and the reduction diagnostics.
@@ -154,27 +160,21 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     solves that take them.
     """
     n = design.order
-    m = design.b.shape[1]
     p = design.c.shape[0]
-    if m != p:
+    if design.b.shape[1] != p:
         raise ValueError("dual observer design requires as many inputs as outputs")
     if p != im.p:
         raise ValueError("internal model output dimension does not match the plant")
-    for name, weight in (("r1", r1), ("r2", r2)):
-        if not (np.ndim(weight) == 0 and np.isfinite(weight) and weight > 0):
-            raise ValueError(f"{name} must be a positive finite scalar, got {weight!r}")
     lti.check_reduced_order(r, n)  # before the Riccati solves, not after them
-    r1m = r1 * np.eye(m)
-    r2m = r2 * np.eye(p)
 
     # (o) the one order-N Schur form, and the cascade's pair built from it
     t, z = sla.schur(design.a.T, output="real")
     t_s, z_s = _cascade_schur(im, design.b, t, z)
 
     # (i) state feedback from the shifted control Riccati equation
-    ctrl_sol = lti.solve_riccati_control(design.a, design.b, r1m, np.eye(n), alpha=alpha1, schur=(t, z))
+    ctrl_sol = lti.solve_riccati_control(design.a, design.b, alpha=_DECAY_MARGIN, schur=(t, z))
     del t, z
-    k2 = -np.linalg.solve(r1m, design.b.T @ ctrl_sol.x)
+    k2 = -design.b.T @ ctrl_sol.x
 
     # (ii) internal model / plant cascade
     ns = im.dim + n
@@ -185,9 +185,9 @@ def synthesize_dual_observer(design, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0,
     c_s = np.hstack([np.zeros((p, im.dim)), design.c])
 
     # (iii) output injection from the filter Riccati equation
-    fil_sol = lti.solve_riccati_filter(a_s, c_s, r2m, np.eye(ns), alpha=alpha2, schur=(t_s, z_s))
+    fil_sol = lti.solve_riccati_filter(a_s, c_s, alpha=_DECAY_MARGIN, schur=(t_s, z_s))
     del t_s, z_s
-    g2l = -fil_sol.x @ c_s.T @ np.linalg.inv(r2m)
+    g2l = -fil_sol.x @ c_s.T
     g2n = g2l[: im.dim]
     l_n = g2l[im.dim :]
 
@@ -249,7 +249,9 @@ def synthesize_low_gain(transfer_values, frequencies, eps):
 
 
 def internal_model_eigenvalues_present(ctrl, frequencies, tol=1e-8):
-    """Check that +-i w_k all appear in the controller state-matrix spectrum."""
+    """Check that +-i w_k all appear in the controller state-matrix spectrum (``ValueError`` for no w_k)."""
+    if len(frequencies) == 0:  # all([]) would pass any controller
+        raise ValueError("the internal-model check needs at least one frequency")
     eigs = np.linalg.eigvals(ctrl.g1)
     targets = [1j * w for w in frequencies] + [-1j * w for w in frequencies]
     return all(np.min(np.abs(eigs - t)) < tol for t in targets)

@@ -6,11 +6,14 @@ is a blocked recursion whose updates are matrix products, so it runs at
 BLAS-3 speed; LAPACK's unblocked ``trsyl`` is only called on small
 diagonal blocks.
 
-Riccati equations are solved by Newton-Kleinman iteration, every step a
-full step (Kleinman, IEEE TAC 1968): from a stabilizing start the iterates
-X decrease monotonically to the stabilizing solution, though the residual
-norm may rise near its rounding floor.  One order-N real Schur form of the
-drift serves a whole solve, and
+The one Riccati equation solved here has unit weights,
+``(A + aI)^T X + X (A + aI) - X B B^T X + I = 0``, as has its filter dual;
+the dual observer design poses both with the same constant shift.  It is
+solved by Newton-Kleinman iteration, every step a full step (Kleinman, IEEE
+TAC 1968): from a stabilizing start the iterates X decrease monotonically
+to the stabilizing solution, though the residual norm may rise near its
+rounding floor.  One order-N real Schur form of the drift serves a whole
+solve, and
 one serves a whole dual design: the caller may hand the solver a Schur pair
 of the unshifted drift (the dual observer design derives the cascade's from
 the design drift's), which the solver shifts on its diagonal; otherwise it
@@ -188,7 +191,7 @@ class RiccatiSolution:
 
     x: np.ndarray
     residual_norm: float          # |R(X)|_F / |X|_F
-    closed_loop_decay: float      # abscissa of A - B R^-1 B^T X (unshifted)
+    closed_loop_decay: float      # abscissa of A - B B^T X (unshifted)
     iterations: int
     exact_steps: int              # Bartels-Stewart steps on an order-N Schur form, the first included
     residual_history: list        # relative residual after each iteration, factored or dense
@@ -240,7 +243,7 @@ def riccati_hamiltonian(a, b, r, q, alpha=0.0):
     return x
 
 
-def _subspace_stabilizing_gain(ash, b, r, schur=None):
+def _subspace_stabilizing_gain(ash, b, schur=None):
     """Gain K0 with ``ash - b K0`` stable, and the Schur pair of its transpose.
 
     ``schur`` is a real Schur pair ``(T, Z)`` of ``ash^T`` (the caller's, or
@@ -269,7 +272,7 @@ def _subspace_stabilizing_gain(ash, b, r, schur=None):
     if k == 0:
         return np.zeros((b.shape[1], ash.shape[0])), t, z
     bz = z.T @ b
-    s_u = bz[:k] @ np.linalg.solve(r, bz[:k].T)
+    s_u = bz[:k] @ bz[:k].T
     try:
         # The stabilized block is checked below, where its message names it.
         x_u = _hamiltonian_solution(t[:k, :k].T + _SELECT_MARGIN * np.eye(k), s_u, np.eye(k))
@@ -277,7 +280,7 @@ def _subspace_stabilizing_gain(ash, b, r, schur=None):
         raise ConvergenceError(
             f"no stabilizing initializer: unstable block of order {k} is not controllable"
         ) from exc
-    k_u = np.linalg.solve(r, bz[:k].T @ x_u)
+    k_u = bz[:k].T @ x_u
     top = t[:k] - k_u.T @ bz.T
     s, u, wr = _real_schur(top[:, :k])
     abscissa = float(np.max(wr))
@@ -301,11 +304,13 @@ def _is_positive_definite(x):
     return True
 
 
-def _riccati_residual(ash, bl, q, x):
-    """R(X) = ash^T X + X ash - X S X + Q for symmetric X, with S = bl bl^T."""
+def _riccati_residual(ash, b, x):
+    """R(X) = ash^T X + X ash - X B B^T X + I for symmetric X."""
     g = ash.T @ x
-    xb = x @ bl
-    return g + g.T - xb @ xb.T + q
+    xb = x @ b
+    res = g + g.T - xb @ xb.T
+    res[np.diag_indices_from(res)] += 1.0
+    return res
 
 
 def _new_directions(basis, u):
@@ -432,10 +437,10 @@ def _lowrank_residual_norm(a, z, w, g=None):
     return float(np.linalg.norm(rr @ mid @ rr.T))
 
 
-def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
+def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
     """Stabilizing solution of the shifted control Riccati equation.
 
-    Solves ``(A + aI)^T X + X (A + aI) - X B R^-1 B^T X + Q = 0`` by
+    Solves ``(A + aI)^T X + X (A + aI) - X B B^T X + I = 0`` by
     Newton-Kleinman iteration in correction form; ``alpha`` must be finite
     (``ValueError`` otherwise).  Every step is the full Newton step: from a
     stabilizing gain Kleinman's iterates decrease monotonically,
@@ -453,14 +458,14 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
       certifies stability, and a Bartels-Stewart solve follows.
     - Each later step from ``X_k`` solves ``A_k^T E + E A_k = -R(X_k)`` and
       sets ``X <- X + E``.  After a full step the residual is
-      ``-W W^T`` with ``W = (K_k - K_{k-1})^T chol(R)``, which has as few
+      ``-W W^T`` with ``W = (K_k - K_{k-1})^T``, which has as few
       columns as B, so ``E = -Z Z^T`` is a Galerkin solution on an extended
       Krylov space of ``(A_k^T, W)`` (one LU of ``A_k``, no Schur form).
       Its Galerkin residual is only as small as the outer target needs
       (inexact Newton-Kleinman).
-      When ``Q`` and ``X + E`` are positive definite, the Lyapunov inertia
-      theorem certifies that ``A_k`` is stable.  The new residual
-      ``R(X + E) = -W W^T + A_k^T E + E A_k - E S E`` has rank at most
+      When ``X + E`` is positive definite, the Lyapunov inertia theorem
+      certifies that ``A_k`` is stable.  The new residual
+      ``R(X + E) = -W W^T + A_k^T E + E A_k - E B B^T E`` has rank at most
       ``2 rank(Z) + rank(B)`` and is evaluated in that factored form.
     - An exact step (Schur form, abscissa check, Bartels-Stewart with the
       full ``-R(X_k)``) is taken instead when the previous low-rank step
@@ -475,32 +480,19 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
     an exact step follows.  A solve that stagnates, loses closed-loop
     stability or does not converge raises :class:`ConvergenceError`.
     ``closed_loop_decay`` comes from the eigenvalues of the final closed
-    loop.  R and Q must be finite and symmetric to 1e-12 relative in the
-    Frobenius norm (``ValueError`` otherwise).
+    loop.
     """
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    for name, w in (("R", r), ("Q", q)):  # Cholesky reads one triangle, the gain all of R
-        if w.shape != w.T.shape or not np.linalg.norm(w - w.T) <= 1e-12 * np.linalg.norm(w):
-            raise ValueError(f"weight {name} must be finite and symmetric")
     n = a.shape[0]
     ash = a + alpha * np.eye(n)
-    rinv_bt = np.linalg.solve(r, b.T)
-    try:
-        r_chol = np.linalg.cholesky(r)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("weight R must be symmetric positive definite") from exc
-    bl = sla.solve_triangular(r_chol, b.T, lower=True).T  # S = B R^-1 B^T = bl bl^T
-    q_definite = _is_positive_definite(q)
 
     if schur is not None:
         schur[0][np.diag_indices(n)] += alpha
     # The initializer's Schur pair of the first closed loop serves the first step.
-    gain, *seed = _subspace_stabilizing_gain(ash, b, r, schur=schur)
+    gain, *seed = _subspace_stabilizing_gain(ash, b, schur=schur)
     exact_steps = 0
     history = []
     # ``res`` is the dense residual of ``x``, or None after a low-rank step,
@@ -513,12 +505,12 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
     for it in range(1, _RICCATI_MAX_ITER + 1):
         acl_t = (ash - b @ gain).T
         x_next = None
-        if w is not None and q_definite:
+        if w is not None:
             atol = min(_OUTER_SHARE * _RICCATI_TOL * x_norm, 0.1 * np.linalg.norm(w.T @ w))
             z = _lowrank_lyap(acl_t, w, atol=atol)
-            # Inertia: A_k^T (X + E) + (X + E) A_k = -(Q + K_k^T R K_k), up to
-            # the inner and carried-over residuals, so X + E > 0 and Q > 0
-            # certify that A_k is stable.
+            # Inertia: A_k^T (X + E) + (X + E) A_k = -(I + K_k^T K_k), up to
+            # the inner and carried-over residuals, so X + E > 0 certifies
+            # that A_k is stable.
             if z is not None:
                 x_next = x - z @ z.T
                 if not _is_positive_definite(x_next):
@@ -527,7 +519,7 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
         prev_norm = res_norm
         if lowrank:
             res = None
-            res_norm = _lowrank_residual_norm(acl_t, z, w, z.T @ bl)
+            res_norm = _lowrank_residual_norm(acl_t, z, w, z.T @ b)
         else:
             t, zs = seed or sla.schur(acl_t, output="real")
             seed = None
@@ -537,13 +529,13 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
                     f"Newton-Kleinman iterate lost closed-loop stability (abscissa {abscissa:.3e})"
                 )
             if x is None:
-                x_next = _lyap_from_schur(t, zs, q + gain.T @ r @ gain)
+                x_next = _lyap_from_schur(t, zs, np.eye(n) + gain.T @ gain)
             else:
                 if res is None:
-                    res = _riccati_residual(ash, bl, q, x)
+                    res = _riccati_residual(ash, b, x)
                 x_next = x + _lyap_from_schur(t, zs, res)
             exact_steps += 1
-            res = _riccati_residual(ash, bl, q, x_next)
+            res = _riccati_residual(ash, b, x_next)
             res_norm = np.linalg.norm(res)
         x = x_next
         x_norm = max(np.linalg.norm(x), 1e-300)
@@ -551,12 +543,12 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
         # steps carried over; the dense residual decides convergence.
         carried = res is None and res_norm <= _RICCATI_TOL * x_norm
         if carried:
-            res = _riccati_residual(ash, bl, q, x)
+            res = _riccati_residual(ash, b, x)
             res_norm = np.linalg.norm(res)
         rel = res_norm / x_norm
         history.append(rel)
         if rel <= _RICCATI_TOL:
-            shifted_abscissa = spectral_abscissa(ash - b @ (rinv_bt @ x))
+            shifted_abscissa = spectral_abscissa(ash - b @ (b.T @ x))
             return RiccatiSolution(
                 x=x,
                 residual_norm=rel,
@@ -576,14 +568,14 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
                     residual=rel,
                     iterations=it,
                 )
-        next_gain = rinv_bt @ x
+        next_gain = b.T @ x
         # R(X) = -W W^T holds after a Newton step up to its inner residual; a
         # stalled low-rank step or residuals carried over from earlier
         # low-rank steps hand the full residual to an exact step instead.
         if carried or (lowrank and res_norm > 0.5 * prev_norm):
             w = None
         else:
-            w = (next_gain - gain).T @ r_chol
+            w = (next_gain - gain).T
         gain = next_gain
     raise ConvergenceError(
         f"Newton-Kleinman did not reach {_RICCATI_TOL:g} in {_RICCATI_MAX_ITER} iterations",
@@ -592,17 +584,17 @@ def solve_riccati_control(a, b, r, q, alpha=0.0, schur=None):
     )
 
 
-def solve_riccati_filter(a, c, r, q, alpha=0.0, schur=None):
+def solve_riccati_filter(a, c, *, alpha=0.0, schur=None):
     """Stabilizing solution of the dual (filter) Riccati equation.
 
-    Solves ``(A + aI) X + X (A + aI)^T - X C^T R^-1 C X + Q = 0`` by
+    Solves ``(A + aI) X + X (A + aI)^T - X C^T C X + I = 0`` by
     transposition of the control problem.  ``schur`` is an optional real
     Schur pair ``(T, Z)`` of the unshifted ``A = Z T Z^T``, overwritten as in
     :func:`solve_riccati_control`.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    return solve_riccati_control(a.T, c.T, r, q, alpha=alpha, schur=schur)
+    return solve_riccati_control(a.T, c.T, alpha=alpha, schur=schur)
 
 
 # ---------------------------------------------------------------------------

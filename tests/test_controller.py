@@ -26,7 +26,7 @@ def design11(mesh11):
 def synthesis11(design11):
     std, _ = design11
     im = ctrl_mod.build_internal_model(FREQS, p=1)
-    return ctrl_mod.synthesize_dual_observer(std, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0, r=4)
+    return ctrl_mod.synthesize_dual_observer(std, im, r=4)
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +80,18 @@ def test_internal_model_rejects_bad_output_dimension(p):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: ctrl_mod.build_internal_model(()), lambda: ctrl_mod.synthesize_low_gain([], (), eps=0.1)],
-    ids=["internal-model", "low-gain"],
+    [
+        lambda: ctrl_mod.build_internal_model(()),
+        lambda: ctrl_mod.synthesize_low_gain([], (), eps=0.1),
+        lambda: ctrl_mod.internal_model_eigenvalues_present(
+            ctrl_mod.synthesize_low_gain([np.array([[1.0 + 0j]])], (1.0,), eps=0.1), ()
+        ),
+    ],
+    ids=["internal-model", "low-gain", "eigenvalue-check"],
 )
 def test_empty_frequency_set_rejected(build):
-    # A controller without an internal model would regulate nothing.
+    # A controller without an internal model would regulate nothing, and an
+    # empty check would pass any controller.
     with pytest.raises(ValueError, match="at least one frequency"):
         build()
 
@@ -99,6 +106,15 @@ def test_dual_dimensions(synthesis11, design11):
     assert synthesis11.reduced.dim == 6 + 4
     assert synthesis11.full.g2.shape == (6 + n, 1)
     assert synthesis11.reduced.k.shape == (1, 10)
+
+
+def test_dual_reduction_is_wired_into_the_reduced_controller(synthesis11):
+    syn = synthesis11
+    red = syn.reduction.system
+    assert syn.reduction.order == 4
+    assert syn.reduced.dim == 6 + 4
+    # Observer block A_r + L_r C_r, with C_r the first p rows of the reduced output map.
+    assert np.array_equal(syn.reduced.g1[6:, 6:], red.a + red.b @ red.c[:1])
 
 
 def test_dual_riccati_quality(synthesis11):
@@ -135,7 +151,7 @@ def test_dual_full_equals_unreduced_at_r_n(design11):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # rank clamp expected
-        syn = ctrl_mod.synthesize_dual_observer(std, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0, r=std.order)
+        syn = ctrl_mod.synthesize_dual_observer(std, im, r=std.order)
     grid = np.array([0.33, 0.71, 1.5, 2.4, 3.7, 8.1])
     err = lti.sample_frequency_error(syn.full.as_statespace(), syn.reduced.as_statespace(), grid)
     assert err < 1e-8
@@ -192,14 +208,15 @@ def test_dual_requires_square_plant(design11):
         ctrl_mod.synthesize_dual_observer(wide, im)
 
 
-@pytest.mark.parametrize("name", ["r1", "r2"])
-@pytest.mark.parametrize("weight", [[1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]], 0.0, -1.0, np.nan])
-def test_dual_weights_must_be_positive_finite_scalars(design11, name, weight):
-    # A matrix weight would lose its off-diagonal entries to ``* np.eye(m)``.
+def test_dual_design_has_no_weight_or_margin_knobs(design11):
+    # Unit weights and a constant decay margin: a stray weight or margin
+    # argument is a TypeError, not a silently rebound parameter.
     std, _ = design11
     im = ctrl_mod.build_internal_model(FREQS, p=1)
-    with pytest.raises(ValueError, match=f"{name} must be a positive finite scalar"):
-        ctrl_mod.synthesize_dual_observer(std, im, **{name: weight})
+    with pytest.raises(TypeError):
+        ctrl_mod.synthesize_dual_observer(std, im, alpha1=1.0)
+    with pytest.raises(TypeError):
+        lti.solve_riccati_control(-np.eye(2), np.ones((2, 1)), np.eye(1), np.eye(2))
 
 
 @pytest.mark.parametrize("r", [0, "N+1", 2.5, True], ids=["0", "N+1", "2.5", "True"])
@@ -217,15 +234,6 @@ def test_dual_rejects_bad_order_before_any_riccati_solve(design11, monkeypatch, 
     with pytest.raises(ValueError, match="reduced order"):
         ctrl_mod.synthesize_dual_observer(std, im, r=std.order + 1 if r == "N+1" else r)
     assert solves == [] and schur_orders == []
-
-
-@pytest.mark.parametrize("name", ["alpha1", "alpha2"])
-@pytest.mark.parametrize("alpha", [np.nan, np.inf])
-def test_dual_decay_margins_must_be_finite(design11, name, alpha):
-    std, _ = design11
-    im = ctrl_mod.build_internal_model(FREQS, p=1)
-    with pytest.raises(ValueError, match="alpha must be finite"):
-        ctrl_mod.synthesize_dual_observer(std, im, **{name: alpha})
 
 
 def test_internal_model_inclusion(synthesis11):

@@ -445,7 +445,7 @@ def test_window_max_error():
 def tracking_run(plant11):
     std = plant_mod.to_standard_form(plant11)
     im = ctrl_mod.build_internal_model((1.0, 2.0, 3.0), p=1)
-    syn = ctrl_mod.synthesize_dual_observer(std, im, alpha1=1.0, alpha2=1.0, r1=1.0, r2=1.0, r=6)
+    syn = ctrl_mod.synthesize_dual_observer(std, im, r=6)
     cl = sim.assemble_closed_loop(plant11, syn.reduced)
     res = sim.simulate(cl, sim.paper_signals(), t_end=20.0, dt=0.01)
     return plant11, syn, res
