@@ -28,7 +28,11 @@ decomposition.  Each later step solves for a correction whose right-hand
 side has the rank of B, only as accurately as the outer tolerance needs
 (inexact Newton-Kleinman): its Galerkin residual may use a fixed share of
 ``1e-9 |X_k|_F``, above the kernel's rounding floor and below a tenth of the
-right-hand side.  The new residual is evaluated in factored form.  That
+right-hand side.  One LU factorization serves all these steps: each closed
+loop differs from the first low-rank step's by a rank-m term, so a
+Sherman-Morrison-Woodbury correction with an m x m capacitance gives its
+solves (a new LU only when the capacitance is ill-conditioned).  The new
+residual is evaluated in factored form.  That
 factored form does not see the Galerkin residuals left behind, so the dense
 residual decides convergence, and an exact correction step (Schur form
 plus Bartels-Stewart on the full residual) polishes the iterate when it
@@ -36,18 +40,23 @@ fails.  With inner residuals tied to the outer tolerance their sum stays
 below it, so the polish is rare; a fixed tolerance relative to the
 right-hand side let a large first step leave more behind than the outer
 tolerance allows.  The exact step is also the fallback whenever the
-projection does not deliver.  A Hamiltonian-subspace Riccati solver is kept
-as an independent oracle for desk-scale problems and as the inner solver of
-the initializer.
+projection does not deliver.  The closed loop's decay margin is certified
+from numbers the solve already holds, with no eigenvalue problem: X > 0 and
+a dense residual below 1 bound the abscissa through the Lyapunov inertia
+theorem, and dense eigenvalues are the fallback when either fails.  A
+Hamiltonian-subspace Riccati solver is kept as an independent oracle for
+desk-scale problems and as the inner solver of the initializer.
 
 One low-rank Lyapunov kernel serves both the Newton-Kleinman corrections
 and balanced truncation: a Galerkin projection onto the extended Krylov
-space of (A, W) that returns a factor Z of the solution.  Balanced
-truncation is the low-rank square-root method on the two Gramian factors;
+space of (A, W) that returns a factor Z of the solution, with its solves
+with A handed in by the caller.  Balanced truncation is the low-rank
+square-root method on the two Gramian factors, both served by one LU of A;
 when the requested order reaches the Hankel values they resolve, both
 bases grow to the full space, where the Galerkin solution is exact.
 """
 
+import functools
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -80,6 +89,10 @@ _INNER_TOL = 1e-14
 # The Riccati initializer stabilizes the eigenvalues of the shifted drift with
 # real part at least -_SELECT_MARGIN.
 _SELECT_MARGIN = 1e-8
+# Largest condition number of the m x m Woodbury capacitance with which a
+# Newton-Kleinman closed loop is solved through the reference closed loop's
+# LU; above it (or when it is singular) the closed loop is factored anew.
+_WOODBURY_MAX_COND = 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +195,37 @@ def solve_lyapunov(a, q):
     return x
 
 
+def _check_system(a, b=None, c=None):
+    """Raise ``ValueError``, naming the argument, unless ``a`` is a square
+    matrix, ``b`` a matrix with as many rows and ``c`` one with as many
+    columns (each when given), all with finite entries."""
+    shape = np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"a must be a square matrix, got shape {shape}")
+    n = shape[0]
+    for name, op, axis, side in (("b", b, 0, "rows"), ("c", c, 1, "columns")):
+        if op is not None and (np.ndim(op) != 2 or np.shape(op)[axis] != n):
+            raise ValueError(f"{name} must be a matrix with {n} {side}, got shape {np.shape(op)}")
+    for name, op in (("a", a), ("b", b), ("c", c)):
+        if op is not None and not np.all(np.isfinite(op)):
+            raise ValueError(f"{name} has non-finite entries")
+
+
 # ---------------------------------------------------------------------------
 # Riccati
 
 @dataclass
 class RiccatiSolution:
-    """Stabilizing solution with its accuracy and closed-loop diagnostics."""
+    """Stabilizing solution with its accuracy and closed-loop diagnostics.
+
+    ``closed_loop_decay`` is a certified upper bound, below ``-alpha``, on
+    the abscissa of the unshifted closed loop (see
+    :func:`solve_riccati_control`), not the abscissa itself.
+    """
 
     x: np.ndarray
     residual_norm: float          # |R(X)|_F / |X|_F
-    closed_loop_decay: float      # abscissa of A - B B^T X (unshifted)
+    closed_loop_decay: float      # upper bound on the abscissa of A - B B^T X (unshifted)
     iterations: int
     exact_steps: int              # Bartels-Stewart steps on an order-N Schur form, the first included
     residual_history: list        # relative residual after each iteration, factored or dense
@@ -327,13 +361,15 @@ def _new_directions(basis, u):
     return q[:, sv > 1e-12 * scale]
 
 
-def _lowrank_lyap(a, w, cap=None, tol=None, atol=0.0):
+def _lowrank_lyap(a, w, solve, cap=None, tol=None, atol=0.0):
     """Factor Z, with Z Z^T = P, of the Galerkin solution of A P + P A^T + W W^T = 0.
 
     The basis is the extended Krylov space of (A, W) (Simoncini, SIAM J.
     Sci. Comput. 2007).  Each step appends the new directions of
     ``[A V+, A^-1 V-]``, where V+ and V- are the directions the step before
-    added from A and from A^-1, so the only factorization is one LU of A.
+    added from A and from A^-1.  ``solve(Y)`` returns ``A^-1 Y``; the caller
+    owns the factorization, and its accuracy only shapes the basis, since T
+    and the residual test use exact products with A.
     The basis, its image under A and the projected matrix T grow in place.
     A maps the basis of the step before into the current one, so the
     Galerkin residual norm on the old basis is ``sqrt(2) |T[new, old] Y|_F``,
@@ -356,7 +392,6 @@ def _lowrank_lyap(a, w, cap=None, tol=None, atol=0.0):
         cap = min(_KRYLOV_MAX_DIM, n // 2)
     if tol is None:
         tol = _INNER_TOL
-    lu = sla.lu_factor(a)
     target = max(tol * np.linalg.norm(w.T @ w), atol)
     v = np.empty((n, 0))
     av = np.empty((n, 0))
@@ -386,7 +421,7 @@ def _lowrank_lyap(a, w, cap=None, tol=None, atol=0.0):
         return span
 
     plus = append(_new_directions(v, w))
-    minus = None if plus is None else append(_new_directions(v[:, :k], sla.lu_solve(lu, w)))
+    minus = None if plus is None else append(_new_directions(v[:, :k], solve(w)))
     if minus is None:
         return None
     if k == 0:
@@ -395,7 +430,7 @@ def _lowrank_lyap(a, w, cap=None, tol=None, atol=0.0):
     while True:
         old = k
         plus = append(_new_directions(v[:, :k], av[:, plus]))
-        minus = None if plus is None else append(_new_directions(v[:, :k], sla.lu_solve(lu, v[:, minus])))
+        minus = None if plus is None else append(_new_directions(v[:, :k], solve(v[:, minus])))
         if minus is None:
             return None
         invariant = k == old
@@ -419,6 +454,34 @@ def _lowrank_lyap(a, w, cap=None, tol=None, atol=0.0):
             lam, phi = np.linalg.eigh(y)
             keep = lam > 0.0
             return v[:, :old] @ (phi[:, keep] * np.sqrt(lam[keep]))
+
+
+def _woodbury_solver(lu, u, b):
+    """Solves with ``M - U B^T`` from the LU of M (Sherman-Morrison-Woodbury).
+
+    ``U`` and ``B`` are n x m.  Returns ``solve(Y)``, or None when the m x m
+    capacitance ``C = I - B^T M^-1 U`` is singular or ill-conditioned:
+    ``|C^-1|_F (1 + |B^T M^-1 U|_F)``, its condition as the difference it is
+    formed from, exceeds ``_WOODBURY_MAX_COND``.  (Its 2-norm condition
+    number alone is 1 for every nonzero 1 x 1 capacitance.)
+    """
+    mu = sla.lu_solve(lu, u)
+    terms = b.T @ mu
+    capacitance = np.eye(u.shape[1]) - terms
+    if not np.all(np.isfinite(capacitance)):
+        return None
+    try:
+        inverse = np.linalg.inv(capacitance)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.norm(inverse) * (1.0 + np.linalg.norm(terms)) <= _WOODBURY_MAX_COND:
+        return None
+
+    def solve(y):
+        z = sla.lu_solve(lu, y)
+        return z + mu @ (inverse @ (b.T @ z))
+
+    return solve
 
 
 def _lowrank_residual_norm(a, z, w, g=None):
@@ -460,9 +523,15 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
       sets ``X <- X + E``.  After a full step the residual is
       ``-W W^T`` with ``W = (K_k - K_{k-1})^T``, which has as few
       columns as B, so ``E = -Z Z^T`` is a Galerkin solution on an extended
-      Krylov space of ``(A_k^T, W)`` (one LU of ``A_k``, no Schur form).
+      Krylov space of ``(A_k^T, W)`` (no Schur form).
       Its Galerkin residual is only as small as the outer target needs
-      (inexact Newton-Kleinman).
+      (inexact Newton-Kleinman).  The first low-rank step factors its
+      ``A_k^T``, the one LU of the solve; every later one applies
+      ``A_k^T = A_ref^T - (K_k - K_ref)^T B^T`` through that LU and a
+      Woodbury correction, and factors anew (becoming the reference) only
+      when the m x m capacitance is singular or too ill-conditioned.  These
+      solves only shape the Krylov basis: its projected matrix and residual
+      use exact products with ``A_k``.
       When ``X + E`` is positive definite, the Lyapunov inertia theorem
       certifies that ``A_k`` is stable.  The new residual
       ``R(X + E) = -W W^T + A_k^T E + E A_k - E B B^T E`` has rank at most
@@ -479,13 +548,24 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
     dense relative residual ``|R(X)|_F / |X|_F``, and when that check fails
     an exact step follows.  A solve that stagnates, loses closed-loop
     stability or does not converge raises :class:`ConvergenceError`.
-    ``closed_loop_decay`` comes from the eigenvalues of the final closed
-    loop.
+    ``ValueError`` names ``a`` when it is not a finite square matrix and
+    ``b`` when its row count differs or an entry is not finite.
+
+    ``closed_loop_decay`` needs no eigenvalue problem.  For the shifted
+    closed loop ``A_c = A + aI - B B^T X``,
+    ``W = -(A_c^T X + X A_c) = I + X B B^T X - R(X)``, so
+    ``lambda_min(W) >= 1 - |R(X)|_F``.  If X > 0 (shown by the last low-rank
+    step's Cholesky factorization, or by one after an exact last step) and
+    the dense ``|R(X)|_F < 1``, every eigenvalue of ``A_c`` has
+    ``Re lambda <= -(1 - |R(X)|_F) / (2 |X|_F)`` (Lyapunov inertia), and that
+    bound minus ``alpha`` is returned.  Otherwise the abscissa comes from the
+    dense eigenvalues of the final closed loop.
     """
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    _check_system(a, b=b)
     n = a.shape[0]
     ash = a + alpha * np.eye(n)
 
@@ -498,6 +578,9 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
     # ``res`` is the dense residual of ``x``, or None after a low-rank step,
     # whose factored norm is ``res_norm``.
     x = res = w = None
+    # LU of the transposed closed loop of a reference gain; later closed
+    # loops differ from it by a rank-m term.
+    lu = ref_gain = None
     res_norm = np.inf
     best = np.inf
     stalled = 0
@@ -506,8 +589,14 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
         acl_t = (ash - b @ gain).T
         x_next = None
         if w is not None:
+            # A_k^T = A_ref^T - (K_k - K_ref)^T B^T.  The first low-rank step,
+            # or one whose capacitance is ill-conditioned, becomes the reference.
+            solve = None if lu is None else _woodbury_solver(lu, (gain - ref_gain).T, b)
+            if solve is None:
+                lu, ref_gain = sla.lu_factor(acl_t), gain
+                solve = functools.partial(sla.lu_solve, lu)
             atol = min(_OUTER_SHARE * _RICCATI_TOL * x_norm, 0.1 * np.linalg.norm(w.T @ w))
-            z = _lowrank_lyap(acl_t, w, atol=atol)
+            z = _lowrank_lyap(acl_t, w, solve, atol=atol)
             # Inertia: A_k^T (X + E) + (X + E) A_k = -(I + K_k^T K_k), up to
             # the inner and carried-over residuals, so X + E > 0 certifies
             # that A_k is stable.
@@ -548,11 +637,16 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
         rel = res_norm / x_norm
         history.append(rel)
         if rel <= _RICCATI_TOL:
-            shifted_abscissa = spectral_abscissa(ash - b @ (b.T @ x))
+            # The inertia certificate of the docstring; a low-rank last step
+            # has shown X > 0 by its Cholesky factorization.
+            if res_norm < 1.0 and (lowrank or _is_positive_definite(x)):
+                decay = -alpha - (1.0 - res_norm) / (2.0 * x_norm)
+            else:
+                decay = spectral_abscissa(ash - b @ (b.T @ x)) - alpha
             return RiccatiSolution(
                 x=x,
                 residual_norm=rel,
-                closed_loop_decay=shifted_abscissa - alpha,
+                closed_loop_decay=decay,
                 iterations=it,
                 exact_steps=exact_steps,
                 residual_history=history,
@@ -590,10 +684,14 @@ def solve_riccati_filter(a, c, *, alpha=0.0, schur=None):
     Solves ``(A + aI) X + X (A + aI)^T - X C^T C X + I = 0`` by
     transposition of the control problem.  ``schur`` is an optional real
     Schur pair ``(T, Z)`` of the unshifted ``A = Z T Z^T``, overwritten as in
-    :func:`solve_riccati_control`.
+    :func:`solve_riccati_control`; ``closed_loop_decay`` bounds the abscissa
+    of ``A - X C^T C``.  ``ValueError`` names ``a`` when it is not a finite
+    square matrix and ``c`` when its column count differs or an entry is not
+    finite.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
+    _check_system(a, c=c)
     return solve_riccati_control(a.T, c.T, alpha=alpha, schur=schur)
 
 
@@ -602,11 +700,18 @@ def solve_riccati_filter(a, c, *, alpha=0.0, schur=None):
 
 @dataclass
 class StateSpace:
-    """Dense standard-form system (A, B, C) without feedthrough."""
+    """Dense standard-form system (A, B, C) without feedthrough.
+
+    ``ValueError``, naming the argument, unless A is square, B has as many
+    rows and C as many columns, and every entry is finite.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self):
+        _check_system(self.a, self.b, self.c)
 
     @property
     def order(self):
@@ -649,7 +754,8 @@ def balanced_truncation(sys, r):
     every StateSpace it has no feedthrough.
 
     Both Gramians come as factors from the extended Krylov kernel
-    ``_lowrank_lyap`` (inner tolerance ``_INNER_TOL``), and the Hankel
+    ``_lowrank_lyap`` (inner tolerance ``_INNER_TOL``), whose solves with A
+    and with A^T all come from one LU of A, and the Hankel
     singular values are those of ``Z_q^T Z_p`` (Gugercin & Li, 2005).  When
     ``r`` reaches the number of values the factors resolve, both bases grow
     to the full space, where the Galerkin solutions are the exact Gramians.
@@ -663,10 +769,11 @@ def balanced_truncation(sys, r):
     """
     n = sys.order
     check_reduced_order(r, n)
+    lu = sla.lu_factor(sys.a)
 
     def gramian_factors(tol):
-        zp = _lowrank_lyap(sys.a, sys.b, cap=n, tol=tol)
-        zq = _lowrank_lyap(sys.a.T, sys.c.T, cap=n, tol=tol)
+        zp = _lowrank_lyap(sys.a, sys.b, functools.partial(sla.lu_solve, lu), cap=n, tol=tol)
+        zq = _lowrank_lyap(sys.a.T, sys.c.T, functools.partial(sla.lu_solve, lu, trans=1), cap=n, tol=tol)
         if zp is None or zq is None:
             raise ValueError("balanced truncation requires a stable system")
         u, sv, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
@@ -697,10 +804,16 @@ def balanced_truncation(sys, r):
 
 
 def sample_frequency_error(sys1, sys2, omegas):
-    """Largest spectral-norm transfer difference over a non-empty, finite frequency grid (else ``ValueError``)."""
+    """Largest spectral-norm transfer difference over a non-empty, finite frequency grid.
+
+    ``ValueError`` for any other grid and for transfer matrices of different shapes.
+    """
     omegas = np.atleast_1d(omegas)
     if not (omegas.size and np.all(np.isfinite(omegas))):
         raise ValueError(f"the frequency grid must be non-empty and finite, got {omegas!r}")
+    shapes = [(sys.c.shape[0], sys.b.shape[1]) for sys in (sys1, sys2)]
+    if shapes[0] != shapes[1]:
+        raise ValueError(f"transfer matrices of shapes {shapes[0]} and {shapes[1]} cannot be compared")
     worst = 0.0
     for w in omegas:
         diff = sys1.transfer(1j * w) - sys2.transfer(1j * w)

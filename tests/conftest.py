@@ -35,15 +35,32 @@ def rng():
     return np.random.default_rng(20240607)
 
 
-@pytest.fixture
-def schur_orders(monkeypatch):
-    """Orders of the matrices handed to scipy's Schur decomposition."""
+def _record_orders(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the order of its first argument."""
     orders = []
-    schur = sla.schur
+    original = getattr(module, name)
 
     def counting(a, *args, **kwargs):
         orders.append(np.shape(a)[0])
-        return schur(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(sla, "schur", counting)
+    monkeypatch.setattr(module, name, counting)
     return orders
+
+
+@pytest.fixture
+def schur_orders(monkeypatch):
+    """Orders of the matrices handed to scipy's Schur decomposition."""
+    return _record_orders(monkeypatch, sla, "schur")
+
+
+@pytest.fixture
+def lu_orders(monkeypatch):
+    """Orders of the matrices handed to scipy's LU factorization."""
+    return _record_orders(monkeypatch, sla, "lu_factor")
+
+
+@pytest.fixture
+def eigvals_orders(monkeypatch):
+    """Orders of the matrices handed to numpy's dense eigenvalue solver."""
+    return _record_orders(monkeypatch, np.linalg, "eigvals")

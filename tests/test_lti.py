@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -17,6 +18,11 @@ def lyapunov_kron_oracle(a, q):
     lhs = np.kron(eye, a) + np.kron(a, eye)
     x = np.linalg.solve(lhs, -q.flatten(order="F"))
     return x.reshape((n, n), order="F")
+
+
+def lu_solver(a):
+    """Solves with ``a`` from one LU factorization, as the Krylov kernel takes them."""
+    return functools.partial(sla.lu_solve, sla.lu_factor(a))
 
 
 def random_stable(rng, n, shift=2.0):
@@ -74,7 +80,8 @@ def test_lyapunov_rejects_unstable():
 def test_riccati_scalar_closed_form():
     sol = lti.solve_riccati_control(np.array([[0.0]]), np.array([[1.0]]), alpha=0.0)
     assert sol.x == pytest.approx(np.array([[1.0]]), abs=1e-12)
-    assert sol.closed_loop_decay == pytest.approx(-1.0, abs=1e-10)
+    # The closed loop is -1; the certified bound -(1 - |R|)/(2 |X|) is -0.5.
+    assert -1.0 <= sol.closed_loop_decay < 0.0
 
 
 def test_riccati_zero_b_reduces_to_lyapunov(rng):
@@ -135,6 +142,43 @@ def test_riccati_rejects_non_finite_shift(alpha):
         lti.solve_riccati_control(np.array([[-1.0]]), np.array([[1.0]]), alpha=alpha)
 
 
+MALFORMED = {
+    "a-not-square": (np.ones((6, 5)), np.ones((6, 1)), r"^a must be a square matrix"),
+    "a-nan": (np.diag([np.nan] + [-1.0] * 5), np.ones((6, 1)), r"^a has non-finite"),
+    "a-inf": (np.diag([np.inf] + [-1.0] * 5), np.ones((6, 1)), r"^a has non-finite"),
+}
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        *MALFORMED.values(),
+        (-np.eye(6), np.ones((5, 1)), r"^b must be a matrix with 6 rows"),
+        (-np.eye(6), np.full((6, 1), np.nan), r"^b has non-finite"),
+        (-np.eye(6), np.full((6, 1), np.inf), r"^b has non-finite"),
+    ],
+    ids=[*MALFORMED, "b-rows", "b-nan", "b-inf"],
+)
+def test_riccati_control_rejects_malformed_input(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        lti.solve_riccati_control(a, b, alpha=0.5)
+
+
+@pytest.mark.parametrize(
+    "a, c, message",
+    [
+        *((a, b.T, message) for a, b, message in MALFORMED.values()),
+        (-np.eye(6), np.ones((1, 5)), r"^c must be a matrix with 6 columns"),
+        (-np.eye(6), np.full((1, 6), np.nan), r"^c has non-finite"),
+        (-np.eye(6), np.full((1, 6), np.inf), r"^c has non-finite"),
+    ],
+    ids=[*MALFORMED, "c-columns", "c-nan", "c-inf"],
+)
+def test_riccati_filter_rejects_malformed_input(a, c, message):
+    with pytest.raises(ValueError, match=message):
+        lti.solve_riccati_filter(a, c, alpha=0.5)
+
+
 def test_riccati_unstabilizable_raises():
     # Unstable mode not reachable from B.
     a = np.diag([1.0, -2.0])
@@ -144,20 +188,23 @@ def test_riccati_unstabilizable_raises():
 
 
 @pytest.mark.parametrize("seed", [249, 256])
-def test_riccati_full_steps_cross_conditioning_limit(seed):
+def test_riccati_full_steps_cross_conditioning_limit(seed, eigvals_orders):
     # B of size 0.01 against a drift of spectral radius about 2.5 puts |X|
     # near 1e15 and the residual norm near its rounding floor, where it rises
     # for a step or two before full Newton steps (Kleinman's monotone X)
-    # converge.
+    # converge.  |R(X)|_F = 1e-9 |X|_F is then far above 1, so the inertia
+    # certificate does not hold and one dense eigenvalue solve gives the decay.
     rng = np.random.default_rng(seed)
     a = 2.5 * rng.standard_normal((16, 16)) / 4
     b = 0.01 * rng.standard_normal((16, 1))
     alpha = 0.5
     sol = lti.solve_riccati_control(a, b, alpha=alpha)
+    assert eigvals_orders == [16]
     ash = a + alpha * np.eye(16)
     res = ash.T @ sol.x + sol.x @ ash - sol.x @ b @ b.T @ sol.x + np.eye(16)
     assert np.linalg.norm(res) / np.linalg.norm(sol.x) <= 1e-9
-    assert sol.closed_loop_decay < -alpha
+    assert np.linalg.norm(res) >= 1.0
+    assert sol.closed_loop_decay == lti.spectral_abscissa(ash - b @ (b.T @ sol.x)) - alpha < -alpha
     assert np.any(np.diff(sol.residual_history) > 0)
 
 
@@ -352,7 +399,7 @@ def test_riccati_falls_back_to_exact_steps(denial, monkeypatch, schur_orders):
         monkeypatch.setattr(lti, "_KRYLOV_MAX_DIM", 2)
     else:
         # X + E is indefinite, so the step carries no inertia certificate.
-        monkeypatch.setattr(lti, "_lowrank_lyap", lambda a, w, atol: -1e6 * np.eye(a.shape[0]))
+        monkeypatch.setattr(lti, "_lowrank_lyap", lambda a, w, solve, atol: -1e6 * np.eye(a.shape[0]))
     a, b, _ = nonnormal_problem(0)
     n, m = b.shape
     sol = lti.solve_riccati_control(a, b, alpha=LOWRANK_ALPHA)
@@ -361,6 +408,41 @@ def test_riccati_falls_back_to_exact_steps(denial, monkeypatch, schur_orders):
     x_ref = lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
     assert sol.residual_norm <= 1e-9
     assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_riccati_lowrank_steps_share_one_lu(seed, lu_orders, monkeypatch):
+    # Every low-rank step solves with its closed loop through the first one's
+    # LU and a rank-m Woodbury correction.  With no capacitance accepted,
+    # each low-rank step factors its own closed loop, and X is the same.
+    a, b, c = nonnormal_problem(seed)
+    for solve, op in ((lti.solve_riccati_control, b), (lti.solve_riccati_filter, c)):
+        lu_orders.clear()
+        shared = solve(a, op, alpha=LOWRANK_ALPHA)
+        assert lu_orders == [a.shape[0]] and shared.iterations - shared.exact_steps >= 4
+        with monkeypatch.context() as patch:
+            patch.setattr(lti, "_WOODBURY_MAX_COND", 0.0)
+            lu_orders.clear()
+            own = solve(a, op, alpha=LOWRANK_ALPHA)
+        assert len(lu_orders) == own.iterations - own.exact_steps
+        assert own.residual_norm <= 1e-9
+        assert np.linalg.norm(own.x - shared.x) <= 1e-9 * np.linalg.norm(shared.x)
+
+
+def test_woodbury_solver_matches_dense_solve():
+    rng = np.random.default_rng(11)
+    m_ref = random_stable(rng, 20)
+    u, b, y = rng.standard_normal((20, 2)), rng.standard_normal((20, 2)), rng.standard_normal((20, 3))
+    solve = lti._woodbury_solver(sla.lu_factor(m_ref), u, b)
+    expected = np.linalg.solve(m_ref - u @ b.T, y)
+    assert np.linalg.norm(solve(y) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_woodbury_solver_rejects_singular_capacitance():
+    # I - b b^T with a unit vector b is singular: the capacitance 1 - b^T b is 0.
+    b = np.zeros((5, 1))
+    b[2] = 1.0
+    assert lti._woodbury_solver(sla.lu_factor(np.eye(5)), b, b) is None
 
 
 def test_riccati_carried_residual_takes_exact_polish(monkeypatch, schur_orders):
@@ -388,7 +470,7 @@ def lyapunov_residual(a, p, w):
 def test_lowrank_lyap_factor_meets_inner_tolerance(seed):
     a, b, _ = nonnormal_problem(seed)
     n = a.shape[0]
-    z = lti._lowrank_lyap(a, b)
+    z = lti._lowrank_lyap(a, b, lu_solver(a))
     assert z is not None and z.shape[1] < n // 2
     p = z @ z.T
     assert lyapunov_residual(a, p, b) < 1e-10
@@ -402,8 +484,8 @@ def test_lowrank_lyap_meets_absolute_target():
     # residual (read off the projected matrix) still meets the target.
     a, b, _ = nonnormal_problem(0)
     atol = 1e-6 * np.linalg.norm(b.T @ b)
-    tight = lti._lowrank_lyap(a, b)
-    loose = lti._lowrank_lyap(a, b, atol=atol)
+    tight = lti._lowrank_lyap(a, b, lu_solver(a))
+    loose = lti._lowrank_lyap(a, b, lu_solver(a), atol=atol)
     assert loose.shape[1] < tight.shape[1]
     p = loose @ loose.T
     assert np.linalg.norm(a @ p + p @ a.T + b @ b.T) <= atol * (1 + 1e-8)
@@ -413,7 +495,7 @@ def test_lowrank_lyap_full_space_is_exact():
     rng = np.random.default_rng(8)
     a = random_stable(rng, 9)
     w = rng.standard_normal((9, 2))
-    z = lti._lowrank_lyap(a, w, cap=9, tol=0.0)
+    z = lti._lowrank_lyap(a, w, lu_solver(a), cap=9, tol=0.0)
     p_ref = lyapunov_kron_oracle(a, w @ w.T)
     assert np.max(np.abs(z @ z.T - p_ref)) < 1e-12 * np.max(np.abs(p_ref))
 
@@ -424,7 +506,7 @@ def test_lowrank_lyap_stops_on_invariant_subspace():
     a = np.diag([-1.0, -3.0, -2.0, -5.0])
     a[0, 1] = 1.0
     w = np.array([[1.0], [1.0], [0.0], [0.0]])
-    z = lti._lowrank_lyap(a, w, cap=4, tol=0.0)
+    z = lti._lowrank_lyap(a, w, lu_solver(a), cap=4, tol=0.0)
     assert z.shape[1] == 2
     p_ref = lyapunov_kron_oracle(a, w @ w.T)
     assert np.max(np.abs(z @ z.T - p_ref)) < 1e-14
@@ -433,12 +515,12 @@ def test_lowrank_lyap_stops_on_invariant_subspace():
 def test_lowrank_lyap_cap_returns_none():
     rng = np.random.default_rng(9)
     a = random_stable(rng, 12)
-    assert lti._lowrank_lyap(a, rng.standard_normal((12, 2)), cap=3) is None
+    assert lti._lowrank_lyap(a, rng.standard_normal((12, 2)), lu_solver(a), cap=3) is None
 
 
 def test_lowrank_lyap_unstable_full_space_returns_none():
     a = np.array([[0.5, 1.0], [0.0, -2.0]])
-    assert lti._lowrank_lyap(a, np.array([[1.0], [1.0]]), cap=2, tol=0.0) is None
+    assert lti._lowrank_lyap(a, np.array([[1.0], [1.0]]), lu_solver(a), cap=2, tol=0.0) is None
 
 
 def test_factored_residual_norm_matches_dense():
@@ -572,9 +654,9 @@ def test_bt_grows_to_full_space_at_resolved_order(monkeypatch):
     kernel = lti._lowrank_lyap
     tols = []
 
-    def recording(a, w, cap=None, tol=None):
+    def recording(a, w, solve, cap=None, tol=None):
         tols.append(tol)
-        return kernel(a, w, cap, tol)
+        return kernel(a, w, solve, cap, tol)
 
     monkeypatch.setattr(lti, "_lowrank_lyap", recording)
     hsv = lti.balanced_truncation(sys, 8).hankel_singular_values
@@ -631,6 +713,32 @@ def test_transfer_rejects_non_finite_shift(s):
     sys = StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(ValueError, match="not finite"):
         sys.transfer(s)
+
+
+def test_frequency_error_rejects_different_widths():
+    one = StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+    two = StateSpace(-np.eye(2), np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match=r"shapes \(1, 1\) and \(2, 2\)"):
+        lti.sample_frequency_error(one, two, [1.0])
+
+
+@pytest.mark.parametrize(
+    "a, b, c, message",
+    [
+        (np.ones((3, 2)), np.ones((3, 1)), np.ones((1, 2)), r"^a must be a square matrix"),
+        (np.ones(3), np.ones((3, 1)), np.ones((1, 3)), r"^a must be a square matrix"),
+        (-np.eye(3), np.ones((2, 1)), np.ones((1, 3)), r"^b must be a matrix with 3 rows"),
+        (-np.eye(3), np.ones(3), np.ones((1, 3)), r"^b must be a matrix with 3 rows"),
+        (-np.eye(3), np.ones((3, 1)), np.ones((1, 2)), r"^c must be a matrix with 3 columns"),
+        (np.diag([np.nan, -1.0, -1.0]), np.ones((3, 1)), np.ones((1, 3)), r"^a has non-finite"),
+        (-np.eye(3), np.full((3, 1), np.nan), np.ones((1, 3)), r"^b has non-finite"),
+        (-np.eye(3), np.ones((3, 1)), np.full((1, 3), np.inf), r"^c has non-finite"),
+    ],
+    ids=["a-not-square", "a-vector", "b-rows", "b-vector", "c-columns", "a-nan", "b-nan", "c-inf"],
+)
+def test_statespace_rejects_malformed_input(a, b, c, message):
+    with pytest.raises(ValueError, match=message):
+        StateSpace(a=a, b=b, c=c)
 
 
 def test_frequency_error_conjugate_symmetry(rng):

@@ -4,9 +4,11 @@ Each example is built from a seed that hypothesis draws, so the examples
 are reproducible; ``derandomize=True`` fixes them for every run.
 """
 
+import functools
 import warnings
 
 import numpy as np
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,7 +87,8 @@ def test_krylov_factor_residual(seed, n, m, near_axis, exact):
     rng = np.random.default_rng(seed)
     a = random_stable(rng, n, near_axis, nonnormal=3.0)
     w = rng.standard_normal((n, m))
-    z = lti._lowrank_lyap(a, w, cap=n, tol=0.0 if exact else lti._INNER_TOL)
+    solve = functools.partial(sla.lu_solve, sla.lu_factor(a))
+    z = lti._lowrank_lyap(a, w, solve, cap=n, tol=0.0 if exact else lti._INNER_TOL)
     assert z is not None
     p = z @ z.T
     res = np.linalg.norm(a @ p + p @ a.T + w @ w.T)
@@ -118,6 +121,24 @@ def test_riccati_matches_hamiltonian(seed, n, m, unstable, near_axis):
         assert sol.residual_norm <= 1e-9
         assert np.linalg.norm(sol.x - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
         assert sol.closed_loop_decay < -alpha + 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40), m=st.integers(1, 2),
+       unstable=st.integers(0, 3), near_axis=st.floats(1e-2, 1.0))
+def test_riccati_decay_bounds_closed_loop_abscissa(seed, n, m, unstable, near_axis):
+    # The inertia certificate is an upper bound on the abscissa of the
+    # unshifted closed loop, strictly below -alpha.  The abscissa is formed
+    # as the solver's dense fallback forms it, shifted loop of the control
+    # problem first, so that the fallback meets it up to no rounding.
+    rng = np.random.default_rng(seed)
+    a, alpha, b = shifted_problem(rng, n, m, unstable, near_axis)
+    for sol, drift in (
+        (lti.solve_riccati_control(a, b, alpha=alpha), a),
+        (lti.solve_riccati_filter(a, b.T, alpha=alpha), a.T),
+    ):
+        abscissa = lti.spectral_abscissa(drift + alpha * np.eye(n) - b @ (b.T @ sol.x)) - alpha
+        assert abscissa - 1e-12 <= sol.closed_loop_decay < -alpha
 
 
 @PROPERTY_SETTINGS
