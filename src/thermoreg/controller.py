@@ -120,7 +120,7 @@ def _cascade_schur(im, b, t, z):
     """Real Schur pair ``(T_s, Z_s)`` of the cascade ``[[G1, 0], [B K1, A]]``.
 
     Built from ``A^T = Z T Z^T`` as :func:`synthesize_dual_observer`
-    describes, in Fortran order; ``t`` and ``z`` are only read.
+    describes, unshifted and in Fortran order; ``t`` and ``z`` are only read.
     """
     n, d = t.shape[0], im.dim
     t_g, z_g = sla.schur(im.g1, output="real")
@@ -142,13 +142,15 @@ def synthesize_dual_observer(design, im, r=10):
     ``(A + aI)^T X + X (A + aI) - X B B^T X + I = 0`` and the output
     injection the filter equation of the cascade ``(A_s, C_s)``, both with
     ``a = _DECAY_MARGIN`` and identity weights on the design space
-    (mass-weighted coordinates); ``r`` must pass
-    :func:`lti.check_reduced_order` with N.  Returns the unreduced
+    (mass-weighted coordinates).  Only this function knows ``a``: :mod:`lti`
+    solves on the drifts ``A + aI`` and ``A_s + aI``, so a negative
+    ``closed_loop_decay`` certifies decay faster than ``exp(-a t)``.  ``r``
+    must pass :func:`lti.check_reduced_order` with N.  Returns the unreduced
     controller of order ``im.dim + N``, the balanced-truncated controller of
     order ``im.dim + r``, and the reduction diagnostics.
 
     One order-N real Schur form, ``A^T = Z T Z^T``, serves both Riccati
-    initializers.  The control solve takes it as it is.  The internal
+    initializers.  The control solve takes it shifted.  The internal
     model/plant cascade ``[[G1, 0], [B K1, A]]`` is block lower-triangular,
     so its Schur pair follows from that form and a small one of
     ``G1 = Z_g T_g Z_g^T``: with P the order reversal,
@@ -156,8 +158,8 @@ def synthesize_dual_observer(design, im, r=10):
     quasi-upper-triangular with standardized 2x2 blocks, and the cascade in
     its (internal model, plant) state order is ``Z_s T_s Z_s^T`` with
     ``T_s = [[P T^T P, (Z P)^T B K1 Z_g], [0, T_g]]`` and
-    ``Z_s = [[0, Z_g], [Z P, 0]]``.  Both pairs are overwritten by the
-    solves that take them.
+    ``Z_s = [[0, Z_g], [Z P, 0]]``.  The shift adds ``a`` to the diagonals of
+    T and T_s.  Both pairs are overwritten by the solves that take them.
     """
     n = design.order
     p = design.c.shape[0]
@@ -171,12 +173,7 @@ def synthesize_dual_observer(design, im, r=10):
     t, z = sla.schur(design.a.T, output="real")
     t_s, z_s = _cascade_schur(im, design.b, t, z)
 
-    # (i) state feedback from the shifted control Riccati equation
-    ctrl_sol = lti.solve_riccati_control(design.a, design.b, alpha=_DECAY_MARGIN, schur=(t, z))
-    del t, z
-    k2 = -design.b.T @ ctrl_sol.x
-
-    # (ii) internal model / plant cascade
+    # (i) internal model / plant cascade
     ns = im.dim + n
     a_s = np.zeros((ns, ns))
     a_s[: im.dim, : im.dim] = im.g1
@@ -184,8 +181,17 @@ def synthesize_dual_observer(design, im, r=10):
     a_s[im.dim :, im.dim :] = design.a
     c_s = np.hstack([np.zeros((p, im.dim)), design.c])
 
+    # Both Riccati drifts, and their Schur forms, are shifted by the margin.
+    for shifted in (a_s, t, t_s):
+        shifted[np.diag_indices_from(shifted)] += _DECAY_MARGIN
+
+    # (ii) state feedback from the control Riccati equation
+    ctrl_sol = lti.solve_riccati_control(design.a + _DECAY_MARGIN * np.eye(n), design.b, schur=(t, z))
+    del t, z
+    k2 = -design.b.T @ ctrl_sol.x
+
     # (iii) output injection from the filter Riccati equation
-    fil_sol = lti.solve_riccati_filter(a_s, c_s, alpha=_DECAY_MARGIN, schur=(t_s, z_s))
+    fil_sol = lti.solve_riccati_filter(a_s, c_s, schur=(t_s, z_s))
     del t_s, z_s
     g2l = -fil_sol.x @ c_s.T
     g2n = g2l[: im.dim]

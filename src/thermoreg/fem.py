@@ -19,7 +19,6 @@ Matrices and loads cover every P2 node, wall nodes included.  The module
 imports nothing from the package.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,7 +325,7 @@ def shape_values(shape, points):
 
 
 def assemble_load_domain(mesh, shape):
-    """Load vector F_i = integral(shape * phi_i) over the domain (P2)."""
+    """Load vector F_i = integral(shape * phi_i) over the domain (P2); ``ValueError`` if it is zero."""
     if shape.kind != "indicator-rectangle":
         raise ValueError("domain loads take indicator-rectangle shapes")
     points, weights = triangle_rule()
@@ -337,7 +336,7 @@ def assemble_load_domain(mesh, shape):
     load = np.zeros(mesh.num_p2)
     np.add.at(load, mesh.triangles.ravel(), local.ravel())
     if not np.any(load):
-        warnings.warn("load shape has empty support on this mesh", stacklevel=2)
+        raise ValueError(f"load shape has empty support on this mesh or zero amplitude: {shape!r}")
     return load
 
 

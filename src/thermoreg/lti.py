@@ -6,23 +6,22 @@ is a blocked recursion whose updates are matrix products, so it runs at
 BLAS-3 speed; LAPACK's unblocked ``trsyl`` is only called on small
 diagonal blocks.
 
-The one Riccati equation solved here has unit weights,
-``(A + aI)^T X + X (A + aI) - X B B^T X + I = 0``, as has its filter dual;
-the dual observer design poses both with the same constant shift.  It is
-solved by Newton-Kleinman iteration, every step a full step (Kleinman, IEEE
-TAC 1968): from a stabilizing start the iterates X decrease monotonically
-to the stabilizing solution, though the residual norm may rise near its
-rounding floor.  One order-N real Schur form of the drift serves a whole
-solve, and
-one serves a whole dual design: the caller may hand the solver a Schur pair
-of the unshifted drift (the dual observer design derives the cascade's from
-the design drift's), which the solver shifts on its diagonal; otherwise it
-takes an unsorted form of its own.  The initializer reorders that form with
-LAPACK ``dtrsen``, unstable block first, the reordering that a sorted
-``gees`` does internally: a small Riccati equation stabilizes the pair
-projected onto that block, and because the lifted closed loop stays block
-triangular in the same Schur basis, a Schur form of the small stabilized
-block completes the Schur form of the first closed loop.  The first Newton
+The one Riccati equation solved here has unit weights and no parameter,
+``A^T X + X A - X B B^T X + I = 0``, as has its filter dual; the dual
+observer design hands both the drifts it has shifted by its decay margin.
+It is solved by Newton-Kleinman iteration, every step a full step (Kleinman,
+IEEE TAC 1968): from a stabilizing start the iterates X decrease
+monotonically to the stabilizing solution, though the residual norm may rise
+near its rounding floor.  One order-N real Schur form of the drift serves a
+whole solve, and one serves a whole dual design: the caller may hand the
+solver a Schur pair of the drift (the dual observer design derives the
+cascade's from the design drift's); otherwise it takes an unsorted form of
+its own.  The initializer reorders that form with LAPACK ``dtrsen``,
+unstable block first, the reordering that a sorted ``gees`` does
+internally: a small Riccati equation stabilizes the pair projected onto
+that block, and because the lifted closed loop stays block triangular in
+the same Schur basis, a Schur form of the small stabilized block completes
+the Schur form of the first closed loop.  The first Newton
 step is then a Bartels-Stewart solve with no further order-N
 decomposition.  Each later step solves for a correction whose right-hand
 side has the rank of B, only as accurately as the outer tolerance needs
@@ -86,7 +85,7 @@ _OUTER_SHARE = 1e-2
 # it: on a 373-state dual design the basis of the observability factor grew
 # from 64 to 187 columns.
 _INNER_TOL = 1e-14
-# The Riccati initializer stabilizes the eigenvalues of the shifted drift with
+# The Riccati initializer stabilizes the eigenvalues of the drift with
 # real part at least -_SELECT_MARGIN.
 _SELECT_MARGIN = 1e-8
 # Largest condition number of the m x m Woodbury capacitance with which a
@@ -218,26 +217,26 @@ def _check_system(a, b=None, c=None):
 class RiccatiSolution:
     """Stabilizing solution with its accuracy and closed-loop diagnostics.
 
-    ``closed_loop_decay`` is a certified upper bound, below ``-alpha``, on
-    the abscissa of the unshifted closed loop (see
+    ``closed_loop_decay`` is a certified negative upper bound on the abscissa
+    of the closed loop of the equation solved (see
     :func:`solve_riccati_control`), not the abscissa itself.
     """
 
     x: np.ndarray
     residual_norm: float          # |R(X)|_F / |X|_F
-    closed_loop_decay: float      # upper bound on the abscissa of A - B B^T X (unshifted)
+    closed_loop_decay: float      # upper bound on the abscissa of A - B B^T X
     iterations: int
     exact_steps: int              # Bartels-Stewart steps on an order-N Schur form, the first included
     residual_history: list        # relative residual after each iteration, factored or dense
 
 
-def _hamiltonian_solution(ash, s, q):
-    """Symmetric X from the stable invariant subspace of ``[[ash, -s], [-q, -ash^T]]``.
+def _hamiltonian_solution(a, b):
+    """Symmetric X from the stable invariant subspace of ``[[a, -b b^T], [-I, -a^T]]``.
 
-    X is not checked to stabilize ``ash - s X``.
+    X is not checked to stabilize ``a - b b^T X``.
     """
-    n = ash.shape[0]
-    ham = np.block([[ash, -s], [-q, -ash.T]])
+    n = a.shape[0]
+    ham = np.block([[a, -(b @ b.T)], [-np.eye(n), -a.T]])
     t, z, sdim = sla.schur(ham, output="real", sort=lambda wr, wi: wr < 0.0)
     if sdim != n:
         raise ConvergenceError(
@@ -253,50 +252,46 @@ def _hamiltonian_solution(ash, s, q):
     return 0.5 * (x + x.T)
 
 
-def riccati_hamiltonian(a, b, r, q, alpha=0.0):
-    """Riccati solution via the stable invariant subspace of the Hamiltonian.
+def riccati_hamiltonian(a, b):
+    """Solution of ``A^T X + X A - X B B^T X + I = 0`` via the stable invariant subspace of the Hamiltonian.
 
     Desk-scale method (dense Schur of a 2n x 2n matrix); serves as the
     independent oracle for the Newton-Kleinman path.  Raises
-    :class:`ConvergenceError` unless ``a + alpha I - b r^-1 b^T X`` is
-    stable: near the conditioning limit the computed subspace can give a
-    huge X that does not stabilize, with a small relative residual all the
-    same, so the closed loop is checked rather than the residual.
+    :class:`ConvergenceError` unless ``a - b b^T X`` is stable: near the
+    conditioning limit the computed subspace can give a huge X that does not
+    stabilize, with a small relative residual all the same, so the closed
+    loop is checked rather than the residual.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    ash = a + alpha * np.eye(a.shape[0])
-    s = b @ np.linalg.solve(r, b.T)
-    x = _hamiltonian_solution(ash, s, q)
-    closed = ash - s @ x
+    x = _hamiltonian_solution(a, b)
+    closed = a - b @ b.T @ x
     abscissa = spectral_abscissa(closed) if np.all(np.isfinite(closed)) else np.nan
     if not abscissa < 0.0:
         raise ConvergenceError(f"Hamiltonian solution is not stabilizing: closed-loop abscissa {abscissa:.3e}")
     return x
 
 
-def _subspace_stabilizing_gain(ash, b, schur=None):
-    """Gain K0 with ``ash - b K0`` stable, and the Schur pair of its transpose.
+def _subspace_stabilizing_gain(a, b, schur=None):
+    """Gain K0 with ``a - b K0`` stable, and the Schur pair of its transpose.
 
-    ``schur`` is a real Schur pair ``(T, Z)`` of ``ash^T`` (the caller's, or
+    ``schur`` is a real Schur pair ``(T, Z)`` of ``a^T`` (the caller's, or
     an unsorted ``scipy.linalg.schur`` when None); it is overwritten.  LAPACK
     ``dtrsen`` reorders it so that the k eigenvalues with real part at least
     ``-_SELECT_MARGIN`` come first, so ``Z1^T`` spans the left unstable
-    invariant subspace of ``ash`` and ``(T11^T, Z1^T b)`` is the projected
+    invariant subspace of ``a`` and ``(T11^T, Z1^T b)`` is the projected
     pair.  A small Riccati equation stabilizes it with gain ``k_u``, and
     ``K0 = k_u Z1^T``.  In the basis Z the transposed closed loop is
     ``[[T11 - k_u^T b1^T, T12 - k_u^T b2^T], [0, T22]]``, so a Schur form
     ``U S U^T`` of the k x k block turns ``(T, Z)`` into a real Schur pair of
-    ``(ash - b K0)^T``: the first Newton-Kleinman step needs no decomposition
+    ``(a - b K0)^T``: the first Newton-Kleinman step needs no decomposition
     of its own.  For k = 0 the reordered form already is that pair.
 
     Raises ConvergenceError when the reordering fails (eigenvalues too close
     to swap) and when the stabilized block (the eigenvalues of S) is not
     stable, which happens when the small Riccati solve is ill-conditioned.
     """
-    t, z = sla.schur(ash.T, output="real") if schur is None else schur
+    t, z = sla.schur(a.T, output="real") if schur is None else schur
     select = np.diag(t) >= -_SELECT_MARGIN
     t, z, _, _, k, _, _, info = lapack.dtrsen(select, t, z, job="N", overwrite_t=1, overwrite_q=1)
     if info != 0:
@@ -304,12 +299,11 @@ def _subspace_stabilizing_gain(ash, b, schur=None):
             f"subspace initializer: ordered Schur form failed: dtrsen info={info} (eigenvalues too close to reorder)"
         )
     if k == 0:
-        return np.zeros((b.shape[1], ash.shape[0])), t, z
+        return np.zeros((b.shape[1], a.shape[0])), t, z
     bz = z.T @ b
-    s_u = bz[:k] @ bz[:k].T
     try:
         # The stabilized block is checked below, where its message names it.
-        x_u = _hamiltonian_solution(t[:k, :k].T + _SELECT_MARGIN * np.eye(k), s_u, np.eye(k))
+        x_u = _hamiltonian_solution(t[:k, :k].T + _SELECT_MARGIN * np.eye(k), bz[:k])
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"no stabilizing initializer: unstable block of order {k} is not controllable"
@@ -338,9 +332,9 @@ def _is_positive_definite(x):
     return True
 
 
-def _riccati_residual(ash, b, x):
-    """R(X) = ash^T X + X ash - X B B^T X + I for symmetric X."""
-    g = ash.T @ x
+def _riccati_residual(a, b, x):
+    """R(X) = A^T X + X A - X B B^T X + I for symmetric X."""
+    g = a.T @ x
     xb = x @ b
     res = g + g.T - xb @ xb.T
     res[np.diag_indices_from(res)] += 1.0
@@ -500,21 +494,19 @@ def _lowrank_residual_norm(a, z, w, g=None):
     return float(np.linalg.norm(rr @ mid @ rr.T))
 
 
-def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
-    """Stabilizing solution of the shifted control Riccati equation.
+def solve_riccati_control(a, b, *, schur=None):
+    """Stabilizing solution of the control Riccati equation.
 
-    Solves ``(A + aI)^T X + X (A + aI) - X B B^T X + I = 0`` by
-    Newton-Kleinman iteration in correction form; ``alpha`` must be finite
-    (``ValueError`` otherwise).  Every step is the full Newton step: from a
+    Solves ``A^T X + X A - X B B^T X + I = 0`` by Newton-Kleinman iteration
+    in correction form.  Every step is the full Newton step: from a
     stabilizing gain Kleinman's iterates decrease monotonically,
     ``X_1 >= X_2 >= ... >= X``, and each closed loop stays stable, though
     the residual norm may rise near its rounding floor.  Zero initial gain is
-    used when ``A + aI`` is stable; otherwise the gain is initialized on
-    the unstable invariant subspace.  ``schur`` is an optional real Schur
-    pair ``(T, Z)`` of the unshifted ``A^T = Z T Z^T``; the solver adds the
-    shift ``alpha`` on the diagonal of T and overwrites both (Fortran order
-    avoids a copy).  Without it the initializer computes the Schur form of
-    ``(A + aI)^T`` itself; the solution is the same up to rounding.
+    used when A is stable; otherwise the gain is initialized on the unstable
+    invariant subspace.  ``schur`` is an optional real Schur pair ``(T, Z)``
+    of ``A^T = Z T Z^T``, which the solver overwrites (Fortran order avoids a
+    copy).  Without it the initializer computes the Schur form of ``A^T``
+    itself; the solution is the same up to rounding.
 
     - The first step is exact: the initializer hands over a real Schur form
       of the closed loop ``A_0`` of the initial gain, whose abscissa
@@ -551,28 +543,23 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
     ``ValueError`` names ``a`` when it is not a finite square matrix and
     ``b`` when its row count differs or an entry is not finite.
 
-    ``closed_loop_decay`` needs no eigenvalue problem.  For the shifted
-    closed loop ``A_c = A + aI - B B^T X``,
+    ``closed_loop_decay`` needs no eigenvalue problem.  For the closed loop
+    ``A_c = A - B B^T X``,
     ``W = -(A_c^T X + X A_c) = I + X B B^T X - R(X)``, so
     ``lambda_min(W) >= 1 - |R(X)|_F``.  If X > 0 (shown by the last low-rank
     step's Cholesky factorization, or by one after an exact last step) and
     the dense ``|R(X)|_F < 1``, every eigenvalue of ``A_c`` has
     ``Re lambda <= -(1 - |R(X)|_F) / (2 |X|_F)`` (Lyapunov inertia), and that
-    bound minus ``alpha`` is returned.  Otherwise the abscissa comes from the
-    dense eigenvalues of the final closed loop.
+    bound is returned.  Otherwise the abscissa comes from the dense
+    eigenvalues of the final closed loop.
     """
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     _check_system(a, b=b)
     n = a.shape[0]
-    ash = a + alpha * np.eye(n)
 
-    if schur is not None:
-        schur[0][np.diag_indices(n)] += alpha
     # The initializer's Schur pair of the first closed loop serves the first step.
-    gain, *seed = _subspace_stabilizing_gain(ash, b, schur=schur)
+    gain, *seed = _subspace_stabilizing_gain(a, b, schur=schur)
     exact_steps = 0
     history = []
     # ``res`` is the dense residual of ``x``, or None after a low-rank step,
@@ -586,7 +573,7 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
     stalled = 0
     patience = 8
     for it in range(1, _RICCATI_MAX_ITER + 1):
-        acl_t = (ash - b @ gain).T
+        acl_t = (a - b @ gain).T
         x_next = None
         if w is not None:
             # A_k^T = A_ref^T - (K_k - K_ref)^T B^T.  The first low-rank step,
@@ -621,10 +608,10 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
                 x_next = _lyap_from_schur(t, zs, np.eye(n) + gain.T @ gain)
             else:
                 if res is None:
-                    res = _riccati_residual(ash, b, x)
+                    res = _riccati_residual(a, b, x)
                 x_next = x + _lyap_from_schur(t, zs, res)
             exact_steps += 1
-            res = _riccati_residual(ash, b, x_next)
+            res = _riccati_residual(a, b, x_next)
             res_norm = np.linalg.norm(res)
         x = x_next
         x_norm = max(np.linalg.norm(x), 1e-300)
@@ -632,7 +619,7 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
         # steps carried over; the dense residual decides convergence.
         carried = res is None and res_norm <= _RICCATI_TOL * x_norm
         if carried:
-            res = _riccati_residual(ash, b, x)
+            res = _riccati_residual(a, b, x)
             res_norm = np.linalg.norm(res)
         rel = res_norm / x_norm
         history.append(rel)
@@ -640,9 +627,9 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
             # The inertia certificate of the docstring; a low-rank last step
             # has shown X > 0 by its Cholesky factorization.
             if res_norm < 1.0 and (lowrank or _is_positive_definite(x)):
-                decay = -alpha - (1.0 - res_norm) / (2.0 * x_norm)
+                decay = -(1.0 - res_norm) / (2.0 * x_norm)
             else:
-                decay = spectral_abscissa(ash - b @ (b.T @ x)) - alpha
+                decay = spectral_abscissa(a - b @ (b.T @ x))
             return RiccatiSolution(
                 x=x,
                 residual_norm=rel,
@@ -678,21 +665,20 @@ def solve_riccati_control(a, b, *, alpha=0.0, schur=None):
     )
 
 
-def solve_riccati_filter(a, c, *, alpha=0.0, schur=None):
+def solve_riccati_filter(a, c, *, schur=None):
     """Stabilizing solution of the dual (filter) Riccati equation.
 
-    Solves ``(A + aI) X + X (A + aI)^T - X C^T C X + I = 0`` by
-    transposition of the control problem.  ``schur`` is an optional real
-    Schur pair ``(T, Z)`` of the unshifted ``A = Z T Z^T``, overwritten as in
-    :func:`solve_riccati_control`; ``closed_loop_decay`` bounds the abscissa
-    of ``A - X C^T C``.  ``ValueError`` names ``a`` when it is not a finite
-    square matrix and ``c`` when its column count differs or an entry is not
-    finite.
+    Solves ``A X + X A^T - X C^T C X + I = 0`` by transposition of the
+    control problem.  ``schur`` is an optional real Schur pair ``(T, Z)`` of
+    ``A = Z T Z^T``, overwritten as in :func:`solve_riccati_control`;
+    ``closed_loop_decay`` bounds the abscissa of ``A - X C^T C``.
+    ``ValueError`` names ``a`` when it is not a finite square matrix and
+    ``c`` when its column count differs or an entry is not finite.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     _check_system(a, c=c)
-    return solve_riccati_control(a.T, c.T, alpha=alpha, schur=schur)
+    return solve_riccati_control(a.T, c.T, schur=schur)
 
 
 # ---------------------------------------------------------------------------
@@ -718,13 +704,13 @@ class StateSpace:
         return self.a.shape[0]
 
     def transfer(self, s):
-        """C (sI - A)^-1 B at one complex s; ``ValueError`` if s is not finite, ``RuntimeError`` at a pole."""
+        """C (sI - A)^-1 B at one complex s; ``ValueError`` if s is not finite or a pole."""
         if not np.isfinite(s):
             raise ValueError(f"shift {s} is not finite")
         try:
             x = np.linalg.solve(s * np.eye(self.order) - self.a, self.b)
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"shift {s} is singular (eigenvalue of the system): {exc}") from exc
+            raise ValueError(f"shift {s} is singular (eigenvalue of the system): {exc}") from exc
         return self.c @ x
 
 

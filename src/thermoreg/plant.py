@@ -73,12 +73,13 @@ def to_standard_form(plant):
     """Congruence by the mass Cholesky factor: x_std = L^T x.
 
     Returns the dense StateSpace (L^-1 A L^-T, L^-1 B, C L^-T), which has
-    the same transfer function as the generalized plant.
+    the same transfer function as the generalized plant (``ValueError``
+    unless M is positive definite).
     """
     try:
         chol = sla.cholesky(plant.mass.toarray(), lower=True)
     except sla.LinAlgError as exc:
-        raise RuntimeError(f"mass matrix is not positive definite: {exc}") from exc
+        raise ValueError(f"mass matrix is not positive definite: {exc}") from exc
     half = sla.solve_triangular(chol, plant.drift.toarray(), lower=True)
     a_std = sla.solve_triangular(chol, half.T, lower=True).T
     b_std = sla.solve_triangular(chol, plant.control, lower=True)
@@ -89,8 +90,8 @@ def to_standard_form(plant):
 def transfer_value(plant, s):
     """Transfer matrix P(s) = C (sM - A)^-1 B via one sparse LU.
 
-    A non-finite shift raises ``ValueError``; a shift at an eigenvalue of the
-    plant raises ``RuntimeError``.
+    A non-finite shift and a shift at an eigenvalue of the plant raise
+    ``ValueError``.
     """
     if not np.isfinite(s):
         raise ValueError(f"shift {s} is not finite")
@@ -98,6 +99,6 @@ def transfer_value(plant, s):
     try:
         lu = spla.splu(shifted.astype(np.complex128), permc_spec=PENCIL_ORDERING)
     except RuntimeError as exc:
-        raise RuntimeError(f"shift {s} is singular (eigenvalue of the plant): {exc}") from exc
+        raise ValueError(f"shift {s} is singular (eigenvalue of the plant): {exc}") from exc
     return plant.observation @ lu.solve(plant.control.astype(np.complex128))
 

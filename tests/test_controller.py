@@ -117,12 +117,19 @@ def test_dual_reduction_is_wired_into_the_reduced_controller(synthesis11):
     assert np.array_equal(syn.reduced.g1[6:, 6:], red.a + red.b @ red.c[:1])
 
 
-def test_dual_riccati_quality(synthesis11):
-    assert synthesis11.control_riccati.residual_norm <= 1e-9
-    assert synthesis11.filter_riccati.residual_norm <= 1e-9
-    # alpha-shifted designs leave a decay margin of alpha.
-    assert synthesis11.control_riccati.closed_loop_decay < -1.0 + 1e-10
-    assert synthesis11.filter_riccati.closed_loop_decay < -1.0 + 1e-10
+def test_dual_riccati_quality(synthesis11, design11):
+    # Both equations are posed on drifts shifted by the decay margin, so a
+    # negative certified bound leaves the unshifted closed loops at least the
+    # margin left of the axis.
+    std, _ = design11
+    im = ctrl_mod.build_internal_model(FREQS, p=1)
+    a_s = np.block([[im.g1, np.zeros((im.dim, std.order))], [std.b @ im.k1, std.a]])
+    c_s = np.hstack([np.zeros((1, im.dim)), std.c])
+    ctrl, fil = synthesis11.control_riccati, synthesis11.filter_riccati
+    for sol, closed in ((ctrl, std.a - std.b @ (std.b.T @ ctrl.x)), (fil, a_s - fil.x @ c_s.T @ c_s)):
+        assert sol.residual_norm <= 1e-9
+        assert sol.closed_loop_decay < 0.0
+        assert lti.spectral_abscissa(closed) <= sol.closed_loop_decay - ctrl_mod._DECAY_MARGIN + 1e-10
 
 
 def _closed_loop_matrix(std, ctrl):
@@ -204,7 +211,7 @@ def test_dual_design_n21_filter_takes_no_polish(mesh41, mesh21, eigvals_orders, 
     for sol in (syn.control_riccati, syn.filter_riccati):
         assert sol.exact_steps == 1
         assert sol.residual_norm <= 1e-9
-        assert sol.closed_loop_decay < -1.0
+        assert sol.closed_loop_decay < 0.0  # of the loop shifted by the margin
 
 
 def test_dual_requires_square_plant(design11):
@@ -215,15 +222,30 @@ def test_dual_requires_square_plant(design11):
         ctrl_mod.synthesize_dual_observer(wide, im)
 
 
+def test_dual_rejects_internal_model_of_another_output_dimension(design11):
+    std, _ = design11
+    im = ctrl_mod.build_internal_model(FREQS, p=2)
+    with pytest.raises(ValueError, match="internal model output dimension does not match the plant"):
+        ctrl_mod.synthesize_dual_observer(std, im)
+
+
 def test_dual_design_has_no_weight_or_margin_knobs(design11):
-    # Unit weights and a constant decay margin: a stray weight or margin
-    # argument is a TypeError, not a silently rebound parameter.
+    # Unit weights and a constant decay margin, which only the dual design
+    # applies: a stray weight or margin argument is a TypeError, not a
+    # silently rebound parameter.
     std, _ = design11
     im = ctrl_mod.build_internal_model(FREQS, p=1)
+    a, b = -np.eye(2), np.ones((2, 1))
     with pytest.raises(TypeError):
         ctrl_mod.synthesize_dual_observer(std, im, alpha1=1.0)
     with pytest.raises(TypeError):
-        lti.solve_riccati_control(-np.eye(2), np.ones((2, 1)), np.eye(1), np.eye(2))
+        lti.solve_riccati_control(a, b, np.eye(1), np.eye(2))
+    with pytest.raises(TypeError):
+        lti.solve_riccati_control(a, b, alpha=1.0)
+    with pytest.raises(TypeError):
+        lti.solve_riccati_filter(a, b.T, alpha=1.0)
+    with pytest.raises(TypeError):
+        lti.riccati_hamiltonian(a, b, np.eye(1), np.eye(2))
 
 
 @pytest.mark.parametrize("r", [0, "N+1", 2.5, True], ids=["0", "N+1", "2.5", "True"])
@@ -263,7 +285,7 @@ def test_low_gain_scalar_unity_plant():
 def test_low_gain_transfer_at_an_internal_model_pole_is_singular():
     # The low-gain controller's drift is G1, whose eigenvalues are +-i w_k.
     ctrl = ctrl_mod.synthesize_low_gain([np.array([[1.0 + 0j]])] * 3, FREQS, eps=0.1)
-    with pytest.raises(RuntimeError, match="shift 1j"):
+    with pytest.raises(ValueError, match="shift 1j"):
         ctrl.as_statespace().transfer(1j)
 
 
@@ -272,6 +294,13 @@ def test_low_gain_scaling():
     c1 = ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.08)
     c2 = ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.16)
     assert np.allclose(2.0 * c1.k, c2.k, atol=1e-15)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_low_gain_rejects_wrong_number_of_transfer_values(count):
+    vals = [np.array([[1.0 + 0j]])] * count
+    with pytest.raises(ValueError, match="need one transfer value per frequency"):
+        ctrl_mod.synthesize_low_gain(vals, FREQS, eps=0.1)
 
 
 def test_low_gain_rejects_singular_transfer():

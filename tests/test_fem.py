@@ -236,11 +236,15 @@ def test_domain_load_control_shape_total(mesh41):
     assert abs(load.sum() - 0.015) < 1e-12
 
 
-def test_domain_load_outside_support_warns(mesh11):
+def test_domain_load_outside_support_raises(mesh11):
     shape = fem.ShapeSpec("indicator-rectangle", bounds=(2.0, 3.0, 2.0, 3.0))
-    with pytest.warns(UserWarning):
-        load = fem.assemble_load_domain(mesh11, shape)
-    assert not np.any(load)
+    with pytest.raises(ValueError, match="empty support"):
+        fem.assemble_load_domain(mesh11, shape)
+
+
+def test_domain_load_rejects_boundary_shape(mesh11):
+    with pytest.raises(ValueError, match="domain loads take indicator-rectangle shapes"):
+        fem.assemble_load_domain(mesh11, fem.ShapeSpec("boundary-indicator"))
 
 
 def test_boundary_load_inlet_length(mesh41):
@@ -269,10 +273,13 @@ def test_boundary_load_zero_shape(mesh11):
         {"kind": "indicator-rectangle", "bounds": (0.7, 0.9, 0.3, 0.1)},
         {"kind": "indicator-rectangle", "bounds": (0.7, 0.9, 0.2, 0.2)},
         {"kind": "boundary-indicator", "bounds": (0.0, 1.0, 0.0, 1.0)},
+        {"kind": "disc"},
+        {"kind": "indicator-rectangle"},
+        {"kind": "indicator-rectangle", "bounds": (0.7, 0.9, 0.1)},
     ],
     ids=[
         "nan-amplitude", "inf-amplitude", "nan-bound", "inf-bound", "x-reversed", "x-empty", "y-reversed", "y-empty",
-        "boundary-bounds",
+        "boundary-bounds", "unknown-kind", "rectangle-no-bounds", "rectangle-three-bounds",
     ],
 )
 def test_shape_spec_rejects_bad_values(kwargs):

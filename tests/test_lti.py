@@ -78,7 +78,7 @@ def test_lyapunov_rejects_unstable():
 # Riccati
 
 def test_riccati_scalar_closed_form():
-    sol = lti.solve_riccati_control(np.array([[0.0]]), np.array([[1.0]]), alpha=0.0)
+    sol = lti.solve_riccati_control(np.array([[0.0]]), np.array([[1.0]]))
     assert sol.x == pytest.approx(np.array([[1.0]]), abs=1e-12)
     # The closed loop is -1; the certified bound -(1 - |R|)/(2 |X|) is -0.5.
     assert -1.0 <= sol.closed_loop_decay < 0.0
@@ -95,37 +95,35 @@ def test_riccati_zero_b_reduces_to_lyapunov(rng):
 
 def test_riccati_matches_hamiltonian_oracle(rng):
     for _ in range(10):
-        a = random_stable(rng, 6, shift=1.5)
+        a = random_stable(rng, 6, shift=1.5) + 0.3 * np.eye(6)
         b = rng.standard_normal((6, 2))
-        q = np.eye(6)
-        sol = lti.solve_riccati_control(a, b, alpha=0.3)
-        x_ref = lti.riccati_hamiltonian(a, b, np.eye(2), q, alpha=0.3)
+        sol = lti.solve_riccati_control(a, b)
+        x_ref = lti.riccati_hamiltonian(a, b)
         assert np.max(np.abs(sol.x - x_ref)) < 1e-8
         assert sol.residual_norm <= 1e-9
 
 
 def test_riccati_unstable_shift_uses_initializer(rng):
-    # A stable but A + alpha I unstable: zero initial gain invalid, the
-    # subspace initializer must kick in.
-    a = random_stable(rng, 8, shift=1.0)
+    # A stable drift shifted into instability: zero initial gain invalid,
+    # the subspace initializer must kick in.
+    a = random_stable(rng, 8, shift=1.0) + 1.4 * np.eye(8)
     b = rng.standard_normal((8, 2))
-    q = np.eye(8)
-    alpha = 1.4
-    assert lti.spectral_abscissa(a + alpha * np.eye(8)) > 0
-    assert np.any(lti._subspace_stabilizing_gain(a + alpha * np.eye(8), b)[0])
-    sol = lti.solve_riccati_control(a, b, alpha=alpha)
-    x_ref = lti.riccati_hamiltonian(a, b, np.eye(2), q, alpha=alpha)
+    assert lti.spectral_abscissa(a) > 0
+    assert np.any(lti._subspace_stabilizing_gain(a, b)[0])
+    sol = lti.solve_riccati_control(a, b)
+    x_ref = lti.riccati_hamiltonian(a, b)
     assert np.max(np.abs(sol.x - x_ref)) / np.linalg.norm(x_ref) < 1e-9
-    assert sol.closed_loop_decay < -alpha + 1e-10
+    assert sol.closed_loop_decay < 0.0
 
 
 def test_riccati_decay_margin(rng):
-    # The alpha-shifted design guarantees closed-loop decay of at least alpha.
+    # Solved on A + 0.7 I, the equation leaves the closed loop of the
+    # unshifted A a decay of at least 0.7, as the dual design uses it.
     a = random_stable(rng, 5)
     b = rng.standard_normal((5, 1))
-    alpha = 0.7
-    sol = lti.solve_riccati_control(a, b, alpha=alpha)
-    assert sol.closed_loop_decay < -alpha + 1e-10
+    sol = lti.solve_riccati_control(a + 0.7 * np.eye(5), b)
+    assert sol.closed_loop_decay < 0.0
+    assert lti.spectral_abscissa(a - b @ (b.T @ sol.x)) <= sol.closed_loop_decay - 0.7 + 1e-12
 
 
 def test_riccati_solution_psd(rng):
@@ -134,12 +132,6 @@ def test_riccati_solution_psd(rng):
     sol = lti.solve_riccati_control(a, b)
     assert np.allclose(sol.x, sol.x.T, atol=1e-14)
     assert np.min(np.linalg.eigvalsh(sol.x)) >= -1e-8 * np.linalg.norm(sol.x)
-
-
-@pytest.mark.parametrize("alpha", [np.nan, np.inf])
-def test_riccati_rejects_non_finite_shift(alpha):
-    with pytest.raises(ValueError, match="alpha must be finite"):
-        lti.solve_riccati_control(np.array([[-1.0]]), np.array([[1.0]]), alpha=alpha)
 
 
 MALFORMED = {
@@ -161,7 +153,7 @@ MALFORMED = {
 )
 def test_riccati_control_rejects_malformed_input(a, b, message):
     with pytest.raises(ValueError, match=message):
-        lti.solve_riccati_control(a, b, alpha=0.5)
+        lti.solve_riccati_control(a, b)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +168,7 @@ def test_riccati_control_rejects_malformed_input(a, b, message):
 )
 def test_riccati_filter_rejects_malformed_input(a, c, message):
     with pytest.raises(ValueError, match=message):
-        lti.solve_riccati_filter(a, c, alpha=0.5)
+        lti.solve_riccati_filter(a, c)
 
 
 def test_riccati_unstabilizable_raises():
@@ -195,16 +187,14 @@ def test_riccati_full_steps_cross_conditioning_limit(seed, eigvals_orders):
     # converge.  |R(X)|_F = 1e-9 |X|_F is then far above 1, so the inertia
     # certificate does not hold and one dense eigenvalue solve gives the decay.
     rng = np.random.default_rng(seed)
-    a = 2.5 * rng.standard_normal((16, 16)) / 4
+    a = 2.5 * rng.standard_normal((16, 16)) / 4 + 0.5 * np.eye(16)
     b = 0.01 * rng.standard_normal((16, 1))
-    alpha = 0.5
-    sol = lti.solve_riccati_control(a, b, alpha=alpha)
+    sol = lti.solve_riccati_control(a, b)
     assert eigvals_orders == [16]
-    ash = a + alpha * np.eye(16)
-    res = ash.T @ sol.x + sol.x @ ash - sol.x @ b @ b.T @ sol.x + np.eye(16)
+    res = a.T @ sol.x + sol.x @ a - sol.x @ b @ b.T @ sol.x + np.eye(16)
     assert np.linalg.norm(res) / np.linalg.norm(sol.x) <= 1e-9
     assert np.linalg.norm(res) >= 1.0
-    assert sol.closed_loop_decay == lti.spectral_abscissa(ash - b @ (b.T @ sol.x)) - alpha < -alpha
+    assert sol.closed_loop_decay == lti.spectral_abscissa(a - b @ (b.T @ sol.x)) < 0.0
     assert np.any(np.diff(sol.residual_history) > 0)
 
 
@@ -213,10 +203,10 @@ def test_hamiltonian_oracle_rejects_non_stabilizing_solution(seed):
     # The same conditioning-limit problems: the stable subspace gives |X|
     # near 4e15 and an unstable closed loop (abscissa +0.41 and +0.29).
     rng = np.random.default_rng(seed)
-    a = 2.5 * rng.standard_normal((16, 16)) / 4
+    a = 2.5 * rng.standard_normal((16, 16)) / 4 + 0.5 * np.eye(16)
     b = 0.01 * rng.standard_normal((16, 1))
     with pytest.raises(ConvergenceError, match=r"not stabilizing: closed-loop abscissa \d\.\d+e-01"):
-        lti.riccati_hamiltonian(a, b, np.eye(1), np.eye(16), alpha=0.5)
+        lti.riccati_hamiltonian(a, b)
 
 
 def test_initializer_schur_reordering_failure_is_typed(monkeypatch):
@@ -234,27 +224,26 @@ def test_initializer_schur_reordering_failure_is_typed(monkeypatch):
 
 
 def test_initializer_rejects_unstable_stabilized_block():
-    # 45 of the 150 modes of A + I are unstable; the Hamiltonian solve of the
+    # 45 of the 150 modes of A are unstable; the Hamiltonian solve of the
     # projected 45-state, 2-input pair is too ill-conditioned to stabilize it.
     n = 150
     rng = np.random.default_rng(0)
     a = rng.standard_normal((n, n)) / np.sqrt(n) - 1.5 * np.eye(n) + 2.0 * np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    a += np.eye(n)
     b = rng.standard_normal((n, 2))
-    assert np.sum(np.linalg.eigvals(a + np.eye(n)).real > 0) == 45
+    assert np.sum(np.linalg.eigvals(a).real > 0) == 45
     with pytest.raises(ConvergenceError, match=r"no stabilizing initializer: .* order 45 has abscissa \d"):
-        lti.solve_riccati_control(a, b, alpha=1.0)
+        lti.solve_riccati_control(a, b)
 
 
 def test_filter_duality(rng):
-    a = random_stable(rng, 6)
+    a = random_stable(rng, 6) + 0.2 * np.eye(6)
     c = rng.standard_normal((2, 6))
-    q = np.eye(6)
-    fil = lti.solve_riccati_filter(a, c, alpha=0.2)
-    ctrl = lti.solve_riccati_control(a.T, c.T, alpha=0.2)
+    fil = lti.solve_riccati_filter(a, c)
+    ctrl = lti.solve_riccati_control(a.T, c.T)
     assert np.max(np.abs(fil.x - ctrl.x)) < 1e-12
     # Residual of the filter equation itself.
-    ash = a + 0.2 * np.eye(6)
-    res = ash @ fil.x + fil.x @ ash.T - fil.x @ c.T @ c @ fil.x + q
+    res = a @ fil.x + fil.x @ a.T - fil.x @ c.T @ c @ fil.x + np.eye(6)
     assert np.linalg.norm(res) / np.linalg.norm(fil.x) < 1e-9
 
 
@@ -266,49 +255,48 @@ def test_filter_scalar_dual():
 # ---------------------------------------------------------------------------
 # Newton-Kleinman with low-rank corrections (order above _TRSYL_BLOCK)
 
-LOWRANK_ALPHA = 1.05
-
-
 def nonnormal_problem(seed, n=150, m=2):
-    """Non-normal drift with spectrum in [-10, -1], random B (n x m) and C.
-
-    Four eigenvalues of A + LOWRANK_ALPHA I are unstable, so the subspace
-    initializer engages.
-    """
+    """Non-normal drift with spectrum in [-10, -1], random B (n x m) and C."""
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     tri = np.diag(-np.logspace(0.0, 1.0, n)) + 0.5 / np.sqrt(n) * np.triu(rng.standard_normal((n, n)), 1)
     return basis @ tri @ basis.T, rng.standard_normal((n, m)), rng.standard_normal((m, n))
 
 
+def riccati_problem(seed):
+    """``nonnormal_problem`` with its drift shifted by 1.05 I.
+
+    Four eigenvalues of the shifted drift are unstable, so the subspace
+    initializer engages.
+    """
+    a, b, c = nonnormal_problem(seed)
+    return a + 1.05 * np.eye(a.shape[0]), b, c
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_riccati_lowrank_matches_hamiltonian_oracle(seed):
-    a, b, c = nonnormal_problem(seed)
-    n, m = b.shape
-    alpha = LOWRANK_ALPHA
-    assert n > lti._TRSYL_BLOCK
-    assert np.any(lti._subspace_stabilizing_gain(a + alpha * np.eye(n), b)[0])
+    a, b, c = riccati_problem(seed)
+    assert b.shape[0] > lti._TRSYL_BLOCK
+    assert np.any(lti._subspace_stabilizing_gain(a, b)[0])
     solutions = [
-        (lti.solve_riccati_control(a, b, alpha=alpha),
-         lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=alpha)),
-        (lti.solve_riccati_filter(a, c, alpha=alpha),
-         lti.riccati_hamiltonian(a.T, c.T, np.eye(m), np.eye(n), alpha=alpha)),
+        (lti.solve_riccati_control(a, b), lti.riccati_hamiltonian(a, b)),
+        (lti.solve_riccati_filter(a, c), lti.riccati_hamiltonian(a.T, c.T)),
     ]
     for sol, x_ref in solutions:
         assert sol.residual_norm <= 1e-9
         assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
-        assert sol.closed_loop_decay < -alpha + 1e-10
+        assert sol.closed_loop_decay < 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_riccati_lowrank_needs_few_schur_forms(seed, schur_orders):
     # Initializer, first exact step and at most one polish; the full-Schur
     # loop needed one decomposition per iteration.
-    a, b, c = nonnormal_problem(seed)
+    a, b, c = riccati_problem(seed)
     n = b.shape[0]
     for solve, op in ((lti.solve_riccati_control, b), (lti.solve_riccati_filter, c)):
         schur_orders.clear()
-        sol = solve(a, op, alpha=LOWRANK_ALPHA)
+        sol = solve(a, op)
         assert sol.residual_norm <= 1e-9
         assert sum(k >= n for k in schur_orders) <= 3 < sol.iterations + 1
 
@@ -317,43 +305,43 @@ def test_riccati_lowrank_needs_few_schur_forms(seed, schur_orders):
 def test_riccati_lowrank_needs_at_most_two_schur_forms(seed, schur_orders):
     # The initializer's ordered form is also the first step's, so only a
     # polish adds an order-N form.
-    a, b, c = nonnormal_problem(seed)
+    a, b, c = riccati_problem(seed)
     n = b.shape[0]
     for solve, op in ((lti.solve_riccati_control, b), (lti.solve_riccati_filter, c)):
         schur_orders.clear()
-        sol = solve(a, op, alpha=LOWRANK_ALPHA)
+        sol = solve(a, op)
         assert sol.residual_norm <= 1e-9
         assert sum(k >= n for k in schur_orders) <= 2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_supplied_schur_pair_gives_the_same_solution(seed, schur_orders):
-    # A caller's Schur pair of the unshifted drift (A^T for the control
-    # equation, A for the filter equation) replaces the solver's own order-N
-    # form; the solution is the same up to rounding.
-    a, b, c = nonnormal_problem(seed)
-    n, m = b.shape
+    # A caller's Schur pair of the drift (A^T for the control equation, A
+    # for the filter equation) replaces the solver's own order-N form; the
+    # solution is the same up to rounding.
+    a, b, c = riccati_problem(seed)
+    n = b.shape[0]
     cases = (
-        (lti.solve_riccati_control, b, a.T, lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)),
-        (lti.solve_riccati_filter, c, a, lti.riccati_hamiltonian(a.T, c.T, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)),
+        (lti.solve_riccati_control, b, a.T, lti.riccati_hamiltonian(a, b)),
+        (lti.solve_riccati_filter, c, a, lti.riccati_hamiltonian(a.T, c.T)),
     )
     for solve, op, drift, x_ref in cases:
-        own = solve(a, op, alpha=LOWRANK_ALPHA)
+        own = solve(a, op)
         pair = sla.schur(drift, output="real")
         schur_orders.clear()
-        sol = solve(a, op, alpha=LOWRANK_ALPHA, schur=pair)
+        sol = solve(a, op, schur=pair)
         assert not any(k >= n for k in schur_orders)
         assert sol.residual_norm <= 1e-9
         assert np.linalg.norm(sol.x - own.x) / np.linalg.norm(own.x) < 1e-8
         assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
-        assert sol.closed_loop_decay < -LOWRANK_ALPHA + 1e-10
+        assert sol.closed_loop_decay < 0.0
 
 
 def test_riccati_records_exact_steps_and_residual_history(monkeypatch):
-    a, b, _ = nonnormal_problem(0)
+    a, b, _ = riccati_problem(0)
 
     def solve():
-        return lti.solve_riccati_control(a, b, alpha=LOWRANK_ALPHA)
+        return lti.solve_riccati_control(a, b)
 
     # Inner tolerances sized by the outer one: only the first step is exact.
     sol = solve()
@@ -367,11 +355,10 @@ def test_riccati_records_exact_steps_and_residual_history(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_initializer_returns_schur_form_of_first_closed_loop(seed):
-    a, b, _ = nonnormal_problem(seed)
+    a, b, _ = riccati_problem(seed)
     n = b.shape[0]
-    ash = a + LOWRANK_ALPHA * np.eye(n)
-    gain, t, z = lti._subspace_stabilizing_gain(ash, b)
-    acl_t = (ash - b @ gain).T
+    gain, t, z = lti._subspace_stabilizing_gain(a, b)
+    acl_t = (a - b @ gain).T
     assert np.linalg.norm(z.T @ z - np.eye(n)) < 1e-12 * n
     assert np.linalg.norm(z @ t @ z.T - acl_t) < 1e-12 * np.linalg.norm(acl_t)
     # Quasi-upper-triangular: nothing below the first subdiagonal, and no
@@ -400,13 +387,32 @@ def test_riccati_falls_back_to_exact_steps(denial, monkeypatch, schur_orders):
     else:
         # X + E is indefinite, so the step carries no inertia certificate.
         monkeypatch.setattr(lti, "_lowrank_lyap", lambda a, w, solve, atol: -1e6 * np.eye(a.shape[0]))
-    a, b, _ = nonnormal_problem(0)
-    n, m = b.shape
-    sol = lti.solve_riccati_control(a, b, alpha=LOWRANK_ALPHA)
+    a, b, _ = riccati_problem(0)
+    sol = lti.solve_riccati_control(a, b)
     # One exact step per iteration; the first uses the initializer's form.
-    assert sum(k >= n for k in schur_orders) == sol.iterations
-    x_ref = lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+    assert sum(k >= b.shape[0] for k in schur_orders) == sol.iterations
+    x_ref = lti.riccati_hamiltonian(a, b)
     assert sol.residual_norm <= 1e-9
+    assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
+
+
+def test_riccati_exact_step_after_a_lowrank_step(monkeypatch):
+    # The Krylov kernel answers the first low-rank step and fails on the
+    # next, so an exact step follows a low-rank one and forms the dense
+    # residual that the low-rank step left unformed.
+    kernel = lti._lowrank_lyap
+    calls = []
+
+    def first_only(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs) if len(calls) == 1 else None
+
+    monkeypatch.setattr(lti, "_lowrank_lyap", first_only)
+    a, b, _ = riccati_problem(0)
+    sol = lti.solve_riccati_control(a, b)
+    assert len(calls) >= 2 and sol.exact_steps >= 2
+    assert sol.residual_norm <= 1e-9
+    x_ref = lti.riccati_hamiltonian(a, b)
     assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
 
 
@@ -415,15 +421,15 @@ def test_riccati_lowrank_steps_share_one_lu(seed, lu_orders, monkeypatch):
     # Every low-rank step solves with its closed loop through the first one's
     # LU and a rank-m Woodbury correction.  With no capacitance accepted,
     # each low-rank step factors its own closed loop, and X is the same.
-    a, b, c = nonnormal_problem(seed)
+    a, b, c = riccati_problem(seed)
     for solve, op in ((lti.solve_riccati_control, b), (lti.solve_riccati_filter, c)):
         lu_orders.clear()
-        shared = solve(a, op, alpha=LOWRANK_ALPHA)
+        shared = solve(a, op)
         assert lu_orders == [a.shape[0]] and shared.iterations - shared.exact_steps >= 4
         with monkeypatch.context() as patch:
             patch.setattr(lti, "_WOODBURY_MAX_COND", 0.0)
             lu_orders.clear()
-            own = solve(a, op, alpha=LOWRANK_ALPHA)
+            own = solve(a, op)
         assert len(lu_orders) == own.iterations - own.exact_steps
         assert own.residual_norm <= 1e-9
         assert np.linalg.norm(own.x - shared.x) <= 1e-9 * np.linalg.norm(shared.x)
@@ -450,11 +456,10 @@ def test_riccati_carried_residual_takes_exact_polish(monkeypatch, schur_orders):
     # leave behind exceed the outer tolerance.  The factored residual does not
     # see them, the dense check before return does, and an exact step follows.
     monkeypatch.setattr(lti, "_OUTER_SHARE", 1e2)
-    a, b, _ = nonnormal_problem(0)
-    n, m = b.shape
-    sol = lti.solve_riccati_control(a, b, alpha=LOWRANK_ALPHA)
-    assert sum(k >= n for k in schur_orders) >= 2
-    x_ref = lti.riccati_hamiltonian(a, b, np.eye(m), np.eye(n), alpha=LOWRANK_ALPHA)
+    a, b, _ = riccati_problem(0)
+    sol = lti.solve_riccati_control(a, b)
+    assert sum(k >= b.shape[0] for k in schur_orders) >= 2
+    x_ref = lti.riccati_hamiltonian(a, b)
     assert sol.residual_norm <= 1e-9
     assert np.linalg.norm(sol.x - x_ref) / np.linalg.norm(x_ref) < 1e-7
 

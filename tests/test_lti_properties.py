@@ -97,12 +97,11 @@ def test_krylov_factor_residual(seed, n, m, near_axis, exact):
     assert lti._lowrank_residual_norm(a, z, w) <= 2.0 * res + 1e-14 * denom
 
 
-def shifted_problem(rng, n, m, unstable, near_axis):
-    """Drift A, shift alpha and B; A + alpha I has ``unstable`` unstable blocks."""
-    alpha = rng.uniform(0.0, 1.0)
+def riccati_problem(rng, n, m, unstable, near_axis):
+    """Drift A with ``unstable`` unstable blocks, and B."""
     t = quasi_triangular(rng, n, near_axis, unstable=unstable)
     z = orthogonal(rng, n)
-    return z @ t @ z.T - alpha * np.eye(n), alpha, rng.standard_normal((n, m))
+    return z @ t @ z.T, rng.standard_normal((n, m))
 
 
 @PROPERTY_SETTINGS
@@ -110,35 +109,32 @@ def shifted_problem(rng, n, m, unstable, near_axis):
        unstable=st.integers(0, 3), near_axis=st.floats(1e-2, 1.0))
 def test_riccati_matches_hamiltonian(seed, n, m, unstable, near_axis):
     rng = np.random.default_rng(seed)
-    a, alpha, b = shifted_problem(rng, n, m, unstable, near_axis)
-    q = np.eye(n)
+    a, b = riccati_problem(rng, n, m, unstable, near_axis)
     for sol, x_ref in (
-        (lti.solve_riccati_control(a, b, alpha=alpha),
-         lti.riccati_hamiltonian(a, b, np.eye(m), q, alpha=alpha)),
-        (lti.solve_riccati_filter(a, b.T, alpha=alpha),
-         lti.riccati_hamiltonian(a.T, b, np.eye(m), q, alpha=alpha)),
+        (lti.solve_riccati_control(a, b), lti.riccati_hamiltonian(a, b)),
+        (lti.solve_riccati_filter(a, b.T), lti.riccati_hamiltonian(a.T, b)),
     ):
         assert sol.residual_norm <= 1e-9
         assert np.linalg.norm(sol.x - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
-        assert sol.closed_loop_decay < -alpha + 1e-10
+        assert sol.closed_loop_decay < 0.0
 
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40), m=st.integers(1, 2),
        unstable=st.integers(0, 3), near_axis=st.floats(1e-2, 1.0))
 def test_riccati_decay_bounds_closed_loop_abscissa(seed, n, m, unstable, near_axis):
-    # The inertia certificate is an upper bound on the abscissa of the
-    # unshifted closed loop, strictly below -alpha.  The abscissa is formed
-    # as the solver's dense fallback forms it, shifted loop of the control
-    # problem first, so that the fallback meets it up to no rounding.
+    # The inertia certificate is a negative upper bound on the abscissa of
+    # the closed loop.  The abscissa is formed as the solver's dense fallback
+    # forms it, closed loop of the control problem, so that the fallback
+    # meets it up to no rounding.
     rng = np.random.default_rng(seed)
-    a, alpha, b = shifted_problem(rng, n, m, unstable, near_axis)
+    a, b = riccati_problem(rng, n, m, unstable, near_axis)
     for sol, drift in (
-        (lti.solve_riccati_control(a, b, alpha=alpha), a),
-        (lti.solve_riccati_filter(a, b.T, alpha=alpha), a.T),
+        (lti.solve_riccati_control(a, b), a),
+        (lti.solve_riccati_filter(a, b.T), a.T),
     ):
-        abscissa = lti.spectral_abscissa(drift + alpha * np.eye(n) - b @ (b.T @ sol.x)) - alpha
-        assert abscissa - 1e-12 <= sol.closed_loop_decay < -alpha
+        abscissa = lti.spectral_abscissa(drift - b @ (b.T @ sol.x))
+        assert abscissa - 1e-12 <= sol.closed_loop_decay < 0.0
 
 
 @PROPERTY_SETTINGS

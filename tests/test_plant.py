@@ -173,8 +173,16 @@ def test_transfer_value_at_an_eigenvalue_is_singular():
     eye = sp.identity(2, format="csr")
     diag = sp.diags([-1.0, -2.0], format="csr")
     gen = plant_mod.GeneralizedPlant(eye, diag, np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 2)))
-    with pytest.raises(RuntimeError, match="singular"):
+    with pytest.raises(ValueError, match="singular"):
         plant_mod.transfer_value(gen, -1.0)
+
+
+def test_standard_form_rejects_indefinite_mass():
+    mass = sp.diags([1.0, -1.0], format="csr")
+    drift = sp.diags([-1.0, -2.0], format="csr")
+    gen = plant_mod.GeneralizedPlant(mass, drift, np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="mass matrix is not positive definite"):
+        plant_mod.to_standard_form(gen)
 
 
 def test_invalid_parameters(mesh11):

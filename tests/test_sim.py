@@ -111,6 +111,9 @@ def test_dimension_mismatch_rejected(plant11):
     bad = ControllerRealization(g1=np.zeros((2, 2)), g2=np.zeros((2, 3)), k=np.zeros((1, 2)))
     with pytest.raises(ValueError):
         sim.assemble_closed_loop(plant11, bad)
+    bad = ControllerRealization(g1=np.zeros((2, 2)), g2=np.zeros((2, 1)), k=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="controller produces 2 inputs, plant takes 1"):
+        sim.assemble_closed_loop(plant11, bad)
 
 
 @pytest.mark.parametrize("signal", ["ref", "dist"])
@@ -323,6 +326,26 @@ def test_step_stores_no_plant_by_controller_array(mesh41):
     assert peak < 0.5 * plant.drift.shape[0] * nz * 8
 
 
+@pytest.mark.parametrize(
+    "dt, t_end",
+    [(0.0, 1.0), (-0.01, 1.0), (np.nan, 1.0), (0.1, 0.05), (0.01, np.inf)],
+    ids=["zero-dt", "negative-dt", "nan-dt", "t_end-below-dt", "infinite-t_end"],
+)
+def test_bad_step_or_horizon_rejected(plant11, dt, t_end):
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
+    with pytest.raises(ValueError, match="need dt > 0 and finite t_end >= dt"):
+        sim.simulate(cl, sim.paper_signals(), t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize("which", ["x0", "z0"])
+def test_misshaped_initial_state_rejected(plant11, which):
+    cl = sim.assemble_closed_loop(plant11, zero_controller())
+    n, nz = plant11.drift.shape[0], cl.ctrl.dim
+    bad = {"x0": np.ones(n + 1)} if which == "x0" else {"z0": np.zeros((nz, 1))}
+    with pytest.raises(ValueError, match="initial state dimensions do not match the closed loop"):
+        sim.simulate(cl, sim.paper_signals(), t_end=0.1, dt=0.01, **bad)
+
+
 def test_partial_step_horizon_rejected(plant11):
     cl = sim.assemble_closed_loop(plant11, zero_controller())
     with pytest.raises(ValueError, match="whole number of steps"):
@@ -417,6 +440,13 @@ def test_metrics_pure_exponential():
     m = sim.tracking_metrics(res)
     assert abs(m.decay_rate - 1.0) < 0.05
     assert m.sup_tail == pytest.approx(np.exp(-16.0), rel=1e-6)
+
+
+def test_metrics_reject_empty_result():
+    empty = np.zeros((0, 1))
+    res = sim.SimulationResult(t=np.zeros(0), y=empty, y_ref=empty, error=empty, u=empty, theta_min=0.0, theta_max=0.0)
+    with pytest.raises(ValueError, match="empty simulation result"):
+        sim.tracking_metrics(res)
 
 
 def test_metrics_reject_single_point_envelope():
