@@ -160,6 +160,15 @@ def synthesize_dual_observer(design, im, r=10):
     ``T_s = [[P T^T P, (Z P)^T B K1 Z_g], [0, T_g]]`` and
     ``Z_s = [[0, Z_g], [Z P, 0]]``.  The shift adds ``a`` to the diagonals of
     T and T_s.  Both pairs are overwritten by the solves that take them.
+
+    The order-N arrays are built in the order they are needed, and each is
+    dropped after its last use: the Schur form of ``A^T`` and the cascade's
+    pair from it; the shifted drift ``A + aI`` (a copy with its diagonal
+    shifted), which lives only through the control solve; the cascade drift
+    ``A_s + aI``, built after that solve and dropped after the filter solve;
+    then the BT input ``A + B K2``.  Each Schur pair is handed to its solve
+    with no reference kept here, so the solve releases it after its first
+    exact step.
     """
     n = design.order
     p = design.c.shape[0]
@@ -169,42 +178,46 @@ def synthesize_dual_observer(design, im, r=10):
         raise ValueError("internal model output dimension does not match the plant")
     lti.check_reduced_order(r, n)  # before the Riccati solves, not after them
 
-    # (o) the one order-N Schur form, and the cascade's pair built from it
+    # (o) the one order-N Schur form, and the cascade's pair built from it,
+    # both shifted by the margin.  Each pair is popped into the solve that
+    # takes it, so no reference is left here and the solve releases it.
     t, z = sla.schur(design.a.T, output="real")
     t_s, z_s = _cascade_schur(im, design.b, t, z)
+    for shifted in (t, t_s):
+        shifted[np.diag_indices_from(shifted)] += _DECAY_MARGIN
+    pairs = [(t, z), (t_s, z_s)]
+    del t, z, t_s, z_s, shifted
 
-    # (i) internal model / plant cascade
+    # (i) state feedback from the control Riccati equation
+    a_shift = design.a.copy()
+    a_shift[np.diag_indices(n)] += _DECAY_MARGIN
+    ctrl_sol = lti.solve_riccati_control(a_shift, design.b, schur=pairs.pop(0))
+    del a_shift
+    k2 = -design.b.T @ ctrl_sol.x
+
+    # (ii) output injection from the filter Riccati equation of the internal
+    # model / plant cascade
     ns = im.dim + n
     a_s = np.zeros((ns, ns))
     a_s[: im.dim, : im.dim] = im.g1
     a_s[im.dim :, : im.dim] = design.b @ im.k1
     a_s[im.dim :, im.dim :] = design.a
+    a_s[np.diag_indices_from(a_s)] += _DECAY_MARGIN
     c_s = np.hstack([np.zeros((p, im.dim)), design.c])
-
-    # Both Riccati drifts, and their Schur forms, are shifted by the margin.
-    for shifted in (a_s, t, t_s):
-        shifted[np.diag_indices_from(shifted)] += _DECAY_MARGIN
-
-    # (ii) state feedback from the control Riccati equation
-    ctrl_sol = lti.solve_riccati_control(design.a + _DECAY_MARGIN * np.eye(n), design.b, schur=(t, z))
-    del t, z
-    k2 = -design.b.T @ ctrl_sol.x
-
-    # (iii) output injection from the filter Riccati equation
-    fil_sol = lti.solve_riccati_filter(a_s, c_s, schur=(t_s, z_s))
-    del t_s, z_s
+    fil_sol = lti.solve_riccati_filter(a_s, c_s, schur=pairs.pop())
+    del a_s
     g2l = -fil_sol.x @ c_s.T
     g2n = g2l[: im.dim]
     l_n = g2l[im.dim :]
 
-    # (iv) balanced truncation of the stabilized observer system
+    # (iii) balanced truncation of the stabilized observer system
     a_kn = design.a + design.b @ k2
     bt_input = StateSpace(a=a_kn, b=l_n, c=np.vstack([design.c, k2]))
     reduction = lti.balanced_truncation(bt_input, r)
     c_kr = reduction.system.c[:p]
     k2r = reduction.system.c[p:]
 
-    # (v) wire both realizations
+    # (iv) wire both realizations
     full = _wire_dual(im, g2n, a_kn, l_n, design.c, k2)
     reduced = _wire_dual(im, g2n, reduction.system.a, reduction.system.b, c_kr, k2r)
     return DualObserverSynthesis(

@@ -27,9 +27,10 @@ decomposition.  Each later step solves for a correction whose right-hand
 side has the rank of B, only as accurately as the outer tolerance needs
 (inexact Newton-Kleinman): its Galerkin residual may use a fixed share of
 ``1e-9 |X_k|_F``, above the kernel's rounding floor and below a tenth of the
-right-hand side.  One LU factorization serves all these steps: each closed
-loop differs from the first low-rank step's by a rank-m term, so a
-Sherman-Morrison-Woodbury correction with an m x m capacitance gives its
+right-hand side.  These steps apply their closed loop as a product and form
+it densely only to factor it: one LU factorization serves all of them, since
+each closed loop differs from the first low-rank step's by a rank-m term, so
+a Sherman-Morrison-Woodbury correction with an m x m capacitance gives its
 solves (a new LU only when the capacitance is ill-conditioned).  The new
 residual is evaluated in factored form.  That
 factored form does not see the Galerkin residuals left behind, so the dense
@@ -42,9 +43,13 @@ tolerance allows.  The exact step is also the fallback whenever the
 projection does not deliver.  The closed loop's decay margin is certified
 from numbers the solve already holds, with no eigenvalue problem: X > 0 and
 a dense residual below 1 bound the abscissa through the Lyapunov inertia
-theorem, and dense eigenvalues are the fallback when either fails.  A
-Hamiltonian-subspace Riccati solver is kept as an independent oracle for
-desk-scale problems and as the inner solver of the initializer.
+theorem, and dense eigenvalues are the fallback when either fails.  X > 0
+is certified by a chain: each exact iterate is factored once, and a low-rank
+step is decided from a small matrix of the order of its accumulated
+corrections.  No order-N array is kept past its last use; the Schur pair
+handed to a solve is released after its first step.  A Hamiltonian-subspace
+Riccati solver is kept as an independent oracle for desk-scale problems and
+as the inner solver of the initializer.
 
 One low-rank Lyapunov kernel serves both the Newton-Kleinman corrections
 and balanced truncation: a Galerkin projection onto the extended Krylov
@@ -62,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import ConvergenceError
@@ -76,8 +82,13 @@ _RICCATI_MAX_ITER = 60
 # Largest extended Krylov basis of a low-rank Newton-Kleinman correction.
 _KRYLOV_MAX_DIM = 300
 # Share of the outer tolerance ``_RICCATI_TOL |X_k|_F`` that the Galerkin residual of
-# one low-rank Newton-Kleinman step may use.
-_OUTER_SHARE = 1e-2
+# one low-rank Newton-Kleinman step may use.  Later steps do not see these
+# residuals, so X keeps their effect: at 1e-2, two solves that differed only
+# in rounding (one LU per step or one shared) ended up to 1.9e-9 apart on the
+# 150-state test problems; at 1e-3, up to 5.7e-10, with the same outer
+# iteration counts.  Much below 1e-3 the Krylov kernel's rounding floor sets
+# the residual instead.
+_OUTER_SHARE = 1e-3
 # Rounding floor of the Krylov kernel's residual relative to |W W^T|_F: its
 # default tolerance, the floor of every Newton-Kleinman inner tolerance and
 # the tolerance of balanced truncation's Gramian factors (at 1e-12 the
@@ -110,47 +121,73 @@ def _split_index(t, n):
 
 
 def _syl_tri(a, b, c):
-    """Solve A X + X B^T = C for quasi-upper-triangular A and B (blocked)."""
+    """Solve A X + X B^T = C for quasi-upper-triangular A and B (blocked), overwriting C with X."""
     p, q = a.shape[0], b.shape[0]
     if p <= _TRSYL_BLOCK and q <= _TRSYL_BLOCK:
         x, scale, info = lapack.dtrsyl(a, b, c, isgn=1, trana="N", tranb="T")
         if info < 0:
             raise RuntimeError(f"trsyl failed with info={info}")
-        return x / scale
+        np.divide(x, scale, out=c)
+        return c
     if p >= q:
         m = _split_index(a, p)
-        x2 = _syl_tri(a[m:, m:], b, c[m:])
-        x1 = _syl_tri(a[:m, :m], b, c[:m] - a[:m, m:] @ x2)
-        return np.vstack([x1, x2])
+        _syl_tri(a[m:, m:], b, c[m:])
+        c[:m] -= a[:m, m:] @ c[m:]
+        _syl_tri(a[:m, :m], b, c[:m])
+        return c
     m = _split_index(b, q)
-    x2 = _syl_tri(a, b[m:, m:], c[:, m:])
-    x1 = _syl_tri(a, b[:m, :m], c[:, :m] - x2 @ b[:m, m:].T)
-    return np.hstack([x1, x2])
+    _syl_tri(a, b[m:, m:], c[:, m:])
+    c[:, :m] -= c[:, m:] @ b[:m, m:].T
+    _syl_tri(a, b[:m, :m], c[:, :m])
+    return c
 
 
 def _lyap_tri(t, c):
-    """Solve T Y + Y T^T = C (C symmetric, T quasi-upper-triangular)."""
+    """Solve T Y + Y T^T = C (C symmetric, T quasi-upper-triangular), overwriting C with Y.
+
+    Only the diagonal blocks and the upper off-diagonal block of C are read.
+    """
     n = t.shape[0]
     if n <= _TRSYL_BLOCK:
         y, scale, info = lapack.dtrsyl(t, t, c, isgn=1, trana="N", tranb="T")
         if info < 0:
             raise RuntimeError(f"trsyl failed with info={info}")
-        return y / scale
+        np.divide(y, scale, out=c)
+        return c
     m = _split_index(t, n)
     t11, t12, t22 = t[:m, :m], t[:m, m:], t[m:, m:]
     y22 = _lyap_tri(t22, c[m:, m:])
-    y12 = _syl_tri(t11, t22, c[:m, m:] - t12 @ y22)
-    y11 = _lyap_tri(t11, c[:m, :m] - t12 @ y12.T - y12 @ t12.T)
-    return np.block([[y11, y12], [y12.T, y22]])
+    c[:m, m:] -= t12 @ y22
+    y12 = _syl_tri(t11, t22, c[:m, m:])
+    c[:m, :m] -= t12 @ y12.T
+    c[:m, :m] -= y12 @ t12.T
+    _lyap_tri(t11, c[:m, :m])
+    c[m:, :m] = y12.T
+    return c
+
+
+def _lyap_in_schur_basis(t, z, c):
+    """Solution ``X = Z Y Z^T`` of ``T Y + Y T^T = C`` (C symmetric), given the Schur pair of A.
+
+    C is overwritten with Y.  When the caller keeps no reference to C, it is
+    released once used, and at most one order-N temporary is alive besides X.
+    """
+    _lyap_tri(t, c)
+    x = z @ c
+    del c
+    x = x @ z.T
+    x += x.T
+    x *= 0.5
+    return x
 
 
 def _lyap_from_schur(t, z, q):
     """Solution of A X + X A^T + Q = 0 given the Schur pair of A."""
-    chat = -(z.T @ q @ z)
-    chat = 0.5 * (chat + chat.T)
-    y = _lyap_tri(t, chat)
-    x = z @ y @ z.T
-    return 0.5 * (x + x.T)
+    chat = z.T @ q
+    chat = chat @ z
+    chat += chat.T
+    chat *= -0.5
+    return _lyap_in_schur_basis(t, z, chat)
 
 
 def _real_schur(a):
@@ -257,14 +294,20 @@ def riccati_hamiltonian(a, b):
 
     Desk-scale method (dense Schur of a 2n x 2n matrix); serves as the
     independent oracle for the Newton-Kleinman path.  Raises
-    :class:`ConvergenceError` unless ``a - b b^T X`` is stable: near the
-    conditioning limit the computed subspace can give a huge X that does not
-    stabilize, with a small relative residual all the same, so the closed
-    loop is checked rather than the residual.
+    :class:`ConvergenceError`, carrying the residual, when the relative
+    residual ``|R(X)|_F / |X|_F`` exceeds ``_RICCATI_TOL``, and unless
+    ``a - b b^T X`` is stable.  Near the conditioning limit the computed
+    subspace can give a huge X whose closed-loop abscissa is decided by the
+    rounding of one product; its residual rejects it first.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     x = _hamiltonian_solution(a, b)
+    rel = np.linalg.norm(_riccati_residual(a, b, x)) / max(np.linalg.norm(x), 1e-300)
+    if not rel <= _RICCATI_TOL:
+        raise ConvergenceError(
+            f"Hamiltonian solution has relative residual {rel:.2e} above {_RICCATI_TOL:g}", residual=rel
+        )
     closed = a - b @ b.T @ x
     abscissa = spectral_abscissa(closed) if np.all(np.isfinite(closed)) else np.nan
     if not abscissa < 0.0:
@@ -323,20 +366,64 @@ def _subspace_stabilizing_gain(a, b, schur=None):
     return gain, t, z
 
 
-def _is_positive_definite(x):
-    """Whether the Cholesky factorization of symmetric ``x`` succeeds."""
+def _first_rhs_in_schur_basis(gain, z):
+    """``-Z^T (I + K^T K) Z = -(I + (K Z)^T (K Z))`` for orthogonal Z, from the m x N product K Z."""
+    kz = gain @ z
+    c = kz.T @ kz
+    c[np.diag_indices_from(c)] += 1.0
+    c *= -1.0
+    return c
+
+
+def _cholesky_or_none(x):
+    """Lower Cholesky factor of symmetric ``x``, or None when ``x`` is not positive definite."""
     try:
-        np.linalg.cholesky(x)
+        return np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+
+
+def _downdate_is_positive_definite(x, chol, y, z):
+    """Whether ``X - Z Z^T`` is positive definite, and the columns ``[Y, L^-1 Z]``.
+
+    ``chol`` is the Cholesky factor L of the last exact iterate ``X_e = L L^T``
+    (None when X_e is not positive definite) and ``X = X_e - (L Y)(L Y)^T``.
+    With ``Y' = [Y, L^-1 Z]``, ``X - Z Z^T = L (I - Y' Y'^T) L^T`` is positive
+    definite exactly when the small ``S = I - Y'^T Y'`` is.  The triangular
+    solve is backward stable, so S is that of an X_e perturbed by about
+    ``N eps |X_e|``, which moves the eigenvalues of S by up to about
+    ``N eps cond(X_e)``, estimated by the ratio of the largest to the smallest
+    Cholesky pivot.  When the smallest eigenvalue of S lies within that, or
+    there is no L, the Cholesky factorization of ``X - Z Z^T`` decides.
+    """
+    if chol is None:
+        return _cholesky_or_none(x - z @ z.T) is not None, y
+    y = np.hstack([y, sla.solve_triangular(chol, z, lower=True)])
+    if not y.shape[1]:
+        return True, y
+    small = -(y.T @ y)
+    small[np.diag_indices_from(small)] += 1.0
+    lam = sla.eigh(small, eigvals_only=True, subset_by_index=[0, 0])[0]
+    pivots = np.diag(chol) ** 2
+    slack = x.shape[0] * np.finfo(float).eps * np.max(pivots) / np.min(pivots)
+    if abs(lam) <= slack:
+        return _cholesky_or_none(x - z @ z.T) is not None, y
+    return lam > 0.0, y
+
+
+def _closed_loop_t(a, b, gain):
+    """The transposed closed loop ``(A - B K)^T``, formed in one new order-N array."""
+    acl = b @ gain
+    np.subtract(a, acl, out=acl)
+    return acl.T
 
 
 def _riccati_residual(a, b, x):
-    """R(X) = A^T X + X A - X B B^T X + I for symmetric X."""
-    g = a.T @ x
+    """R(X) = A^T X + X A - X B B^T X + I for symmetric X, with one order-N temporary."""
+    res = a.T @ x
+    res += res.T
     xb = x @ b
-    res = g + g.T - xb @ xb.T
+    res -= xb @ xb.T
     res[np.diag_indices_from(res)] += 1.0
     return res
 
@@ -357,6 +444,9 @@ def _new_directions(basis, u):
 
 def _lowrank_lyap(a, w, solve, cap=None, tol=None, atol=0.0):
     """Factor Z, with Z Z^T = P, of the Galerkin solution of A P + P A^T + W W^T = 0.
+
+    A is a dense array or a ``scipy.sparse.linalg.LinearOperator``: only its
+    products are used.
 
     The basis is the extended Krylov space of (A, W) (Simoncini, SIAM J.
     Sci. Comput. 2007).  Each step appends the new directions of
@@ -506,11 +596,15 @@ def solve_riccati_control(a, b, *, schur=None):
     invariant subspace.  ``schur`` is an optional real Schur pair ``(T, Z)``
     of ``A^T = Z T Z^T``, which the solver overwrites (Fortran order avoids a
     copy).  Without it the initializer computes the Schur form of ``A^T``
-    itself; the solution is the same up to rounding.
+    itself; the solution is the same up to rounding.  The solver keeps no
+    reference to the pair after its first step, so a caller that keeps none
+    either has its memory back for the later steps.
 
     - The first step is exact: the initializer hands over a real Schur form
-      of the closed loop ``A_0`` of the initial gain, whose abscissa
-      certifies stability, and a Bartels-Stewart solve follows.
+      ``A_0^T = Z T Z^T`` of the closed loop of the initial gain, whose
+      abscissa certifies stability, and a Bartels-Stewart solve follows.  Its
+      right-hand side ``I + K_0^T K_0`` enters in the Schur basis as
+      ``I + (K_0 Z)^T (K_0 Z)``, from the m x N product ``K_0 Z``.
     - Each later step from ``X_k`` solves ``A_k^T E + E A_k = -R(X_k)`` and
       sets ``X <- X + E``.  After a full step the residual is
       ``-W W^T`` with ``W = (K_k - K_{k-1})^T``, which has as few
@@ -523,9 +617,17 @@ def solve_riccati_control(a, b, *, schur=None):
       Woodbury correction, and factors anew (becoming the reference) only
       when the m x m capacitance is singular or too ill-conditioned.  These
       solves only shape the Krylov basis: its projected matrix and residual
-      use exact products with ``A_k``.
+      use exact products with ``A_k``, applied as ``A^T V - K_k^T (B^T V)``
+      with no dense ``A_k``.
       When ``X + E`` is positive definite, the Lyapunov inertia theorem
-      certifies that ``A_k`` is stable.  The new residual
+      certifies that ``A_k`` is stable.  That is decided with no order-N
+      factorization: each exact iterate is factored once, ``X_e = L L^T``,
+      and with ``Y = L^-1 [Z_1 ... Z_k]`` over the low-rank corrections
+      since, ``X + E = L (I - Y Y^T) L^T`` is positive definite exactly when
+      the small ``I - Y^T Y`` is.  When its smallest eigenvalue lies within
+      the rounding of the chain (about ``N eps cond(X_e)``), the Cholesky
+      factorization of ``X + E`` decides instead.  X is then updated in
+      place.  The new residual
       ``R(X + E) = -W W^T + A_k^T E + E A_k - E B B^T E`` has rank at most
       ``2 rank(Z) + rank(B)`` and is evaluated in that factored form.
     - An exact step (Schur form, abscissa check, Bartels-Stewart with the
@@ -536,9 +638,9 @@ def solve_riccati_control(a, b, *, schur=None):
 
     The factored residual does not see the Galerkin residuals that earlier
     low-rank steps left behind.  So the dense residual ``R(X)`` is formed
-    after exact steps and before returning: convergence is judged on the
-    dense relative residual ``|R(X)|_F / |X|_F``, and when that check fails
-    an exact step follows.  A solve that stagnates, loses closed-loop
+    after exact steps and before returning (and dropped once a low-rank step
+    follows): convergence is judged on the dense relative residual
+    ``|R(X)|_F / |X|_F``, and when that check fails an exact step follows.  A solve that stagnates, loses closed-loop
     stability or does not converge raises :class:`ConvergenceError`.
     ``ValueError`` names ``a`` when it is not a finite square matrix and
     ``b`` when its row count differs or an entry is not finite.
@@ -547,7 +649,7 @@ def solve_riccati_control(a, b, *, schur=None):
     ``A_c = A - B B^T X``,
     ``W = -(A_c^T X + X A_c) = I + X B B^T X - R(X)``, so
     ``lambda_min(W) >= 1 - |R(X)|_F``.  If X > 0 (shown by the last low-rank
-    step's Cholesky factorization, or by one after an exact last step) and
+    step's certificate, or by the Cholesky factor of an exact last step) and
     the dense ``|R(X)|_F < 1``, every eigenvalue of ``A_c`` has
     ``Re lambda <= -(1 - |R(X)|_F) / (2 |X|_F)`` (Lyapunov inertia), and that
     bound is returned.  Otherwise the abscissa comes from the dense
@@ -558,13 +660,18 @@ def solve_riccati_control(a, b, *, schur=None):
     _check_system(a, b=b)
     n = a.shape[0]
 
-    # The initializer's Schur pair of the first closed loop serves the first step.
+    # The initializer's Schur pair of the first closed loop serves the first
+    # step, after which no reference to it is left here.
     gain, *seed = _subspace_stabilizing_gain(a, b, schur=schur)
+    schur = None
     exact_steps = 0
     history = []
-    # ``res`` is the dense residual of ``x``, or None after a low-rank step,
-    # whose factored norm is ``res_norm``.
+    # ``res`` is the dense residual of ``x``, or None once a low-rank step
+    # follows, whose factored norm is ``res_norm``.
     x = res = w = None
+    # Cholesky factor of the last exact iterate and the scaled low-rank
+    # corrections since (see _downdate_is_positive_definite).
+    chol = y = None
     # LU of the transposed closed loop of a reference gain; later closed
     # loops differ from it by a rank-m term.
     lu = ref_gain = None
@@ -573,14 +680,16 @@ def solve_riccati_control(a, b, *, schur=None):
     stalled = 0
     patience = 8
     for it in range(1, _RICCATI_MAX_ITER + 1):
-        acl_t = (a - b @ gain).T
-        x_next = None
+        lowrank = False
         if w is not None:
+            res = None
+            # A_k^T = A^T - K_k^T B^T, applied without forming it.
+            acl_t = spla.aslinearoperator(a.T) - spla.aslinearoperator(gain.T) @ spla.aslinearoperator(b.T)
             # A_k^T = A_ref^T - (K_k - K_ref)^T B^T.  The first low-rank step,
             # or one whose capacitance is ill-conditioned, becomes the reference.
             solve = None if lu is None else _woodbury_solver(lu, (gain - ref_gain).T, b)
             if solve is None:
-                lu, ref_gain = sla.lu_factor(acl_t), gain
+                lu, ref_gain = sla.lu_factor(_closed_loop_t(a, b, gain), overwrite_a=True), gain
                 solve = functools.partial(sla.lu_solve, lu)
             atol = min(_OUTER_SHARE * _RICCATI_TOL * x_norm, 0.1 * np.linalg.norm(w.T @ w))
             z = _lowrank_lyap(acl_t, w, solve, atol=atol)
@@ -588,16 +697,13 @@ def solve_riccati_control(a, b, *, schur=None):
             # the inner and carried-over residuals, so X + E > 0 certifies
             # that A_k is stable.
             if z is not None:
-                x_next = x - z @ z.T
-                if not _is_positive_definite(x_next):
-                    x_next = None
-        lowrank = x_next is not None
+                lowrank, y = _downdate_is_positive_definite(x, chol, y, z)
         prev_norm = res_norm
         if lowrank:
-            res = None
+            x -= z @ z.T
             res_norm = _lowrank_residual_norm(acl_t, z, w, z.T @ b)
         else:
-            t, zs = seed or sla.schur(acl_t, output="real")
+            t, zs = seed or sla.schur(_closed_loop_t(a, b, gain), output="real", overwrite_a=True)
             seed = None
             abscissa = float(np.max(np.diag(t)))
             if abscissa >= 0.0:
@@ -605,15 +711,16 @@ def solve_riccati_control(a, b, *, schur=None):
                     f"Newton-Kleinman iterate lost closed-loop stability (abscissa {abscissa:.3e})"
                 )
             if x is None:
-                x_next = _lyap_from_schur(t, zs, np.eye(n) + gain.T @ gain)
+                x = _lyap_in_schur_basis(t, zs, _first_rhs_in_schur_basis(gain, zs))
             else:
                 if res is None:
                     res = _riccati_residual(a, b, x)
-                x_next = x + _lyap_from_schur(t, zs, res)
+                x += _lyap_from_schur(t, zs, res)
+            t = zs = res = None
             exact_steps += 1
-            res = _riccati_residual(a, b, x_next)
+            res = _riccati_residual(a, b, x)
             res_norm = np.linalg.norm(res)
-        x = x_next
+            chol, y = _cholesky_or_none(x), np.empty((n, 0))
         x_norm = max(np.linalg.norm(x), 1e-300)
         # The factored norm does not see the residuals that earlier low-rank
         # steps carried over; the dense residual decides convergence.
@@ -624,9 +731,10 @@ def solve_riccati_control(a, b, *, schur=None):
         rel = res_norm / x_norm
         history.append(rel)
         if rel <= _RICCATI_TOL:
-            # The inertia certificate of the docstring; a low-rank last step
-            # has shown X > 0 by its Cholesky factorization.
-            if res_norm < 1.0 and (lowrank or _is_positive_definite(x)):
+            # The inertia certificate of the docstring: a low-rank last step
+            # has shown X > 0 through the chain, an exact one by its Cholesky
+            # factor.
+            if res_norm < 1.0 and (lowrank or chol is not None):
                 decay = -(1.0 - res_norm) / (2.0 * x_norm)
             else:
                 decay = spectral_abscissa(a - b @ (b.T @ x))
@@ -671,14 +779,18 @@ def solve_riccati_filter(a, c, *, schur=None):
     Solves ``A X + X A^T - X C^T C X + I = 0`` by transposition of the
     control problem.  ``schur`` is an optional real Schur pair ``(T, Z)`` of
     ``A = Z T Z^T``, overwritten as in :func:`solve_riccati_control`;
-    ``closed_loop_decay`` bounds the abscissa of ``A - X C^T C``.
+    ``closed_loop_decay`` bounds the abscissa of ``A - X C^T C``.  No
+    reference to the pair is kept here either.
     ``ValueError`` names ``a`` when it is not a finite square matrix and
     ``c`` when its column count differs or an entry is not finite.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     _check_system(a, c=c)
-    return solve_riccati_control(a.T, c.T, schur=schur)
+    # The pair is handed on with no reference kept here, so that the solve
+    # can release it after its first step.
+    pair, schur = [schur], None
+    return solve_riccati_control(a.T, c.T, schur=pair.pop())
 
 
 # ---------------------------------------------------------------------------

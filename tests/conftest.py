@@ -64,3 +64,9 @@ def lu_orders(monkeypatch):
 def eigvals_orders(monkeypatch):
     """Orders of the matrices handed to numpy's dense eigenvalue solver."""
     return _record_orders(monkeypatch, np.linalg, "eigvals")
+
+
+@pytest.fixture
+def cholesky_orders(monkeypatch):
+    """Orders of the matrices handed to numpy's Cholesky factorization."""
+    return _record_orders(monkeypatch, np.linalg, "cholesky")

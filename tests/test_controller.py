@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -194,24 +196,49 @@ def test_dual_synthesis_takes_one_order_n_schur_form(design11, schur_orders):
     assert syn.control_riccati.residual_norm <= 1e-9 and syn.filter_riccati.residual_norm <= 1e-9
 
 
-def test_dual_design_n21_filter_takes_no_polish(mesh41, mesh21, eigvals_orders, lu_orders):
-    # Flow on n=41, design on n=21 (373 states, cascade 379): with a fixed
-    # inner tolerance the filter's first low-rank step left a Galerkin
-    # residual above the outer tolerance and an exact polish followed.
-    # The decay margins come from the inertia certificate, with no dense
-    # eigenvalue solve; each Riccati solve serves its low-rank steps from one
-    # LU, and balanced truncation serves both Gramians from one LU.
+@pytest.fixture(scope="module")
+def design21(mesh41, mesh21):
+    """Flow on n=41, design on n=21: 373 states, cascade 379."""
     ns = solve_navier_stokes(mesh41, re=100.0)
-    std = plant_mod.to_standard_form(plant_mod.build_plant(mesh21, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE))
+    return plant_mod.to_standard_form(plant_mod.build_plant(mesh21, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE))
+
+
+def test_dual_design_n21_filter_takes_no_polish(design21, eigvals_orders, lu_orders, cholesky_orders):
+    # With a fixed inner tolerance the filter's first low-rank step left a
+    # Galerkin residual above the outer tolerance and an exact polish
+    # followed.  The decay margins come from the inertia certificate, with no
+    # dense eigenvalue solve; each Riccati solve serves its low-rank steps
+    # from one LU, and balanced truncation serves both Gramians from one LU.
+    # Only the exact iterate of each solve takes an order-N Cholesky
+    # factorization; the low-rank steps are certified through it.
+    std = design21
     lu_orders.clear()
     syn = ctrl_mod.synthesize_dual_observer(std, ctrl_mod.build_internal_model(FREQS, p=1), r=10)
     n = std.order
     assert eigvals_orders == [] and lu_orders == [n, n + 6, n]
+    assert [k for k in cholesky_orders if k >= n] == [n, n + 6]
     assert (syn.control_riccati.iterations, syn.filter_riccati.iterations) == (6, 12)
     for sol in (syn.control_riccati, syn.filter_riccati):
         assert sol.exact_steps == 1
         assert sol.residual_norm <= 1e-9
         assert sol.closed_loop_decay < 0.0  # of the loop shifted by the margin
+
+
+def test_dual_design_n21_peak_memory(design21):
+    # The traced peak of the synthesis, above what was allocated before it,
+    # is at most 10 order-N arrays of doubles: each Schur pair is released
+    # after its first exact step, the closed loops exist only to be factored,
+    # and the first right-hand side is formed in the Schur basis.
+    std = design21
+    im = ctrl_mod.build_internal_model(FREQS, p=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctrl_mod.synthesize_dual_observer(std, im, r=10)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * std.order**2
 
 
 def test_dual_requires_square_plant(design11):

@@ -230,6 +230,17 @@ def test_singular_newton_jacobian_reports_step(mesh11, monkeypatch):
     assert exc.value.residual == 1.0
 
 
+def test_non_finite_newton_update_is_typed(mesh11, monkeypatch):
+    # A sparse solve that returns NaN (from the Stokes initial state, so the
+    # first solve patched is Newton step 1's) stops the iteration there.
+    initial = flow.solve_stokes(mesh11, re=100.0)
+    monkeypatch.setattr(spla, "spsolve", lambda jac, rhs, **kwargs: np.full(rhs.shape, np.nan))
+    with pytest.raises(ConvergenceError, match="^Newton step 1 produced non-finite values$") as exc:
+        flow.solve_navier_stokes(mesh11, re=100.0, initial=initial)
+    assert exc.value.iterations == 1
+    assert exc.value.residual == 1.0
+
+
 def test_ns_nonconvergence_reports_residual(mesh11):
     with pytest.raises(ConvergenceError) as exc:
         flow.solve_navier_stokes(mesh11, re=100.0, max_iter=1)

@@ -179,34 +179,99 @@ def test_riccati_unstabilizable_raises():
         lti.solve_riccati_control(a, b)
 
 
-@pytest.mark.parametrize("seed", [249, 256])
-def test_riccati_full_steps_cross_conditioning_limit(seed, eigvals_orders):
-    # B of size 0.01 against a drift of spectral radius about 2.5 puts |X|
-    # near 1e15 and the residual norm near its rounding floor, where it rises
-    # for a step or two before full Newton steps (Kleinman's monotone X)
-    # converge.  |R(X)|_F = 1e-9 |X|_F is then far above 1, so the inertia
-    # certificate does not hold and one dense eigenvalue solve gives the decay.
+def conditioning_limit_problem(seed):
+    """B of size 0.01 against a drift of spectral radius about 2.5: |X| near 1e15."""
     rng = np.random.default_rng(seed)
     a = 2.5 * rng.standard_normal((16, 16)) / 4 + 0.5 * np.eye(16)
-    b = 0.01 * rng.standard_normal((16, 1))
+    return a, 0.01 * rng.standard_normal((16, 1))
+
+
+@pytest.mark.parametrize("seed", [249, 256])
+def test_riccati_full_steps_cross_conditioning_limit(seed, eigvals_orders):
+    # |X| near 1e15 puts the residual norm near its rounding floor, where full
+    # Newton steps (Kleinman's monotone X) still converge.  |R(X)|_F =
+    # 1e-9 |X|_F is then far above 1, so the inertia certificate does not hold
+    # and one dense eigenvalue solve gives the decay.  (Whether the residual
+    # rises on the way is a matter of rounding here; see
+    # test_riccati_residual_rise_shorter_than_patience_does_not_stop.)
+    a, b = conditioning_limit_problem(seed)
     sol = lti.solve_riccati_control(a, b)
     assert eigvals_orders == [16]
     res = a.T @ sol.x + sol.x @ a - sol.x @ b @ b.T @ sol.x + np.eye(16)
     assert np.linalg.norm(res) / np.linalg.norm(sol.x) <= 1e-9
     assert np.linalg.norm(res) >= 1.0
     assert sol.closed_loop_decay == lti.spectral_abscissa(a - b @ (b.T @ sol.x)) < 0.0
+
+
+def test_riccati_residual_rise_shorter_than_patience_does_not_stop(monkeypatch):
+    # A factored residual that reads 1e3 times too large on the second
+    # low-rank step makes the history rise, as rounding does near the
+    # conditioning limit.  One step without progress is fewer than the
+    # stagnation patience: an exact step follows and the solve converges.
+    a, b, _ = riccati_problem(0)
+    plain = lti.solve_riccati_control(a, b)
+    norm = lti._lowrank_residual_norm
+    calls = []
+
+    def inflated(*args):
+        calls.append(None)
+        return norm(*args) * (1e3 if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(lti, "_lowrank_residual_norm", inflated)
+    sol = lti.solve_riccati_control(a, b)
     assert np.any(np.diff(sol.residual_history) > 0)
+    assert sol.exact_steps >= 2 and sol.residual_norm <= 1e-9
+    assert np.linalg.norm(sol.x - plain.x) <= 1e-8 * np.linalg.norm(plain.x)
+
+
+def test_riccati_stagnation_is_typed(monkeypatch):
+    # A residual that stays at I whatever X is: no step makes progress, and the
+    # solve gives up after the first step and eight more (its patience).  The
+    # scalar problem has no room for a Krylov basis, so every step is exact:
+    # x_1 = 1/2 from -2x + 1 = 0, then x += 1 / (2 (1 + x)).
+    monkeypatch.setattr(lti, "_riccati_residual", lambda a, b, x: np.eye(1))
+    with pytest.raises(ConvergenceError, match=r"Newton-Kleinman stagnation \(conditioning limit above tolerance\)") as exc:
+        lti.solve_riccati_control(np.array([[-1.0]]), np.array([[1.0]]))
+    x = 0.5
+    for _ in range(8):
+        x += 0.5 / (1.0 + x)
+    assert exc.value.iterations == 9
+    assert exc.value.residual == pytest.approx(1.0 / x, rel=1e-12)
+
+
+def test_riccati_iteration_cap_is_typed(monkeypatch):
+    monkeypatch.setattr(lti, "_RICCATI_MAX_ITER", 1)
+    a, b, _ = riccati_problem(0)
+    with pytest.raises(ConvergenceError, match="Newton-Kleinman did not reach 1e-09 in 1 iterations") as exc:
+        lti.solve_riccati_control(a, b)
+    assert exc.value.iterations == 1
+    assert exc.value.residual > 1e-9
+
+
+def test_hamiltonian_stable_eigenvalue_count_is_typed():
+    # [[0, 0], [-1, 0]] has the double eigenvalue 0, so none is stable.
+    with pytest.raises(ConvergenceError, match=r"Hamiltonian matrix has 0 stable eigenvalues, expected 1") as exc:
+        lti.riccati_hamiltonian(np.zeros((1, 1)), np.zeros((1, 1)))
+    assert exc.value.residual is None and exc.value.iterations is None
 
 
 @pytest.mark.parametrize("seed", [249, 256])
 def test_hamiltonian_oracle_rejects_non_stabilizing_solution(seed):
-    # The same conditioning-limit problems: the stable subspace gives |X|
-    # near 4e15 and an unstable closed loop (abscissa +0.41 and +0.29).
-    rng = np.random.default_rng(seed)
-    a = 2.5 * rng.standard_normal((16, 16)) / 4 + 0.5 * np.eye(16)
-    b = 0.01 * rng.standard_normal((16, 1))
-    with pytest.raises(ConvergenceError, match=r"not stabilizing: closed-loop abscissa \d\.\d+e-01"):
+    # The conditioning-limit problems: the stable subspace gives |X| near
+    # 4e15, whose relative residual (1.07 and 0.37) rejects it before the
+    # closed loop is formed.
+    a, b = conditioning_limit_problem(seed)
+    with pytest.raises(ConvergenceError, match=r"Hamiltonian solution has relative residual \d\.\d+e[-+]0[01] above 1e-09") as exc:
         lti.riccati_hamiltonian(a, b)
+    assert 0.1 < exc.value.residual < 10.0
+
+
+def test_hamiltonian_oracle_rejects_anti_stabilizing_solution(monkeypatch):
+    # 2x - x^2 + 1 = 0 has the roots 1 +- sqrt(2); 1 - sqrt(2) solves the
+    # equation but leaves the closed loop 1 - x = sqrt(2) unstable.
+    monkeypatch.setattr(lti, "_hamiltonian_solution", lambda a, b: np.array([[1.0 - np.sqrt(2.0)]]))
+    with pytest.raises(ConvergenceError, match=r"not stabilizing: closed-loop abscissa 1\.414e\+00"):
+        lti.riccati_hamiltonian(np.array([[1.0]]), np.array([[1.0]]))
 
 
 def test_initializer_schur_reordering_failure_is_typed(monkeypatch):
@@ -433,6 +498,66 @@ def test_riccati_lowrank_steps_share_one_lu(seed, lu_orders, monkeypatch):
         assert len(lu_orders) == own.iterations - own.exact_steps
         assert own.residual_norm <= 1e-9
         assert np.linalg.norm(own.x - shared.x) <= 1e-9 * np.linalg.norm(shared.x)
+
+
+@pytest.mark.parametrize("case", [*range(6), "limit-249", "limit-256"])
+def test_chain_verdict_matches_direct_cholesky(case, monkeypatch):
+    # Each low-rank step decides X - Z Z^T > 0 from the small I - Y^T Y; the
+    # Cholesky factorization of X - Z Z^T itself gives the same verdict, also
+    # near the conditioning limit (|X| near 1e15).
+    verdict = lti._downdate_is_positive_definite
+    agree = []
+
+    def compare(x, chol, y, z):
+        out = verdict(x, chol, y, z)
+        agree.append(out[0] == (lti._cholesky_or_none(x - z @ z.T) is not None))
+        return out
+
+    monkeypatch.setattr(lti, "_downdate_is_positive_definite", compare)
+    if isinstance(case, int):
+        a, b, c = riccati_problem(case)
+        solves = (lti.solve_riccati_control(a, b), lti.solve_riccati_filter(a, c))
+    else:
+        solves = (lti.solve_riccati_control(*conditioning_limit_problem(int(case[-3:]))),)
+    assert all(sol.residual_norm <= 1e-9 for sol in solves)
+    assert agree and all(agree)
+
+
+@pytest.mark.parametrize("scale, positive", [(0.5, True), (1.0, None), (2.0, False)])
+def test_chain_guard_takes_direct_cholesky_near_rounding(scale, positive, cholesky_orders):
+    # With Z = s L e_1 the small matrix is 1 - s^2: clearly positive or
+    # negative for s = 0.5 and 2, so the chain decides with no order-N
+    # factorization.  At s = 1 it is zero up to rounding and the Cholesky
+    # factorization of the singular X - Z Z^T decides.
+    n = 40
+    g = np.random.default_rng(5).standard_normal((n, n))
+    x = g @ g.T + n * np.eye(n)
+    chol = np.linalg.cholesky(x)
+    z = scale * chol[:, :1]
+    cholesky_orders.clear()
+    verdict, y = lti._downdate_is_positive_definite(x, chol, np.empty((n, 0)), z)
+    assert np.allclose(y, scale * np.eye(n)[:, :1], atol=1e-12)
+    if positive is None:
+        assert cholesky_orders == [n]
+        assert verdict == (lti._cholesky_or_none(x - z @ z.T) is not None)
+    else:
+        assert cholesky_orders == [] and verdict == positive
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_riccati_factors_only_exact_iterates(seed, cholesky_orders, monkeypatch):
+    # One order-N Cholesky factorization per exact step and none per
+    # low-rank step; with every low-rank step denied, one per iteration.
+    a, b, c = riccati_problem(seed)
+    n = b.shape[0]
+    for solve, op in ((lti.solve_riccati_control, b), (lti.solve_riccati_filter, c)):
+        cholesky_orders.clear()
+        sol = solve(a, op)
+        assert sol.iterations > sol.exact_steps == sum(k >= n for k in cholesky_orders) == 1
+    monkeypatch.setattr(lti, "_KRYLOV_MAX_DIM", 2)
+    cholesky_orders.clear()
+    sol = lti.solve_riccati_control(a, b)
+    assert sol.iterations == sol.exact_steps == sum(k >= n for k in cholesky_orders)
 
 
 def test_woodbury_solver_matches_dense_solve():
