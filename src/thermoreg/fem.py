@@ -288,7 +288,9 @@ class ShapeSpec:
 
     kind:
       - ``indicator-rectangle``: amplitude on [x0, x1] x [y0, y1], 0 outside
+        (domain loads, :func:`assemble_load_domain`)
       - ``boundary-indicator``: amplitude along the tagged boundary part
+        (boundary loads, :func:`assemble_load_boundary`)
 
     Non-finite values, empty rectangles and bounds on a
     ``boundary-indicator`` raise ``ValueError``.
@@ -313,17 +315,6 @@ class ShapeSpec:
                 raise ValueError(f"indicator-rectangle needs finite x0 < x1 and y0 < y1, got {self.bounds!r}")
 
 
-def shape_values(shape, points):
-    """Evaluate a ShapeSpec at physical points (..., 2)."""
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[..., 0], pts[..., 1]
-    if shape.kind == "indicator-rectangle":
-        x0, x1, y0, y1 = shape.bounds
-        inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-        return shape.amplitude * inside.astype(float)
-    return np.full_like(x, shape.amplitude)  # boundary-indicator
-
-
 def assemble_load_domain(mesh, shape):
     """Load vector F_i = integral(shape * phi_i) over the domain (P2); ``ValueError`` if it is zero."""
     if shape.kind != "indicator-rectangle":
@@ -331,7 +322,11 @@ def assemble_load_domain(mesh, shape):
     points, weights = triangle_rule()
     basis = p2_basis(points)
     det, _ = element_jacobians(mesh)
-    vals = shape_values(shape, physical_points(mesh, points))  # (ne, nq)
+    pts = physical_points(mesh, points)  # (ne, nq, 2)
+    x, y = pts[..., 0], pts[..., 1]
+    x0, x1, y0, y1 = shape.bounds
+    inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+    vals = shape.amplitude * inside.astype(float)
     local = np.einsum("q,qi,eq,e->ei", weights, basis, vals, det)
     load = np.zeros(mesh.num_p2)
     np.add.at(load, mesh.triangles.ravel(), local.ravel())
@@ -343,10 +338,13 @@ def assemble_load_domain(mesh, shape):
 def assemble_load_boundary(mesh, tag, shape):
     """Load vector F_i = integral over tagged boundary edges of shape * phi_i.
 
-    A boundary edge takes the tag of its midpoint node.  Each quadratic
-    edge (vertex, midpoint, vertex) is parametrized by t in [0, 1] and
-    integrated with the 3-point Gauss rule.
+    The shape must be a ``boundary-indicator`` (``ValueError`` otherwise),
+    constant along the tagged edges.  A boundary edge takes the tag of its
+    midpoint node.  Each quadratic edge (vertex, midpoint, vertex) is
+    parametrized by t in [0, 1] and integrated with the 3-point Gauss rule.
     """
+    if shape.kind != "boundary-indicator":
+        raise ValueError("boundary loads take boundary-indicator shapes")
     edges = mesh.boundary_edges[mesh.node_tags[mesh.boundary_edges[:, 1]] == tag]
     if not edges.size:
         raise ValueError(f"mesh has no boundary edges tagged {tag}")
@@ -354,8 +352,7 @@ def assemble_load_boundary(mesh, tag, shape):
     trace = np.stack([(2 * t - 1) * (t - 1), 4 * t * (1 - t), t * (2 * t - 1)], axis=1)  # (nq, 3)
     pa = mesh.p2_nodes[edges[:, 0]]
     pb = mesh.p2_nodes[edges[:, 2]]
-    pts = pa[:, None, :] * (1 - t)[None, :, None] + pb[:, None, :] * t[None, :, None]
-    vals = shape_values(shape, pts)
+    vals = np.full((edges.shape[0], t.size), shape.amplitude, dtype=float)
     local = np.einsum("q,qi,eq,e->ei", w, trace, vals, np.linalg.norm(pb - pa, axis=1))
     load = np.zeros(mesh.num_p2)
     np.add.at(load, edges.ravel(), local.ravel())

@@ -149,11 +149,7 @@ def _lyap_tri(t, c):
     """
     n = t.shape[0]
     if n <= _TRSYL_BLOCK:
-        y, scale, info = lapack.dtrsyl(t, t, c, isgn=1, trana="N", tranb="T")
-        if info < 0:
-            raise RuntimeError(f"trsyl failed with info={info}")
-        np.divide(y, scale, out=c)
-        return c
+        return _syl_tri(t, t, c)
     m = _split_index(t, n)
     t11, t12, t22 = t[:m, :m], t[:m, m:], t[m:, m:]
     y22 = _lyap_tri(t22, c[m:, m:])
@@ -833,7 +829,6 @@ class BalancedReduction:
     system: StateSpace                   # of order r
     hankel_singular_values: np.ndarray   # the values the Gramian factors resolve, nonincreasing
     error_bound: float                   # 2 * sum of truncated values
-    order: int
     gramian_residuals: tuple             # |A P + P A^T + B B^T|_F / |B B^T|_F and its dual
 
 
@@ -896,7 +891,6 @@ def balanced_truncation(sys, r):
         system=reduced,
         hankel_singular_values=sv,
         error_bound=2.0 * float(np.sum(sv[r:])),
-        order=r,
         gramian_residuals=residuals,
     )
 

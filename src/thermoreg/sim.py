@@ -9,10 +9,11 @@ its symmetric pattern (``MMD_AT_PLUS_A``), and solved in SuperLU's
 transposed mode.  The plant/controller coupling has rank m + d
 (inputs plus disturbances), so each step costs one sparse product, one
 sparse solve, one rank-(m + d) update of the plant state and small dense
-algebra on the controller (a block Schur complement).
+algebra on the controller (a block Schur complement).  Every run starts
+from the experiment's initial state: the uniform temperature of
+:func:`default_initial_state` and the controller at rest (z = 0).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,17 +124,13 @@ def closed_loop_abscissa(cl):
 
 @dataclass
 class SimulationResult:
-    """Sampled signals of :func:`simulate`, the plant state extrema and the final states."""
+    """Sampled signals of :func:`simulate`, from the uniform temperature and the controller at rest."""
 
     t: np.ndarray
     y: np.ndarray        # (nt, p)
     y_ref: np.ndarray    # (nt, p)
     error: np.ndarray    # (nt, p)
     u: np.ndarray        # (nt, m)
-    theta_min: float
-    theta_max: float
-    state_final: np.ndarray = None
-    controller_final: np.ndarray = None
 
 
 def default_initial_state(plant):
@@ -145,8 +142,11 @@ def default_initial_state(plant):
     return np.ones(plant.drift.shape[0])
 
 
-def simulate(cl, signals, t_end, dt, x0=None, z0=None):
+def simulate(cl, signals, t_end, dt):
     """Trapezoidal integration of the closed loop over [0, t_end].
+
+    The plant starts from :func:`default_initial_state` and the controller
+    from z = 0.
 
     The step system is solved through a block Schur complement.  The plant
     block ``E- = M/dt - A/2`` is factorized sparsely once, as its transpose
@@ -158,14 +158,12 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
     costs one sparse product, one sparse solve, one rank-(m + d) update and
     a few controller-size products.
     Exogenous signals are sampled at half-steps.  No temperature field is
-    kept along the way: the result holds y, u, the error, the extrema of
-    the plant state and the final plant and controller states.
+    kept along the way: the result holds y, u and the error.
 
     ``t_end`` must be a whole number of steps, and the signals as wide as
-    the plant's outputs and disturbance inputs; otherwise, and for
-    non-finite initial states ``x0`` or ``z0``, ``ValueError`` is raised.  Raises
-    :class:`ConvergenceError` with the index and time of the first step
-    whose plant or controller state is non-finite.
+    the plant's outputs and disturbance inputs; otherwise ``ValueError`` is
+    raised.  Raises :class:`ConvergenceError` with the index and time of the
+    first step whose plant or controller state is non-finite.
     """
     if not (0.0 < dt <= t_end < np.inf):
         raise ValueError("need dt > 0 and finite t_end >= dt")
@@ -174,7 +172,7 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
     if abs(steps - nsteps) > 1e-9 * steps:
         raise ValueError(f"t_end={t_end} is not a whole number of steps dt={dt}")
     plant, ctrl = cl.plant, cl.ctrl
-    n, nz = plant.drift.shape[0], ctrl.dim
+    nz = ctrl.dim
     m = plant.control.shape[1]
     p = plant.observation.shape[0]
     d = plant.disturbance.shape[1]
@@ -182,12 +180,8 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
     if widths != (p, d):
         raise ValueError(f"signals have (reference, disturbance) widths {widths}, the plant needs {(p, d)}")
 
-    x = default_initial_state(plant) if x0 is None else np.asarray(x0, dtype=float).copy()
-    z = np.zeros(nz) if z0 is None else np.asarray(z0, dtype=float).copy()
-    if x.shape != (n,) or z.shape != (nz,):
-        raise ValueError("initial state dimensions do not match the closed loop")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise ValueError("initial state must be finite")
+    x = default_initial_state(plant)
+    z = np.zeros(nz)
 
     times = dt * np.arange(nsteps + 1)
     half_times = times[:-1] + 0.5 * dt
@@ -234,8 +228,6 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
     cx = c_mat @ x
     y[0] = cx
     u[0] = k_mat @ z
-    theta_min = min(0.0, x.min())
-    theta_max = max(0.0, x.max())
 
     # During a blow-up the step products meet 0 * inf before the guard below
     # reports the step; numpy's warnings about that would only be noise.
@@ -251,29 +243,14 @@ def simulate(cl, signals, t_end, dt, x0=None, z0=None):
             v = v_all[i]
             v[:m] = u[i] + uz
             x = blas.dgemv(1.0, sbb, v, beta=1.0, y=h, overwrite_y=True)
-            # NaN propagates through min and +-inf shows in min or max, so
-            # the extrema double as the finiteness check on x.
-            x_lo, x_hi = x.min(), x.max()
-            if not (math.isfinite(x_lo) and math.isfinite(x_hi) and np.isfinite(z).all()):
+            if not (np.isfinite(x).all() and np.isfinite(z).all()):
                 raise ConvergenceError(f"non-finite state at step {i + 1} (t={times[i + 1]:.3f})")
-            theta_min = min(theta_min, x_lo)
-            theta_max = max(theta_max, x_hi)
             cx = ch + csbb @ v
             y[i + 1] = cx
             u[i + 1] = uz
 
     y_ref = y_ref_all.T
-    return SimulationResult(
-        t=times,
-        y=y,
-        y_ref=y_ref,
-        error=y - y_ref,
-        u=u,
-        theta_min=float(theta_min),
-        theta_max=float(theta_max),
-        state_final=x,
-        controller_final=z,
-    )
+    return SimulationResult(t=times, y=y, y_ref=y_ref, error=y - y_ref, u=u)
 
 
 # ---------------------------------------------------------------------------

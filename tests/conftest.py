@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from thermoreg.fem import ShapeSpec
+from thermoreg.flow import solve_navier_stokes
 from thermoreg.mesh import Geometry, build_structured_mesh
 
 
@@ -28,6 +30,22 @@ def mesh21(geometry):
 @pytest.fixture(scope="session")
 def mesh41(geometry):
     return build_structured_mesh(geometry, 41)
+
+
+@pytest.fixture(scope="session")
+def shapes():
+    """The paper's control, disturbance and observation shapes, in the order ``build_plant`` takes them."""
+    return (
+        ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4)),
+        ShapeSpec("boundary-indicator"),
+        ShapeSpec("indicator-rectangle", bounds=(0.7, 0.9, 0.1, 0.3), amplitude=0.2**-2),
+    )
+
+
+@pytest.fixture(scope="session")
+def flow41(mesh41):
+    """Steady Navier-Stokes flow at Re=100 on the n=41 mesh, from the solver's default start."""
+    return solve_navier_stokes(mesh41, re=100.0)
 
 
 @pytest.fixture(scope="session")

@@ -6,21 +6,16 @@ import scipy.linalg as sla
 
 from thermoreg import controller as ctrl_mod
 from thermoreg import lti, plant as plant_mod
-from thermoreg.fem import ShapeSpec
 from thermoreg.flow import solve_navier_stokes
 from thermoreg.lti import StateSpace
-
-B_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4))
-BD_SHAPE = ShapeSpec("boundary-indicator")
-C1_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.7, 0.9, 0.1, 0.3), amplitude=0.2**-2)
 
 FREQS = (1.0, 2.0, 3.0)
 
 
 @pytest.fixture(scope="module")
-def design11(mesh11):
+def design11(mesh11, shapes):
     ns = solve_navier_stokes(mesh11, re=100.0)
-    p = plant_mod.build_plant(mesh11, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+    p = plant_mod.build_plant(mesh11, ns, 100.0, 0.7, *shapes)
     return plant_mod.to_standard_form(p), p
 
 
@@ -113,7 +108,7 @@ def test_dual_dimensions(synthesis11, design11):
 def test_dual_reduction_is_wired_into_the_reduced_controller(synthesis11):
     syn = synthesis11
     red = syn.reduction.system
-    assert syn.reduction.order == 4
+    assert red.order == 4
     assert syn.reduced.dim == 6 + 4
     # Observer block A_r + L_r C_r, with C_r the first p rows of the reduced output map.
     assert np.array_equal(syn.reduced.g1[6:, 6:], red.a + red.b @ red.c[:1])
@@ -197,10 +192,9 @@ def test_dual_synthesis_takes_one_order_n_schur_form(design11, schur_orders):
 
 
 @pytest.fixture(scope="module")
-def design21(mesh41, mesh21):
+def design21(mesh21, flow41, shapes):
     """Flow on n=41, design on n=21: 373 states, cascade 379."""
-    ns = solve_navier_stokes(mesh41, re=100.0)
-    return plant_mod.to_standard_form(plant_mod.build_plant(mesh21, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE))
+    return plant_mod.to_standard_form(plant_mod.build_plant(mesh21, flow41, 100.0, 0.7, *shapes))
 
 
 def test_dual_design_n21_filter_takes_no_polish(design21, eigvals_orders, lu_orders, cholesky_orders):

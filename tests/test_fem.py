@@ -243,8 +243,12 @@ def test_domain_load_outside_support_raises(mesh11):
 
 
 def test_domain_load_rejects_boundary_shape(mesh11):
+    # Each load takes its own shape kind: the boundary load rejects the rectangle too.
     with pytest.raises(ValueError, match="domain loads take indicator-rectangle shapes"):
         fem.assemble_load_domain(mesh11, fem.ShapeSpec("boundary-indicator"))
+    rectangle = fem.ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4))
+    with pytest.raises(ValueError, match="boundary loads take boundary-indicator shapes"):
+        fem.assemble_load_boundary(mesh11, INLET, rectangle)
 
 
 def test_boundary_load_inlet_length(mesh41):

@@ -98,46 +98,35 @@ def test_ns_small_reynolds_matches_stokes(mesh11):
     assert diffs[1] < 0.2 * diffs[0]
 
 
-@pytest.fixture(scope="module")
-def ns41(geometry):
-    mesh = build_structured_mesh(geometry, 41)
-    return mesh, flow.solve_navier_stokes(mesh, re=100.0)
-
-
-def test_ns_newton_quadratic_tail(ns41):
-    _, ns = ns41
-    assert ns.newton_iterations <= 10
-    hist = ns.residual_history
+def test_ns_newton_quadratic_tail(flow41):
+    assert flow41.newton_iterations <= 10
+    hist = flow41.residual_history
     # Quadratic tail: number of correct digits roughly doubles over the
     # final steps (log-residual ratio near 2).
     ratios = [np.log(hist[k + 1]) / np.log(hist[k]) for k in range(1, len(hist) - 1) if hist[k] < 1e-2]
     assert any(1.5 <= r <= 3.0 for r in ratios)
 
 
-def test_ns_newton_monotone_decrease(ns41):
-    _, ns = ns41
-    hist = ns.residual_history
+def test_ns_newton_monotone_decrease(flow41):
+    hist = flow41.residual_history
     assert all(hist[k + 1] < hist[k] for k in range(1, len(hist) - 1))
 
 
-def test_ns_divergence(ns41):
-    mesh, ns = ns41
-    assert ns.divergence_norm < 1e-9
+def test_ns_divergence(flow41):
+    assert flow41.divergence_norm < 1e-9
 
 
-def test_ns_no_slip_exact(ns41):
-    mesh, ns = ns41
+def test_ns_no_slip_exact(mesh41, flow41):
     from thermoreg.mesh import WALL
 
-    walls = mesh.node_tags == WALL
-    assert np.max(np.abs(ns.velocity[walls])) == 0.0
+    walls = mesh41.node_tags == WALL
+    assert np.max(np.abs(flow41.velocity[walls])) == 0.0
 
 
-def test_ns_outlet_free(ns41):
+def test_ns_outlet_free(mesh41, flow41):
     # Stress-free outlet: velocity there is not pinned to zero.
-    mesh, ns = ns41
-    outlet = mesh.node_tags == OUTLET
-    assert np.max(np.abs(ns.velocity[outlet])) > 1e-3
+    outlet = mesh41.node_tags == OUTLET
+    assert np.max(np.abs(flow41.velocity[outlet])) > 1e-3
 
 
 @pytest.mark.parametrize("n", [11, 21, 41])
@@ -164,10 +153,10 @@ def test_saddle_pattern_build_keeps_int32_transients(mesh41):
     assert peak <= 4.5e6
 
 
-def test_ns_matches_colamd_reference(ns41, monkeypatch):
+def test_ns_matches_colamd_reference(mesh41, flow41, monkeypatch):
     # The same Newton iteration on the unpermuted system, solved with
     # SuperLU's default COLAMD column ordering.
-    mesh, ns = ns41
+    mesh, ns = mesh41, flow41
     saddle_order = flow._saddle_order
     monkeypatch.setattr(flow, "_saddle_order", lambda mesh, fixed: np.sort(saddle_order(mesh, fixed)))
     prob = flow._SaddleProblem(mesh, 100.0)
@@ -265,10 +254,10 @@ def test_reynolds_must_be_positive_and_finite(mesh11, solve, re):
         solve(mesh11, re=re)
 
 
-def test_ns_converges_on_last_allowed_step(ns41):
+def test_ns_converges_on_last_allowed_step(mesh41, flow41):
     # The iterate of step max_iter is tested too: allowing exactly the steps
     # the solve needs returns the same iterates and history.
-    mesh, ns = ns41
+    mesh, ns = mesh41, flow41
     again = flow.solve_navier_stokes(mesh, re=100.0, max_iter=ns.newton_iterations)
     assert again.newton_iterations == ns.newton_iterations
     assert again.residual_history == ns.residual_history

@@ -820,7 +820,7 @@ def test_bt_clamps_rank_deficient(rng):
     sys = StateSpace(a=a, b=b, c=c)
     with pytest.warns(UserWarning):
         red = lti.balanced_truncation(sys, 2)
-    assert red.order == 1
+    assert red.system.order == 1
 
 
 # ---------------------------------------------------------------------------

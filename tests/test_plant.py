@@ -4,13 +4,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from thermoreg import fem, plant as plant_mod
-from thermoreg.fem import ShapeSpec
 from thermoreg.flow import restrict_velocity, solve_navier_stokes, solve_stokes
 from thermoreg.mesh import INLET, WALL, Geometry, build_structured_mesh
-
-B_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4))
-BD_SHAPE = ShapeSpec("boundary-indicator")
-C1_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.7, 0.9, 0.1, 0.3), amplitude=0.2**-2)
 
 
 @pytest.fixture(scope="module")
@@ -20,26 +15,28 @@ def small_flow(mesh11):
 
 
 @pytest.fixture(scope="module")
-def small_plant(mesh11, small_flow):
-    return plant_mod.build_plant(mesh11, small_flow, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+def small_plant(mesh11, small_flow, shapes):
+    return plant_mod.build_plant(mesh11, small_flow, 100.0, 0.7, *shapes)
 
 
-def test_alpha(small_plant, mesh11):
+def test_alpha(small_plant, mesh11, shapes):
     # Diffusion and the inlet load both carry alpha = 1 / (Re Pr) = 1 / 70.
     mesh = mesh11
+    _, bd_shape, _ = shapes
     free = np.flatnonzero(mesh.node_tags != WALL)
     stiff = fem.assemble_stiffness(mesh)
     adv = fem.assemble_advection(mesh, solve_navier_stokes(mesh, re=100.0).velocity)
     drift = (-(stiff / 70.0 + adv))[free][:, free]
     assert abs(small_plant.drift - drift).max() <= 1e-15 * abs(drift).max()
-    load = fem.assemble_load_boundary(mesh, INLET, BD_SHAPE)[free] / 70.0
+    load = fem.assemble_load_boundary(mesh, INLET, bd_shape)[free] / 70.0
     assert np.allclose(small_plant.disturbance[:, 0], load, rtol=1e-15, atol=0)
 
 
-def test_plant_is_the_full_assembly_off_the_walls(small_plant, small_flow, mesh11):
+def test_plant_is_the_full_assembly_off_the_walls(small_plant, small_flow, mesh11, shapes):
     # Every plant array is the full P2 assembly with the wall rows and
     # columns dropped, bit for bit.
     mesh = mesh11
+    b_shape, bd_shape, c1_shape = shapes
     free = np.flatnonzero(mesh.node_tags != WALL)
     assert free.size < mesh.num_p2
     alpha = 1.0 / (100.0 * 0.7)
@@ -47,15 +44,14 @@ def test_plant_is_the_full_assembly_off_the_walls(small_plant, small_flow, mesh1
     drift = -(alpha * fem.assemble_stiffness(mesh) + adv)
     assert np.array_equal(small_plant.mass.toarray(), fem.assemble_mass(mesh).toarray()[np.ix_(free, free)])
     assert np.array_equal(small_plant.drift.toarray(), drift.toarray()[np.ix_(free, free)])
-    assert np.array_equal(small_plant.control[:, 0], fem.assemble_load_domain(mesh, B_SHAPE)[free])
-    bd = alpha * fem.assemble_load_boundary(mesh, INLET, BD_SHAPE)
+    assert np.array_equal(small_plant.control[:, 0], fem.assemble_load_domain(mesh, b_shape)[free])
+    bd = alpha * fem.assemble_load_boundary(mesh, INLET, bd_shape)
     assert np.array_equal(small_plant.disturbance[:, 0], bd[free])
-    assert np.array_equal(small_plant.observation[0], fem.assemble_load_domain(mesh, C1_SHAPE)[free])
+    assert np.array_equal(small_plant.observation[0], fem.assemble_load_domain(mesh, c1_shape)[free])
 
 
-def test_design_mesh_state_dimension(mesh41):
-    ns = solve_navier_stokes(mesh41, re=100.0)
-    p = plant_mod.build_plant(mesh41, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+def test_design_mesh_state_dimension(mesh41, flow41, shapes):
+    p = plant_mod.build_plant(mesh41, flow41, 100.0, 0.7, *shapes)
     n = p.drift.shape[0]
     assert 1545 <= n <= 1553
     assert p.mass.shape == (n, n)
@@ -185,11 +181,11 @@ def test_standard_form_rejects_indefinite_mass():
         plant_mod.to_standard_form(gen)
 
 
-def test_invalid_parameters(mesh11):
+def test_invalid_parameters(mesh11, shapes):
     st = solve_stokes(mesh11, re=100.0)
     with pytest.raises(ValueError):
-        plant_mod.build_plant(mesh11, st, -1.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+        plant_mod.build_plant(mesh11, st, -1.0, 0.7, *shapes)
     # NaN would give a NaN drift, and an infinite Re or Pr alpha = 0.
     for re, pr in ((np.nan, 0.7), (np.inf, 0.7), (100.0, np.inf), (100.0, np.nan)):
         with pytest.raises(ValueError, match="Re and Pr must be positive and finite"):
-            plant_mod.build_plant(mesh11, st, re, pr, B_SHAPE, BD_SHAPE, C1_SHAPE)
+            plant_mod.build_plant(mesh11, st, re, pr, *shapes)

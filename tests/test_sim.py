@@ -10,12 +10,7 @@ from thermoreg import plant as plant_mod
 from thermoreg import sim
 from thermoreg.controller import ControllerRealization
 from thermoreg.errors import ConvergenceError
-from thermoreg.fem import ShapeSpec
 from thermoreg.flow import solve_navier_stokes
-
-B_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.0, 0.05, 0.1, 0.4))
-BD_SHAPE = ShapeSpec("boundary-indicator")
-C1_SHAPE = ShapeSpec("indicator-rectangle", bounds=(0.7, 0.9, 0.1, 0.3), amplitude=0.2**-2)
 
 
 def zero_controller():
@@ -24,9 +19,9 @@ def zero_controller():
 
 
 @pytest.fixture(scope="module")
-def plant11(mesh11):
+def plant11(mesh11, shapes):
     ns = solve_navier_stokes(mesh11, re=100.0)
-    return plant_mod.build_plant(mesh11, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+    return plant_mod.build_plant(mesh11, ns, 100.0, 0.7, *shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +87,8 @@ def test_zero_controller_decouples(plant11):
         dist_cos=np.zeros((3, 1)),
         dist_sin=np.zeros((3, 1)),
     )
-    x0 = sim.default_initial_state(plant11)
     cl_zero = sim.assemble_closed_loop(plant11, zero_controller())
-    res_zero = sim.simulate(cl_zero, zero_spec, t_end=1.0, dt=0.01, x0=x0)
+    res_zero = sim.simulate(cl_zero, zero_spec, t_end=1.0, dt=0.01)
     # Same loop but with nontrivial autonomous controller dynamics: with
     # K = 0 and G2 = 0 the plant cannot see the controller at all.
     spinning = ControllerRealization(
@@ -102,7 +96,7 @@ def test_zero_controller_decouples(plant11):
         g2=np.zeros((2, 1)),
         k=np.zeros((1, 2)),
     )
-    res_spin = sim.simulate(sim.assemble_closed_loop(plant11, spinning), zero_spec, t_end=1.0, dt=0.01, x0=x0)
+    res_spin = sim.simulate(sim.assemble_closed_loop(plant11, spinning), zero_spec, t_end=1.0, dt=0.01)
     assert np.array_equal(res_zero.y, res_spin.y)
     assert not np.any(res_zero.u)
 
@@ -132,17 +126,6 @@ def test_signal_widths_must_fit_the_plant(plant11, monkeypatch, signal):
         sim.simulate(sim.assemble_closed_loop(plant11, zero_controller()), spec, t_end=0.1, dt=0.01)
 
 
-def test_nonfinite_initial_state_rejected(plant11):
-    cl = sim.assemble_closed_loop(plant11, zero_controller())
-    n, nz = plant11.drift.shape[0], cl.ctrl.dim
-    x0 = sim.default_initial_state(plant11)
-    x0[n // 2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        sim.simulate(cl, sim.paper_signals(), t_end=0.1, dt=0.01, x0=x0)
-    with pytest.raises(ValueError, match="finite"):
-        sim.simulate(cl, sim.paper_signals(), t_end=0.1, dt=0.01, z0=np.full(nz, np.inf))
-
-
 def test_error_definition(plant11):
     cl = sim.assemble_closed_loop(plant11, zero_controller())
     res = sim.simulate(cl, sim.paper_signals(), t_end=0.5, dt=0.01)
@@ -151,38 +134,6 @@ def test_error_definition(plant11):
 
 # ---------------------------------------------------------------------------
 # Simulation
-
-def test_zero_everything_stays_zero(plant11):
-    spec = sim.SignalSpec(
-        frequencies=(1.0,),
-        ref_cos=[[0.0]],
-        ref_sin=[[0.0]],
-        dist_cos=[[0.0]],
-        dist_sin=[[0.0]],
-    )
-    cl = sim.assemble_closed_loop(plant11, zero_controller())
-    res = sim.simulate(cl, spec, t_end=1.0, dt=0.01, x0=np.zeros(plant11.drift.shape[0]))
-    assert not np.any(res.y)
-    assert not np.any(res.u)
-    assert res.theta_min == res.theta_max == 0.0
-
-
-def test_autonomous_decay_monotone(plant11):
-    # theta0 = 1, no forcing: the stable plant dissipates energy.
-    spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[0.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
-    cl = sim.assemble_closed_loop(plant11, zero_controller())
-    x = sim.default_initial_state(plant11)
-    mass = plant11.mass
-    # With a zero controller and zero signals, ten 0.5 s runs chained through
-    # state_final take the same steps as one 5 s run; read the energy norm
-    # after each.
-    norms = []
-    for _ in range(10):
-        x = sim.simulate(cl, spec, t_end=0.5, dt=0.05, x0=x).state_final
-        norms.append(float(np.sqrt(x @ (mass @ x))))
-    norms = np.array(norms)
-    assert np.all(np.diff(norms) <= 1e-12 * norms[0])
-
 
 def test_trapezoidal_second_order():
     # 3-state oracle: plant (M = I) + 1-state controller vs expm.
@@ -200,16 +151,16 @@ def test_trapezoidal_second_order():
     a_e = np.block(
         [[a.toarray(), plant.control @ ctrl.k], [ctrl.g2 @ plant.observation, ctrl.g1]]
     )
-    x0 = np.array([1.0, -1.0])
-    z0 = np.array([0.5])
     spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[0.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
     t_end = 2.0
-    exact = sla.expm(a_e * t_end) @ np.concatenate([x0, z0])
+    # Every run starts from x = (1, 1) and z = 0; y and u at t_end read C and
+    # K off the exact state.
+    exact = sla.expm(a_e * t_end) @ np.array([1.0, 1.0, 0.0])
+    exact_yu = np.concatenate([plant.observation @ exact[:2], ctrl.k @ exact[2:]])
     errs = []
     for dt in (0.02, 0.01):
-        res = sim.simulate(cl, spec, t_end=t_end, dt=dt, x0=x0, z0=z0)
-        xe_final = np.concatenate([res.state_final, res.controller_final])
-        errs.append(np.linalg.norm(xe_final - exact))
+        res = sim.simulate(cl, spec, t_end=t_end, dt=dt)
+        errs.append(np.linalg.norm(np.concatenate([res.y[-1], res.u[-1]]) - exact_yu))
     ratio = errs[0] / errs[1]
     assert 3.2 < ratio < 4.8
 
@@ -230,8 +181,7 @@ def test_matches_dense_monolithic_trapezoid(plant11):
         dist_cos=[[0.0], [0.4]], dist_sin=[[1.5], [0.0]],
     )
     t_end, dt = 1.0, 0.01
-    z0 = rng.standard_normal(nz)
-    res = sim.simulate(sim.assemble_closed_loop(plant11, ctrl), spec, t_end=t_end, dt=dt, z0=z0)
+    res = sim.simulate(sim.assemble_closed_loop(plant11, ctrl), spec, t_end=t_end, dt=dt)
 
     n = plant11.drift.shape[0]
     mass_e = sla.block_diag(plant11.mass.toarray(), np.eye(nz))
@@ -242,23 +192,18 @@ def test_matches_dense_monolithic_trapezoid(plant11):
     lhs, rhs = mass_e / dt - 0.5 * a_e, mass_e / dt + 0.5 * a_e
     y_ref, w_d = sim.eval_signals(spec, dt * (np.arange(100) + 0.5))
     forcing = np.vstack([plant11.disturbance @ w_d, -ctrl.g2 @ y_ref])
-    xi = np.concatenate([sim.default_initial_state(plant11), z0])
+    xi = np.concatenate([sim.default_initial_state(plant11), np.zeros(nz)])
     states = [xi]
     for i in range(100):
         xi = np.linalg.solve(lhs, rhs @ xi + forcing[:, i])
         states.append(xi)
     states = np.array(states)
-    plant_states = states[:, :n]
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    assert close(res.y, plant_states @ plant11.observation.T)
+    assert close(res.y, states[:, :n] @ plant11.observation.T)
     assert close(res.u, states[:, n:] @ ctrl.k.T)
-    assert close(res.state_final, states[-1, :n])
-    assert close(res.controller_final, states[-1, n:])
-    assert res.theta_min == pytest.approx(min(0.0, plant_states.min()), rel=1e-10, abs=1e-12)
-    assert res.theta_max == pytest.approx(max(0.0, plant_states.max()), rel=1e-10)
 
 
 def _random_stable_controller(nz, seed):
@@ -281,8 +226,7 @@ def test_matches_dense_monolithic_trapezoid_large_controller(plant11):
         dist_cos=[[0.0], [0.4]], dist_sin=[[1.5], [0.0]],
     )
     dt, nsteps = 0.01, 100
-    z0 = np.random.default_rng(12).standard_normal(nz)
-    res = sim.simulate(sim.assemble_closed_loop(plant11, ctrl), spec, t_end=nsteps * dt, dt=dt, z0=z0)
+    res = sim.simulate(sim.assemble_closed_loop(plant11, ctrl), spec, t_end=nsteps * dt, dt=dt)
 
     n = plant11.drift.shape[0]
     mass_e = sla.block_diag(plant11.mass.toarray(), np.eye(nz))
@@ -293,28 +237,22 @@ def test_matches_dense_monolithic_trapezoid_large_controller(plant11):
     lhs, rhs = mass_e / dt - 0.5 * a_e, mass_e / dt + 0.5 * a_e
     y_ref, w_d = sim.eval_signals(spec, dt * (np.arange(nsteps) + 0.5))
     forcing = np.vstack([plant11.disturbance @ w_d, -ctrl.g2 @ y_ref])
-    states = [np.concatenate([sim.default_initial_state(plant11), z0])]
+    states = [np.concatenate([sim.default_initial_state(plant11), np.zeros(nz)])]
     for i in range(nsteps):
         states.append(np.linalg.solve(lhs, rhs @ states[-1] + forcing[:, i]))
     states = np.array(states)
-    plant_states = states[:, :n]
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    assert close(res.y, plant_states @ plant11.observation.T)
+    assert close(res.y, states[:, :n] @ plant11.observation.T)
     assert close(res.u, states[:, n:] @ ctrl.k.T)
-    assert close(res.state_final, states[-1, :n])
-    assert close(res.controller_final, states[-1, n:])
-    assert res.theta_min == pytest.approx(min(0.0, plant_states.min()), rel=1e-10, abs=1e-12)
-    assert res.theta_max == pytest.approx(max(0.0, plant_states.max()), rel=1e-10)
 
 
-def test_step_stores_no_plant_by_controller_array(mesh41):
+def test_step_stores_no_plant_by_controller_array(mesh41, flow41, shapes):
     # The plant/controller coupling has rank m + d, so the step keeps no
     # n x nz block: the traced peak stays below half of one.
-    ns = solve_navier_stokes(mesh41, re=100.0)
-    plant = plant_mod.build_plant(mesh41, ns, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+    plant = plant_mod.build_plant(mesh41, flow41, 100.0, 0.7, *shapes)
     nz = 200
     cl = sim.assemble_closed_loop(plant, _random_stable_controller(nz, seed=3))
     tracemalloc.start()
@@ -335,15 +273,6 @@ def test_bad_step_or_horizon_rejected(plant11, dt, t_end):
     cl = sim.assemble_closed_loop(plant11, zero_controller())
     with pytest.raises(ValueError, match="need dt > 0 and finite t_end >= dt"):
         sim.simulate(cl, sim.paper_signals(), t_end=t_end, dt=dt)
-
-
-@pytest.mark.parametrize("which", ["x0", "z0"])
-def test_misshaped_initial_state_rejected(plant11, which):
-    cl = sim.assemble_closed_loop(plant11, zero_controller())
-    n, nz = plant11.drift.shape[0], cl.ctrl.dim
-    bad = {"x0": np.ones(n + 1)} if which == "x0" else {"z0": np.zeros((nz, 1))}
-    with pytest.raises(ValueError, match="initial state dimensions do not match the closed loop"):
-        sim.simulate(cl, sim.paper_signals(), t_end=0.1, dt=0.01, **bad)
 
 
 def test_partial_step_horizon_rejected(plant11):
@@ -372,10 +301,8 @@ def test_nan_detection_reports_step():
     # the non-finite guard must abort with the step index.
     cl = sim.assemble_closed_loop(plant, zero_controller())
     spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[1.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
-    from thermoreg.errors import ConvergenceError
-
     with pytest.raises(ConvergenceError, match="step"):
-        sim.simulate(cl, spec, t_end=400.0, dt=0.5, x0=np.array([1.0]))
+        sim.simulate(cl, spec, t_end=400.0, dt=0.5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -398,7 +325,7 @@ def test_blowup_reports_exact_step():
     spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[1.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
     cl = sim.assemble_closed_loop(plant, zero_controller())
     with pytest.raises(ConvergenceError, match=r"non-finite state at step 324 \(t=162\.000\)"):
-        sim.simulate(cl, spec, t_end=400.0, dt=0.5, x0=np.array([1.0]))
+        sim.simulate(cl, spec, t_end=400.0, dt=0.5)
 
 
 def test_steady_state_matches_dc_transfer(plant11):
@@ -410,7 +337,7 @@ def test_steady_state_matches_dc_transfer(plant11):
     plant_step = dataclasses.replace(plant11, disturbance=plant11.control)
     spec = sim.SignalSpec(frequencies=(0.0,), ref_cos=[[0.0]], ref_sin=[[0.0]], dist_cos=[[amp]], dist_sin=[[0.0]])
     cl = sim.assemble_closed_loop(plant_step, zero_controller())
-    res = sim.simulate(cl, spec, t_end=80.0, dt=0.05, x0=np.zeros(plant11.drift.shape[0]))
+    res = sim.simulate(cl, spec, t_end=80.0, dt=0.05)
     y_inf = res.y[-1, 0]
     assert abs(y_inf - pd0[0, 0].real * amp) < 1e-4 * max(1.0, abs(y_inf))
 
@@ -425,8 +352,6 @@ def test_metrics_zero_error():
         y_ref=np.zeros((101, 1)),
         error=np.zeros((101, 1)),
         u=np.zeros((101, 1)),
-        theta_min=0.0,
-        theta_max=0.0,
     )
     m = sim.tracking_metrics(res)
     assert m.sup_tail == 0.0
@@ -436,7 +361,7 @@ def test_metrics_zero_error():
 def test_metrics_pure_exponential():
     t = np.arange(0.0, 20.0 + 1e-9, 0.01)
     e = np.exp(-t)[:, None]
-    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e), theta_min=0.0, theta_max=1.0)
+    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e))
     m = sim.tracking_metrics(res)
     assert abs(m.decay_rate - 1.0) < 0.05
     assert m.sup_tail == pytest.approx(np.exp(-16.0), rel=1e-6)
@@ -444,7 +369,7 @@ def test_metrics_pure_exponential():
 
 def test_metrics_reject_empty_result():
     empty = np.zeros((0, 1))
-    res = sim.SimulationResult(t=np.zeros(0), y=empty, y_ref=empty, error=empty, u=empty, theta_min=0.0, theta_max=0.0)
+    res = sim.SimulationResult(t=np.zeros(0), y=empty, y_ref=empty, error=empty, u=empty)
     with pytest.raises(ValueError, match="empty simulation result"):
         sim.tracking_metrics(res)
 
@@ -454,7 +379,7 @@ def test_metrics_reject_single_point_envelope():
     t = np.linspace(0.0, 1.0, 11)
     e = np.zeros((11, 1))
     e[0] = 1.0
-    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e), theta_min=0.0, theta_max=1.0)
+    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e))
     with pytest.raises(ValueError, match="two"):
         sim.tracking_metrics(res)
 
@@ -462,7 +387,7 @@ def test_metrics_reject_single_point_envelope():
 def test_window_max_error():
     t = np.linspace(0, 10, 11)
     e = np.linspace(0, 1, 11)[:, None]
-    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e), theta_min=0, theta_max=0)
+    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e))
     assert sim.window_max_error(res, 0.0, 5.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         sim.window_max_error(res, 100.0, 101.0)
@@ -542,10 +467,9 @@ def _perturbed_plant(plant, seed):
 
 
 @pytest.fixture(scope="module")
-def coarse_to_fine(mesh21, mesh41):
-    flow = solve_navier_stokes(mesh41, re=100.0)
-    fine = plant_mod.build_plant(mesh41, flow, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
-    design = plant_mod.build_plant(mesh21, flow, 100.0, 0.7, B_SHAPE, BD_SHAPE, C1_SHAPE)
+def coarse_to_fine(mesh21, mesh41, flow41, shapes):
+    fine = plant_mod.build_plant(mesh41, flow41, 100.0, 0.7, *shapes)
+    design = plant_mod.build_plant(mesh21, flow41, 100.0, 0.7, *shapes)
     freqs = sim.paper_signals().frequencies
     im = ctrl_mod.build_internal_model(freqs, p=1)
     syn = ctrl_mod.synthesize_dual_observer(plant_mod.to_standard_form(design), im, r=10)
