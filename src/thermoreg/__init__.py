@@ -1,17 +1,1 @@
 """Room temperature modeling, robust regulator synthesis, and simulation."""
-
-from .mesh import Geometry, Mesh, build_structured_mesh
-from .fem import ShapeSpec
-from .flow import FlowState, solve_navier_stokes, solve_stokes
-
-__all__ = [
-    "Geometry",
-    "Mesh",
-    "ShapeSpec",
-    "FlowState",
-    "build_structured_mesh",
-    "solve_navier_stokes",
-    "solve_stokes",
-]
-
-__version__ = "0.1.0"

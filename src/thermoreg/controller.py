@@ -23,6 +23,8 @@ from .lti import StateSpace
 # Shift of both Riccati equations of the dual observer design: each closed
 # loop decays faster than exp(-_DECAY_MARGIN t).
 _DECAY_MARGIN = 1.0
+# Distance within which an eigenvalue of G1 counts as the internal model's +-i w_k.
+_INTERNAL_MODEL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -267,11 +269,11 @@ def synthesize_low_gain(transfer_values, frequencies, eps):
     return ControllerRealization(g1=im.g1, g2=g2, k=eps * k0)
 
 
-def internal_model_eigenvalues_present(ctrl, frequencies, tol=1e-8):
-    """Check that +-i w_k all appear in the controller state-matrix spectrum (``ValueError`` for no w_k)."""
+def internal_model_eigenvalues_present(ctrl, frequencies):
+    """Check that +-i w_k all lie within ``_INTERNAL_MODEL_TOL`` of eigenvalues of G1 (``ValueError`` for no w_k)."""
     if len(frequencies) == 0:  # all([]) would pass any controller
         raise ValueError("the internal-model check needs at least one frequency")
     eigs = np.linalg.eigvals(ctrl.g1)
     targets = [1j * w for w in frequencies] + [-1j * w for w in frequencies]
-    return all(np.min(np.abs(eigs - t)) < tol for t in targets)
+    return all(np.min(np.abs(eigs - t)) < _INTERNAL_MODEL_TOL for t in targets)
 

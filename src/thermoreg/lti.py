@@ -1,63 +1,23 @@
 """Dense LTI numerics: standard-form systems, Lyapunov and Riccati solvers, balanced truncation.
 
-The Lyapunov solver is Bartels-Stewart: one real Schur decomposition
-followed by a quasi-triangular back-substitution.  The back-substitution
-is a blocked recursion whose updates are matrix products, so it runs at
-BLAS-3 speed; LAPACK's unblocked ``trsyl`` is only called on small
-diagonal blocks.
-
-The one Riccati equation solved here has unit weights and no parameter,
-``A^T X + X A - X B B^T X + I = 0``, as has its filter dual; the dual
-observer design hands both the drifts it has shifted by its decay margin.
-It is solved by Newton-Kleinman iteration, every step a full step (Kleinman,
-IEEE TAC 1968): from a stabilizing start the iterates X decrease
-monotonically to the stabilizing solution, though the residual norm may rise
-near its rounding floor.  One order-N real Schur form of the drift serves a
-whole solve, and one serves a whole dual design: the caller may hand the
-solver a Schur pair of the drift (the dual observer design derives the
-cascade's from the design drift's); otherwise it takes an unsorted form of
-its own.  The initializer reorders that form with LAPACK ``dtrsen``,
-unstable block first, the reordering that a sorted ``gees`` does
-internally: a small Riccati equation stabilizes the pair projected onto
-that block, and because the lifted closed loop stays block triangular in
-the same Schur basis, a Schur form of the small stabilized block completes
-the Schur form of the first closed loop.  The first Newton
-step is then a Bartels-Stewart solve with no further order-N
-decomposition.  Each later step solves for a correction whose right-hand
-side has the rank of B, only as accurately as the outer tolerance needs
-(inexact Newton-Kleinman): its Galerkin residual may use a fixed share of
-``1e-9 |X_k|_F``, above the kernel's rounding floor and below a tenth of the
-right-hand side.  These steps apply their closed loop as a product and form
-it densely only to factor it: one LU factorization serves all of them, since
-each closed loop differs from the first low-rank step's by a rank-m term, so
-a Sherman-Morrison-Woodbury correction with an m x m capacitance gives its
-solves (a new LU only when the capacitance is ill-conditioned).  The new
-residual is evaluated in factored form.  That
-factored form does not see the Galerkin residuals left behind, so the dense
-residual decides convergence, and an exact correction step (Schur form
-plus Bartels-Stewart on the full residual) polishes the iterate when it
-fails.  With inner residuals tied to the outer tolerance their sum stays
-below it, so the polish is rare; a fixed tolerance relative to the
-right-hand side let a large first step leave more behind than the outer
-tolerance allows.  The exact step is also the fallback whenever the
-projection does not deliver.  The closed loop's decay margin is certified
-from numbers the solve already holds, with no eigenvalue problem: X > 0 and
-a dense residual below 1 bound the abscissa through the Lyapunov inertia
-theorem, and dense eigenvalues are the fallback when either fails.  X > 0
-is certified by a chain: each exact iterate is factored once, and a low-rank
-step is decided from a small matrix of the order of its accumulated
-corrections.  No order-N array is kept past its last use; the Schur pair
-handed to a solve is released after its first step.  A Hamiltonian-subspace
-Riccati solver is kept as an independent oracle for desk-scale problems and
-as the inner solver of the initializer.
-
-One low-rank Lyapunov kernel serves both the Newton-Kleinman corrections
-and balanced truncation: a Galerkin projection onto the extended Krylov
-space of (A, W) that returns a factor Z of the solution, with its solves
-with A handed in by the caller.  Balanced truncation is the low-rank
-square-root method on the two Gramian factors, both served by one LU of A;
-when the requested order reaches the Hankel values they resolve, both
-bases grow to the full space, where the Galerkin solution is exact.
+- Lyapunov: :func:`solve_lyapunov` is Bartels-Stewart.  Its quasi-triangular
+  back-substitution is a blocked recursion whose updates are matrix
+  products, so it runs at BLAS-3 speed; LAPACK's unblocked ``trsyl`` only
+  sees small diagonal blocks.
+- Riccati: one equation with unit weights and no parameter,
+  ``A^T X + X A - X B B^T X + I = 0``, and its filter dual, solved by
+  inexact Newton-Kleinman iteration; :func:`solve_riccati_control`
+  describes the method.  The dual observer design hands both solvers the
+  drifts it has shifted by its decay margin, with their Schur pairs, so one
+  order-N real Schur form serves a whole design.
+  :func:`riccati_hamiltonian` is kept as an independent oracle for
+  desk-scale problems, and its subspace solve as the inner solver of the
+  Newton-Kleinman initializer.
+- :func:`_lowrank_lyap`, one low-rank Lyapunov kernel (a Galerkin projection
+  onto an extended Krylov space), serves both the Newton-Kleinman
+  corrections and balanced truncation.
+- :func:`balanced_truncation` is the low-rank square-root method on the two
+  Gramian factors.
 """
 
 import functools
@@ -316,7 +276,8 @@ def _subspace_stabilizing_gain(a, b, schur=None):
 
     ``schur`` is a real Schur pair ``(T, Z)`` of ``a^T`` (the caller's, or
     an unsorted ``scipy.linalg.schur`` when None); it is overwritten.  LAPACK
-    ``dtrsen`` reorders it so that the k eigenvalues with real part at least
+    ``dtrsen`` reorders it (the reordering a sorted ``gees`` does
+    internally) so that the k eigenvalues with real part at least
     ``-_SELECT_MARGIN`` come first, so ``Z1^T`` spans the left unstable
     invariant subspace of ``a`` and ``(T11^T, Z1^T b)`` is the projected
     pair.  A small Riccati equation stabilizes it with gain ``k_u``, and
@@ -594,7 +555,8 @@ def solve_riccati_control(a, b, *, schur=None):
     copy).  Without it the initializer computes the Schur form of ``A^T``
     itself; the solution is the same up to rounding.  The solver keeps no
     reference to the pair after its first step, so a caller that keeps none
-    either has its memory back for the later steps.
+    either has its memory back for the later steps; no other order-N array
+    outlives its last use.
 
     - The first step is exact: the initializer hands over a real Schur form
       ``A_0^T = Z T Z^T`` of the closed loop of the initial gain, whose
@@ -607,8 +569,13 @@ def solve_riccati_control(a, b, *, schur=None):
       columns as B, so ``E = -Z Z^T`` is a Galerkin solution on an extended
       Krylov space of ``(A_k^T, W)`` (no Schur form).
       Its Galerkin residual is only as small as the outer target needs
-      (inexact Newton-Kleinman).  The first low-rank step factors its
-      ``A_k^T``, the one LU of the solve; every later one applies
+      (inexact Newton-Kleinman): it may use the share ``_OUTER_SHARE`` of
+      ``_RICCATI_TOL |X_k|_F``, above the kernel's rounding floor and at most
+      a tenth of the right-hand side.  Tied to the outer tolerance, the inner
+      residuals add up to less than it, so the polish below is rare; a fixed
+      tolerance relative to the right-hand side let a large first step leave
+      more behind than the outer tolerance allows.  The first low-rank step
+      factors its ``A_k^T``, the one LU of the solve; every later one applies
       ``A_k^T = A_ref^T - (K_k - K_ref)^T B^T`` through that LU and a
       Woodbury correction, and factors anew (becoming the reference) only
       when the m x m capacitance is singular or too ill-conditioned.  These
@@ -875,7 +842,11 @@ def balanced_truncation(sys, r):
 
     zp, zq, u, sv, vt, rank = gramian_factors(_INNER_TOL)
     if r >= rank:
-        zp, zq, u, sv, vt, rank = gramian_factors(0.0)
+        # The rank stays the inner factors'.  Grown to an invariant subspace,
+        # the bases take up directions that only rounding put there, and
+        # their square-root factors pair into spurious Hankel values (up to
+        # 5e-8 of the largest on non-minimal systems).
+        zp, zq, u, sv, vt, _ = gramian_factors(0.0)
     if r > rank:
         warnings.warn(f"requested order {r} exceeds numerical Hankel rank {rank}; clamping", stacklevel=2)
         r = rank

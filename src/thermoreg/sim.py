@@ -128,7 +128,6 @@ class SimulationResult:
 
     t: np.ndarray
     y: np.ndarray        # (nt, p)
-    y_ref: np.ndarray    # (nt, p)
     error: np.ndarray    # (nt, p)
     u: np.ndarray        # (nt, m)
 
@@ -249,8 +248,7 @@ def simulate(cl, signals, t_end, dt):
             y[i + 1] = cx
             u[i + 1] = uz
 
-    y_ref = y_ref_all.T
-    return SimulationResult(t=times, y=y, y_ref=y_ref, error=y - y_ref, u=u)
+    return SimulationResult(t=times, y=y, error=y - y_ref_all.T, u=u)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import functools
 import warnings
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,3 +157,41 @@ def test_bt_error_within_bound(seed, n, m, p, near_axis, order):
     err = lti.sample_frequency_error(sys, red.system, grid)
     assert err <= red.error_bound * (1 + 1e-8) + 1e-9 * hsv[0]
     assert np.all(np.diff(hsv) <= 1e-12 * hsv[0])
+
+
+def non_minimal_system(rng, k, unreached, unseen, m, p, near_axis):
+    """A stable minimal part of order k with a block that B does not reach
+    (zero rows of B) and a block that C does not see (zero columns of C).
+
+    The unreached block drives the minimal part and the minimal part drives
+    the unseen block, so the Hankel rank is still at most k.
+    """
+    n = k + unreached + unseen
+    hi = k + unreached
+    a = np.zeros((n, n))
+    for block, order in ((slice(0, k), k), (slice(k, hi), unreached), (slice(hi, n), unseen)):
+        a[block, block] = random_stable(rng, order, near_axis, nonnormal=2.0)
+    a[:k, k:hi] = rng.standard_normal((k, unreached)) / np.sqrt(n)
+    a[hi:, :k] = rng.standard_normal((unseen, k)) / np.sqrt(n)
+    b = rng.standard_normal((n, m))
+    b[k:hi] = 0.0
+    c = rng.standard_normal((p, n))
+    c[:, hi:] = 0.0
+    return StateSpace(a=a, b=b, c=c)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), unreached=st.integers(1, 4),
+       unseen=st.integers(1, 4), m=st.integers(1, 2), p=st.integers(1, 2), near_axis=st.floats(1e-2, 1.0))
+def test_bt_of_non_minimal_system(seed, k, unreached, unseen, m, p, near_axis):
+    sys = non_minimal_system(np.random.default_rng(seed), k, unreached, unseen, m, p, near_axis)
+    with pytest.warns(UserWarning, match="clamping"):
+        resolved = lti.balanced_truncation(sys, sys.order).system.order
+    assert resolved <= k
+    red = lti.balanced_truncation(sys, resolved)
+    hsv = red.hankel_singular_values
+    grid = np.r_[0.0, np.logspace(-3, 2, 60)]
+    err = lti.sample_frequency_error(sys, red.system, grid)
+    assert err <= red.error_bound * (1 + 1e-8) + 1e-9 * hsv[0]
+    with pytest.warns(UserWarning, match="clamping"):
+        assert lti.balanced_truncation(sys, resolved + 1).system.order == resolved

@@ -3,11 +3,16 @@
 No module of ``thermoreg`` imports inside a function, so the graph can be
 read off the module headers.  ``lti`` sits at its bottom: it imports
 nothing from the package but ``errors``; ``fem`` and ``mesh`` import
-nothing from it.  Every file of the package and of its tests parses as
+nothing from it.  The package's ``__init__`` imports nothing, so a fresh
+interpreter that imports one module loads only the package modules that
+module needs.  Every file of the package and of its tests parses as
 Python 3.10, the oldest version ``pyproject.toml`` allows.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +59,22 @@ def test_lti_imports_only_errors_from_the_package():
 def test_fem_imports_nothing_from_the_package():
     for name in ("fem.py", "mesh.py"):
         assert _package_imports(name) == set(), name
+
+
+@pytest.mark.parametrize(
+    ("module", "loaded"),
+    [
+        ("lti", {"errors", "lti"}),
+        ("controller", {"errors", "lti", "controller"}),
+        ("mesh", {"mesh"}),
+    ],
+)
+def test_import_loads_only_what_the_module_needs(module, loaded):
+    # pytest's pythonpath does not reach a child process, so PYTHONPATH names the package's parent.
+    code = f"import sys, thermoreg.{module}; print(sorted(m for m in sys.modules if m.startswith('thermoreg')))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert ast.literal_eval(out.stdout) == sorted({"thermoreg"} | {f"thermoreg.{name}" for name in loaded})
 
 
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -129,7 +129,7 @@ def test_signal_widths_must_fit_the_plant(plant11, monkeypatch, signal):
 def test_error_definition(plant11):
     cl = sim.assemble_closed_loop(plant11, zero_controller())
     res = sim.simulate(cl, sim.paper_signals(), t_end=0.5, dt=0.01)
-    assert np.allclose(res.error, res.y - res.y_ref, atol=0)
+    assert np.array_equal(res.error, res.y - sim.eval_signals(sim.paper_signals(), res.t)[0].T)
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +288,6 @@ def test_singular_controller_step_rejected(plant11):
         sim.simulate(sim.assemble_closed_loop(plant11, ctrl), sim.paper_signals(), t_end=0.1, dt=0.01)
 
 
-def test_nan_detection_reports_step():
-    a = sp.csr_matrix(np.array([[5.0]]))  # unstable with big dt: finite blowup to inf
-    plant = plant_mod.GeneralizedPlant(
-        mass=sp.identity(1, format="csr"),
-        drift=a,
-        control=np.array([[1.0]]),
-        disturbance=np.array([[0.0]]),
-        observation=np.array([[1.0]]),
-    )
-    # The open unstable plant overflows to inf after a few hundred steps;
-    # the non-finite guard must abort with the step index.
-    cl = sim.assemble_closed_loop(plant, zero_controller())
-    spec = sim.SignalSpec(frequencies=(1.0,), ref_cos=[[1.0]], ref_sin=[[0.0]], dist_cos=[[0.0]], dist_sin=[[0.0]])
-    with pytest.raises(ConvergenceError, match="step"):
-        sim.simulate(cl, spec, t_end=400.0, dt=0.5)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_blowup_reports_step_without_runtime_warning():
-    # The same blow-up, with numpy's RuntimeWarning raised as an error: the
-    # typed error must still be the first thing the caller sees.
-    test_nan_detection_reports_step()
-
-
 def test_blowup_reports_exact_step():
     # x is multiplied by (1/dt + 5/2) / (1/dt - 5/2) = -9 per step, and
     # 9^324 is the first power to overflow a double.
@@ -326,6 +302,13 @@ def test_blowup_reports_exact_step():
     cl = sim.assemble_closed_loop(plant, zero_controller())
     with pytest.raises(ConvergenceError, match=r"non-finite state at step 324 \(t=162\.000\)"):
         sim.simulate(cl, spec, t_end=400.0, dt=0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blowup_reports_step_without_runtime_warning():
+    # The same blow-up, with numpy's RuntimeWarning raised as an error: the
+    # typed error must still be the first thing the caller sees.
+    test_blowup_reports_exact_step()
 
 
 def test_steady_state_matches_dc_transfer(plant11):
@@ -349,7 +332,6 @@ def test_metrics_zero_error():
     res = sim.SimulationResult(
         t=np.linspace(0, 10, 101),
         y=np.zeros((101, 1)),
-        y_ref=np.zeros((101, 1)),
         error=np.zeros((101, 1)),
         u=np.zeros((101, 1)),
     )
@@ -361,7 +343,7 @@ def test_metrics_zero_error():
 def test_metrics_pure_exponential():
     t = np.arange(0.0, 20.0 + 1e-9, 0.01)
     e = np.exp(-t)[:, None]
-    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e))
+    res = sim.SimulationResult(t=t, y=e, error=e, u=np.zeros_like(e))
     m = sim.tracking_metrics(res)
     assert abs(m.decay_rate - 1.0) < 0.05
     assert m.sup_tail == pytest.approx(np.exp(-16.0), rel=1e-6)
@@ -369,7 +351,7 @@ def test_metrics_pure_exponential():
 
 def test_metrics_reject_empty_result():
     empty = np.zeros((0, 1))
-    res = sim.SimulationResult(t=np.zeros(0), y=empty, y_ref=empty, error=empty, u=empty)
+    res = sim.SimulationResult(t=np.zeros(0), y=empty, error=empty, u=empty)
     with pytest.raises(ValueError, match="empty simulation result"):
         sim.tracking_metrics(res)
 
@@ -379,7 +361,7 @@ def test_metrics_reject_single_point_envelope():
     t = np.linspace(0.0, 1.0, 11)
     e = np.zeros((11, 1))
     e[0] = 1.0
-    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e))
+    res = sim.SimulationResult(t=t, y=e, error=e, u=np.zeros_like(e))
     with pytest.raises(ValueError, match="two"):
         sim.tracking_metrics(res)
 
@@ -387,7 +369,7 @@ def test_metrics_reject_single_point_envelope():
 def test_window_max_error():
     t = np.linspace(0, 10, 11)
     e = np.linspace(0, 1, 11)[:, None]
-    res = sim.SimulationResult(t=t, y=e, y_ref=np.zeros_like(e), error=e, u=np.zeros_like(e))
+    res = sim.SimulationResult(t=t, y=e, error=e, u=np.zeros_like(e))
     assert sim.window_max_error(res, 0.0, 5.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         sim.window_max_error(res, 100.0, 101.0)
