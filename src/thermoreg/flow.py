@@ -46,6 +46,10 @@ def inlet_profile(y):
     near its peak: at n=41 the top inlet node (y = 0.375) gets 0.919 and
     the wall node above it 0.  An affine map of the bump onto the inlet
     would make the data continuous, but would move every number after it.
+    Near y = 0.1 the bump underflows to exactly 0 (for y up to about
+    0.1 + 9.2e-4).  From n = 219 on (229, 239, ...; 184 of the odd n up to
+    1001) the lowest tagged inlet node lies there and carries no inflow;
+    ``test_every_inlet_node_takes_inflow`` covers n <= 81 only.
     """
     s = np.asarray(y, dtype=float) + _REMAP_SHIFT
     inside = (s > _PROFILE_LO) & (s < _PROFILE_HI)

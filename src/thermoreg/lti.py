@@ -16,8 +16,9 @@
 - :func:`_lowrank_lyap`, one low-rank Lyapunov kernel (a Galerkin projection
   onto an extended Krylov space), serves both the Newton-Kleinman
   corrections and balanced truncation.
-- :func:`balanced_truncation` is the low-rank square-root method on the two
-  Gramian factors.
+- :func:`balanced_truncation` is the square-root method on the two
+  low-rank Gramian factors; from the resolved Hankel rank on, exact
+  Gramians come from :func:`solve_lyapunov`.
 """
 
 import functools
@@ -49,9 +50,9 @@ _KRYLOV_MAX_DIM = 300
 # iteration counts.  Much below 1e-3 the Krylov kernel's rounding floor sets
 # the residual instead.
 _OUTER_SHARE = 1e-3
-# Rounding floor of the Krylov kernel's residual relative to |W W^T|_F: its
-# default tolerance, the floor of every Newton-Kleinman inner tolerance and
-# the tolerance of balanced truncation's Gramian factors (at 1e-12 the
+# Rounding floor of the Krylov kernel's residual relative to |W W^T|_F: the
+# floor of its target, so of every Newton-Kleinman inner tolerance, and the
+# tolerance of balanced truncation's low-rank Gramian factors (at 1e-12 the
 # leading Hankel values were accurate to about 1e-7 only).  1e-15 is below
 # it: on a 373-state dual design the basis of the observability factor grew
 # from 64 to 187 columns.
@@ -169,9 +170,10 @@ def spectral_abscissa(a):
 def solve_lyapunov(a, q):
     """Solve A X + X A^T + Q = 0 for stable A (Bartels-Stewart).
 
-    Raises ``ValueError`` for unstable ``A`` and :class:`ConvergenceError`
-    when the backward-error residual ``|AX + XA^T + Q| / (|Q| + 2 |A| |X|)``
-    is too large.
+    Balanced truncation takes its exact Gramians from here.  Raises
+    ``ValueError`` for unstable ``A`` and :class:`ConvergenceError` when the
+    backward-error residual ``|AX + XA^T + Q| / (|Q| + 2 |A| |X|)`` is too
+    large.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -399,7 +401,14 @@ def _new_directions(basis, u):
     return q[:, sv > 1e-12 * scale]
 
 
-def _lowrank_lyap(a, w, solve, cap=None, tol=None, atol=0.0):
+def _psd_factor(y):
+    """Factor Z with ``Z Z^T`` the positive part of symmetric Y (eigh; ``lambda > 0`` kept, scaled by sqrt)."""
+    lam, phi = np.linalg.eigh(y)
+    keep = lam > 0.0
+    return phi[:, keep] * np.sqrt(lam[keep])
+
+
+def _lowrank_lyap(a, w, solve, cap=None, atol=0.0):
     """Factor Z, with Z Z^T = P, of the Galerkin solution of A P + P A^T + W W^T = 0.
 
     A is a dense array or a ``scipy.sparse.linalg.LinearOperator``: only its
@@ -417,23 +426,18 @@ def _lowrank_lyap(a, w, solve, cap=None, tol=None, atol=0.0):
     read off T.  One real Schur form of T[old, old] per step gives both the
     stability test and the projected Bartels-Stewart solve.
 
-    Iteration stops when that norm is at most ``max(tol |W W^T|_F, atol)``,
-    or when no new direction is left: the basis then spans an invariant
-    subspace (up to directions below 1e-12 of their size), on which the
-    Galerkin solution is exact.  ``tol = atol = 0`` grows the basis to that
-    subspace and then completes it to the full space, so the solution is
-    exact also where the Krylov directions became numerically dependent.
-    Returns None when the basis would exceed ``cap`` columns (default
+    Iteration stops when that norm is at most
+    ``max(_INNER_TOL |W W^T|_F, atol)``, or when no new direction is left:
+    the basis then spans an invariant subspace (up to directions below 1e-12
+    of their size), on which the Galerkin solution is exact.  Returns None
+    when the basis would exceed ``cap`` columns (default
     ``min(_KRYLOV_MAX_DIM, n // 2)``) first, or when the projection onto the
-    invariant subspace is not stable.  ``tol`` defaults to the rounding
-    floor ``_INNER_TOL``.
+    invariant subspace is not stable.
     """
     n = a.shape[0]
     if cap is None:
         cap = min(_KRYLOV_MAX_DIM, n // 2)
-    if tol is None:
-        tol = _INNER_TOL
-    target = max(tol * np.linalg.norm(w.T @ w), atol)
+    target = max(_INNER_TOL * np.linalg.norm(w.T @ w), atol)
     v = np.empty((n, 0))
     av = np.empty((n, 0))
     t = np.empty((0, 0))
@@ -475,12 +479,6 @@ def _lowrank_lyap(a, w, solve, cap=None, tol=None, atol=0.0):
         if minus is None:
             return None
         invariant = k == old
-        if invariant and target == 0 and k < n:
-            # Complete the basis to the full space, where the solution is exact.
-            append(_new_directions(v[:, :k], np.eye(n)))
-            old = k
-        elif not (invariant or target > 0):
-            continue
         s, u, wr = _real_schur(t[:old, :old])
         # A non-normal A can have unstable projections, whose projected
         # equation has no meaningful solution; the basis then grows on.
@@ -492,9 +490,7 @@ def _lowrank_lyap(a, w, solve, cap=None, tol=None, atol=0.0):
         rhs[: w_hat.shape[0], : w_hat.shape[0]] = w_hat @ w_hat.T
         y = _lyap_from_schur(s, u, rhs)
         if invariant or np.sqrt(2.0) * np.linalg.norm(t[old:k, :old] @ y) <= target:
-            lam, phi = np.linalg.eigh(y)
-            keep = lam > 0.0
-            return v[:, :old] @ (phi[:, keep] * np.sqrt(lam[keep]))
+            return v[:, :old] @ _psd_factor(y)
 
 
 def _woodbury_solver(lu, u, b):
@@ -817,36 +813,34 @@ def balanced_truncation(sys, r):
     ``_lowrank_lyap`` (inner tolerance ``_INNER_TOL``), whose solves with A
     and with A^T all come from one LU of A, and the Hankel
     singular values are those of ``Z_q^T Z_p`` (Gugercin & Li, 2005).  When
-    ``r`` reaches the number of values the factors resolve, both bases grow
-    to the full space, where the Galerkin solutions are the exact Gramians.
+    ``r`` reaches the number of values above 1e-13 of the largest, the exact
+    Gramians of :func:`solve_lyapunov` are factored instead.
     ``r`` must pass :func:`check_reduced_order` with N.  If ``r`` exceeds
     the numerical Hankel rank it is clamped with a warning.
     The reduced system satisfies the usual bound: the H-infinity error is at
-    most twice the sum of the truncated Hankel singular values.  An unstable
-    drift raises ``ValueError``: the basis then grows until it spans an
-    invariant subspace or the full space, and the projection there is not
-    stable.
+    most twice the sum of the truncated Hankel singular values.  From the
+    resolved order on, :func:`solve_lyapunov` rejects an unstable drift
+    (``ValueError``).  Below it only the modes the Krylov bases reach are
+    checked: an unstable mode that B does not reach and C does not see
+    passes, and the reduced system leaves it out.
     """
     n = sys.order
     check_reduced_order(r, n)
     lu = sla.lu_factor(sys.a)
-
-    def gramian_factors(tol):
-        zp = _lowrank_lyap(sys.a, sys.b, functools.partial(sla.lu_solve, lu), cap=n, tol=tol)
-        zq = _lowrank_lyap(sys.a.T, sys.c.T, functools.partial(sla.lu_solve, lu, trans=1), cap=n, tol=tol)
-        if zp is None or zq is None:
-            raise ValueError("balanced truncation requires a stable system")
-        u, sv, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
-        rank = int(np.sum(sv > max(sv[0], 1e-300) * 1e-13))
-        return zp, zq, u, sv, vt, rank
-
-    zp, zq, u, sv, vt, rank = gramian_factors(_INNER_TOL)
+    zp = _lowrank_lyap(sys.a, sys.b, functools.partial(sla.lu_solve, lu), cap=n)
+    zq = _lowrank_lyap(sys.a.T, sys.c.T, functools.partial(sla.lu_solve, lu, trans=1), cap=n)
+    if zp is None or zq is None:
+        raise ValueError("balanced truncation requires a stable system")
+    u, sv, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
+    rank = int(np.sum(sv > max(sv[0], 1e-300) * 1e-13))
     if r >= rank:
-        # The rank stays the inner factors'.  Grown to an invariant subspace,
-        # the bases take up directions that only rounding put there, and
-        # their square-root factors pair into spurious Hankel values (up to
-        # 5e-8 of the largest on non-minimal systems).
-        zp, zq, u, sv, vt, _ = gramian_factors(0.0)
+        # The rank stays the inner factors'.  The exact Gramians have
+        # directions that only rounding put there, and their square-root
+        # factors pair into spurious Hankel values (up to 1.1e-7 of the
+        # largest on non-minimal systems).
+        zp = _psd_factor(solve_lyapunov(sys.a, sys.b @ sys.b.T))
+        zq = _psd_factor(solve_lyapunov(sys.a.T, sys.c.T @ sys.c))
+        u, sv, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
     if r > rank:
         warnings.warn(f"requested order {r} exceeds numerical Hankel rank {rank}; clamping", stacklevel=2)
         r = rank

@@ -621,22 +621,13 @@ def test_lowrank_lyap_meets_absolute_target():
     assert np.linalg.norm(a @ p + p @ a.T + b @ b.T) <= atol * (1 + 1e-8)
 
 
-def test_lowrank_lyap_full_space_is_exact():
-    rng = np.random.default_rng(8)
-    a = random_stable(rng, 9)
-    w = rng.standard_normal((9, 2))
-    z = lti._lowrank_lyap(a, w, lu_solver(a), cap=9, tol=0.0)
-    p_ref = lyapunov_kron_oracle(a, w @ w.T)
-    assert np.max(np.abs(z @ z.T - p_ref)) < 1e-12 * np.max(np.abs(p_ref))
-
-
 def test_lowrank_lyap_stops_on_invariant_subspace():
     # Only the first two states are reachable: the Krylov space is
     # invariant after one block and holds the Gramian exactly.
     a = np.diag([-1.0, -3.0, -2.0, -5.0])
     a[0, 1] = 1.0
     w = np.array([[1.0], [1.0], [0.0], [0.0]])
-    z = lti._lowrank_lyap(a, w, lu_solver(a), cap=4, tol=0.0)
+    z = lti._lowrank_lyap(a, w, lu_solver(a), cap=4)
     assert z.shape[1] == 2
     p_ref = lyapunov_kron_oracle(a, w @ w.T)
     assert np.max(np.abs(z @ z.T - p_ref)) < 1e-14
@@ -650,7 +641,7 @@ def test_lowrank_lyap_cap_returns_none():
 
 def test_lowrank_lyap_unstable_full_space_returns_none():
     a = np.array([[0.5, 1.0], [0.0, -2.0]])
-    assert lti._lowrank_lyap(a, np.array([[1.0], [1.0]]), lu_solver(a), cap=2, tol=0.0) is None
+    assert lti._lowrank_lyap(a, np.array([[1.0], [1.0]]), lu_solver(a), cap=2) is None
 
 
 def test_factored_residual_norm_matches_dense():
@@ -751,14 +742,19 @@ def diffusive_system(n=150, seed=0):
 
 
 def dense_hankel_values(sys):
-    """Square-root Hankel values from dense Bartels-Stewart Gramians."""
+    """Square-root Hankel values from dense Gramians of LAPACK ``trsyl``.
+
+    ``scipy.linalg.solve_continuous_lyapunov`` shares no code with
+    ``lti.solve_lyapunov``, from which balanced truncation takes its exact
+    Gramians.
+    """
 
     def factor(x):
         w, v = np.linalg.eigh(0.5 * (x + x.T))
         return v * np.sqrt(np.clip(w, 0.0, None))
 
-    ctrb = lti.solve_lyapunov(sys.a, sys.b @ sys.b.T)
-    obsv = lti.solve_lyapunov(sys.a.T, sys.c.T @ sys.c)
+    ctrb = sla.solve_continuous_lyapunov(sys.a, -sys.b @ sys.b.T)
+    obsv = sla.solve_continuous_lyapunov(sys.a.T, -sys.c.T @ sys.c)
     return np.linalg.svd(factor(obsv).T @ factor(ctrb), compute_uv=False)
 
 
@@ -776,28 +772,28 @@ def test_bt_lowrank_matches_dense_hankel_values():
 
 
 def test_bt_grows_to_full_space_at_resolved_order(monkeypatch):
-    # Below the number of Hankel values the factors resolve, both come from
-    # the inner tolerance; from that order on, from the full space.  At r = n
-    # the reduced system is the full one up to the modes below the numerical
-    # Hankel rank.
+    # Below the number of Hankel values the low-rank factors resolve, both
+    # Gramians are those factors; from that order on, the exact Gramians of
+    # ``solve_lyapunov``.  At r = n the reduced system is the full one up to
+    # the modes below the numerical Hankel rank.
     sys = diffusive_system(n=60)
-    kernel = lti._lowrank_lyap
-    tols = []
+    exact = lti.solve_lyapunov
+    orders = []
 
-    def recording(a, w, solve, cap=None, tol=None):
-        tols.append(tol)
-        return kernel(a, w, solve, cap, tol)
+    def recording(a, q):
+        orders.append(a.shape[0])
+        return exact(a, q)
 
-    monkeypatch.setattr(lti, "_lowrank_lyap", recording)
+    monkeypatch.setattr(lti, "solve_lyapunov", recording)
     hsv = lti.balanced_truncation(sys, 8).hankel_singular_values
-    assert tols == [lti._INNER_TOL] * 2
+    assert orders == []
     resolved = int(np.sum(hsv > 1e-13 * hsv[0]))
     for r in (resolved, sys.order):
-        tols.clear()
+        orders.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # rank clamp expected
             red = lti.balanced_truncation(sys, r)
-        assert tols == [lti._INNER_TOL] * 2 + [0.0] * 2
+        assert orders == [sys.order] * 2
     ref = dense_hankel_values(sys)
     assert np.max(np.abs(red.hankel_singular_values[:10] - ref[:10]) / ref[:10]) < 1e-8
     grid = np.logspace(-2, 4, 30)
@@ -810,6 +806,24 @@ def test_bt_rejects_unstable_drift_n150():
     assert lti.spectral_abscissa(sys.a) > 0
     with pytest.raises(ValueError, match="stable"):
         lti.balanced_truncation(sys, 10)
+
+
+def test_bt_rejects_unreached_unseen_unstable_mode_at_full_order():
+    # A +0.5 mode that B does not reach and C does not see: no Krylov basis
+    # meets it, so only the exact Gramians from the resolved order on do.
+    rng = np.random.default_rng(3)
+    n = 12
+    sys = _random_system(rng, n)
+    sys.a[-1, :] = sys.a[:, -1] = 0.0
+    sys.a[-1, -1] = 0.5
+    sys.b[-1] = 0.0
+    sys.c[:, -1] = 0.0
+    with pytest.raises(ValueError, match="stable"):
+        lti.balanced_truncation(sys, n)
+    # Below the resolved order the mode is not checked, and the reduced
+    # system leaves it out.
+    red = lti.balanced_truncation(sys, 3)
+    assert red.system.order == 3 and lti.spectral_abscissa(red.system.a) < 0
 
 
 def test_bt_clamps_rank_deficient(rng):

@@ -88,8 +88,10 @@ def test_krylov_factor_residual(seed, n, m, near_axis, exact):
     rng = np.random.default_rng(seed)
     a = random_stable(rng, n, near_axis, nonnormal=3.0)
     w = rng.standard_normal((n, m))
-    solve = functools.partial(sla.lu_solve, sla.lu_factor(a))
-    z = lti._lowrank_lyap(a, w, solve, cap=n, tol=0.0 if exact else lti._INNER_TOL)
+    if exact:
+        z = lti._psd_factor(lti.solve_lyapunov(a, w @ w.T))
+    else:
+        z = lti._lowrank_lyap(a, w, functools.partial(sla.lu_solve, sla.lu_factor(a)), cap=n)
     assert z is not None
     p = z @ z.T
     res = np.linalg.norm(a @ p + p @ a.T + w @ w.T)
