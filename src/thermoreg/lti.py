@@ -15,7 +15,10 @@
   Newton-Kleinman initializer.
 - :func:`_lowrank_lyap`, one low-rank Lyapunov kernel (a Galerkin projection
   onto an extended Krylov space), serves both the Newton-Kleinman
-  corrections and balanced truncation.
+  corrections and balanced truncation.  It takes its operator as a product
+  function, solves the projected equation only at the steps whose residual
+  can meet the target, and returns the projected factors, from which its
+  callers read residual norms with no order-N work.
 - :func:`balanced_truncation` is the square-root method on the two
   low-rank Gramian factors; from the resolved Hankel rank on, exact
   Gramians come from :func:`solve_lyapunov`.
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import ConvergenceError
@@ -42,6 +44,9 @@ _RICCATI_TOL = 1e-9
 _RICCATI_MAX_ITER = 60
 # Largest extended Krylov basis of a low-rank Newton-Kleinman correction.
 _KRYLOV_MAX_DIM = 300
+# Longest run of Galerkin checks that the Krylov kernel skips on the
+# extrapolated rate of its residuals.
+_MAX_SKIPPED_CHECKS = 3
 # Share of the outer tolerance ``_RICCATI_TOL |X_k|_F`` that the Galerkin residual of
 # one low-rank Newton-Kleinman step may use.  Later steps do not see these
 # residuals, so X keeps their effect: at 1e-2, two solves that differed only
@@ -342,32 +347,37 @@ def _cholesky_or_none(x):
         return None
 
 
-def _downdate_is_positive_definite(x, chol, y, z):
-    """Whether ``X - Z Z^T`` is positive definite, and the columns ``[Y, L^-1 Z]``.
+def _downdate_is_positive_definite(x, chol, y, gram, z):
+    """Whether ``X - Z Z^T`` is positive definite, the columns ``Y' = [Y, L^-1 Z]`` and ``Y'^T Y'``.
 
     ``chol`` is the Cholesky factor L of the last exact iterate ``X_e = L L^T``
-    (None when X_e is not positive definite) and ``X = X_e - (L Y)(L Y)^T``.
-    With ``Y' = [Y, L^-1 Z]``, ``X - Z Z^T = L (I - Y' Y'^T) L^T`` is positive
-    definite exactly when the small ``S = I - Y'^T Y'`` is.  The triangular
-    solve is backward stable, so S is that of an X_e perturbed by about
-    ``N eps |X_e|``, which moves the eigenvalues of S by up to about
-    ``N eps cond(X_e)``, estimated by the ratio of the largest to the smallest
-    Cholesky pivot.  When the smallest eigenvalue of S lies within that, or
+    (None when X_e is not positive definite), ``X = X_e - (L Y)(L Y)^T`` and
+    ``gram`` is ``Y^T Y``, which grows by bordering with the new columns.
+    ``X - Z Z^T = L (I - Y' Y'^T) L^T`` is positive definite exactly when the
+    small ``S = I - Y'^T Y'`` is.  The triangular solve is backward stable,
+    so S is that of an X_e perturbed by about ``N eps |X_e|``, which moves
+    the eigenvalues of S by up to about ``N eps cond(X_e)``, estimated by the
+    ratio of the largest to the smallest Cholesky pivot.  When the smallest eigenvalue of S lies within that, or
     there is no L, the Cholesky factorization of ``X - Z Z^T`` decides.
     """
     if chol is None:
-        return _cholesky_or_none(x - z @ z.T) is not None, y
-    y = np.hstack([y, sla.solve_triangular(chol, z, lower=True)])
+        return _cholesky_or_none(x - z @ z.T) is not None, y, gram
+    new = sla.solve_triangular(chol, z, lower=True, check_finite=False)
+    cross = y.T @ new
+    gram = np.block([[gram, cross], [cross.T, new.T @ new]])
+    y = np.hstack([y, new])
     if not y.shape[1]:
-        return True, y
-    small = -(y.T @ y)
-    small[np.diag_indices_from(small)] += 1.0
-    lam = sla.eigh(small, eigvals_only=True, subset_by_index=[0, 0])[0]
+        return True, y, gram
     pivots = np.diag(chol) ** 2
     slack = x.shape[0] * np.finfo(float).eps * np.max(pivots) / np.min(pivots)
-    if abs(lam) <= slack:
-        return _cholesky_or_none(x - z @ z.T) is not None, y
-    return lam > 0.0, y
+    # The smallest eigenvalue of S exceeds the slack when S - slack I has a
+    # Cholesky factor, and lies below minus the slack when S + slack I has none.
+    eye = np.eye(gram.shape[0])
+    if lapack.dpotrf(eye - gram - slack * eye, lower=1)[1] == 0:
+        return True, y, gram
+    if lapack.dpotrf(eye - gram + slack * eye, lower=1)[1] != 0:
+        return False, y, gram
+    return _cholesky_or_none(x - z @ z.T) is not None, y, gram
 
 
 def _closed_loop_t(a, b, gain):
@@ -390,13 +400,17 @@ def _riccati_residual(a, b, x):
 def _new_directions(basis, u):
     """Orthonormal basis of the part of span(u) orthogonal to ``basis``.
 
-    Two passes of classical Gram-Schmidt, then an SVD.  A direction whose
-    remainder is below 1e-12 of the size of ``u`` before the projection
-    already lies in the span of ``basis`` and is dropped.
+    Two passes of classical Gram-Schmidt, then an SVD, or for one column its
+    norm.  A direction whose remainder is below 1e-12 of the size of ``u``
+    before the projection already lies in the span of ``basis`` and is
+    dropped.
     """
     scale = np.linalg.norm(u)
     for _ in range(2):
         u = u - basis @ (basis.T @ u)
+    if u.shape[1] == 1:
+        norm = np.linalg.norm(u)
+        return u / norm if norm > 1e-12 * scale else u[:, :0]
     q, sv, _ = np.linalg.svd(u, full_matrices=False)
     return q[:, sv > 1e-12 * scale]
 
@@ -408,33 +422,42 @@ def _psd_factor(y):
     return phi[:, keep] * np.sqrt(lam[keep])
 
 
-def _lowrank_lyap(a, w, solve, cap=None, atol=0.0):
+def _lowrank_lyap(apply, w, solve, cap=None, atol=0.0):
     """Factor Z, with Z Z^T = P, of the Galerkin solution of A P + P A^T + W W^T = 0.
 
-    A is a dense array or a ``scipy.sparse.linalg.LinearOperator``: only its
-    products are used.
+    ``apply(Y)`` returns ``A Y`` and ``solve(Y)`` returns ``A^-1 Y``; the
+    caller owns both.  The solves only shape the basis: T and the residual
+    test use the products.
 
     The basis is the extended Krylov space of (A, W) (Simoncini, SIAM J.
     Sci. Comput. 2007).  Each step appends the new directions of
     ``[A V+, A^-1 V-]``, where V+ and V- are the directions the step before
-    added from A and from A^-1.  ``solve(Y)`` returns ``A^-1 Y``; the caller
-    owns the factorization, and its accuracy only shapes the basis, since T
-    and the residual test use exact products with A.
+    added from A and from A^-1.
     The basis, its image under A and the projected matrix T grow in place.
     A maps the basis of the step before into the current one, so the
     Galerkin residual norm on the old basis is ``sqrt(2) |T[new, old] Y|_F``,
-    read off T.  One real Schur form of T[old, old] per step gives both the
-    stability test and the projected Bartels-Stewart solve.
+    read off T.
+
+    A check of that norm takes a real Schur form of T[old, old], which gives
+    both the stability test and the projected Bartels-Stewart solve, and
+    costs more than a step of the basis.  So from the second check on, the
+    per-step rate of the last two residuals is extrapolated, and the checks
+    it predicts to miss the target are skipped, at most
+    ``_MAX_SKIPPED_CHECKS`` in a row.  No check is skipped on an invariant
+    basis, after an unstable projection, or when the next step could exceed
+    the cap.
 
     Iteration stops when that norm is at most
     ``max(_INNER_TOL |W W^T|_F, atol)``, or when no new direction is left:
     the basis then spans an invariant subspace (up to directions below 1e-12
-    of their size), on which the Galerkin solution is exact.  Returns None
-    when the basis would exceed ``cap`` columns (default
-    ``min(_KRYLOV_MAX_DIM, n // 2)``) first, or when the projection onto the
-    invariant subspace is not stable.
+    of their size), on which the Galerkin solution is exact.  Returns
+    ``(Z, (AZ, Z, W))``, the second item in the coordinates of the
+    orthonormal basis, from which :func:`_lowrank_residual_norm` reads
+    residual norms with no order-N product.  Returns None when the basis
+    would exceed ``cap`` columns (default ``min(_KRYLOV_MAX_DIM, n // 2)``)
+    first, or when the projection onto the invariant subspace is not stable.
     """
-    n = a.shape[0]
+    n = w.shape[0]
     if cap is None:
         cap = min(_KRYLOV_MAX_DIM, n // 2)
     target = max(_INNER_TOL * np.linalg.norm(w.T @ w), atol)
@@ -456,7 +479,7 @@ def _lowrank_lyap(a, w, solve, cap=None, atol=0.0):
             grown = np.empty((size, size))
             grown[:k, :k] = t[:k, :k]
             t = grown
-        ablock = a @ block
+        ablock = apply(block)
         v[:, k:end] = block
         av[:, k:end] = ablock
         t[:k, k:end] = v[:, :k].T @ ablock
@@ -469,16 +492,25 @@ def _lowrank_lyap(a, w, solve, cap=None, atol=0.0):
     minus = None if plus is None else append(_new_directions(v[:, :k], solve(w)))
     if minus is None:
         return None
-    if k == 0:
-        return np.zeros((n, 0))
     w_hat = v[:, :k].T @ w
+    if k == 0:
+        return np.zeros((n, 0)), (np.zeros((0, 0)), np.zeros((0, 0)), w_hat)
+    # (step, residual) of the last check that solved, and the checks left to skip.
+    last = None
+    skip = step = 0
     while True:
         old = k
         plus = append(_new_directions(v[:, :k], av[:, plus]))
         minus = None if plus is None else append(_new_directions(v[:, :k], solve(v[:, minus])))
         if minus is None:
             return None
+        step += 1
         invariant = k == old
+        # The next step adds at most as many columns as this one.
+        if skip and not invariant and 2 * k - old <= cap:
+            skip -= 1
+            continue
+        skip = 0
         s, u, wr = _real_schur(t[:old, :old])
         # A non-normal A can have unstable projections, whose projected
         # equation has no meaningful solution; the basis then grows on.
@@ -486,11 +518,22 @@ def _lowrank_lyap(a, w, solve, cap=None, atol=0.0):
             if invariant:
                 return None
             continue
-        rhs = np.zeros((old, old))
-        rhs[: w_hat.shape[0], : w_hat.shape[0]] = w_hat @ w_hat.T
-        y = _lyap_from_schur(s, u, rhs)
-        if invariant or np.sqrt(2.0) * np.linalg.norm(t[old:k, :old] @ y) <= target:
-            return v[:, :old] @ _psd_factor(y)
+        c = u[: w_hat.shape[0]].T @ w_hat
+        y = _lyap_in_schur_basis(s, u, -(c @ c.T))
+        res = np.sqrt(2.0) * np.linalg.norm(t[old:k, :old] @ y)
+        if invariant or res <= target:
+            phi = _psd_factor(y)
+            # Z and W in the coordinates of the basis of k columns.
+            z_c = np.zeros((k, phi.shape[1]))
+            z_c[:old] = phi
+            w_c = np.zeros((k, w.shape[1]))
+            w_c[: len(w_hat)] = w_hat
+            return v[:, :old] @ phi, (t[:k, :old] @ phi, z_c, w_c)
+        if last is not None:
+            rate = (res / last[1]) ** (1.0 / (step - last[0]))
+            if rate < 1.0:
+                skip = int(min(np.ceil(np.log(target / res) / np.log(rate)) - 1, _MAX_SKIPPED_CHECKS))
+        last = (step, res)
 
 
 def _woodbury_solver(lu, u, b):
@@ -502,7 +545,7 @@ def _woodbury_solver(lu, u, b):
     formed from, exceeds ``_WOODBURY_MAX_COND``.  (Its 2-norm condition
     number alone is 1 for every nonzero 1 x 1 capacitance.)
     """
-    mu = sla.lu_solve(lu, u)
+    mu = sla.lu_solve(lu, u, check_finite=False)
     terms = b.T @ mu
     capacitance = np.eye(u.shape[1]) - terms
     if not np.all(np.isfinite(capacitance)):
@@ -515,17 +558,18 @@ def _woodbury_solver(lu, u, b):
         return None
 
     def solve(y):
-        z = sla.lu_solve(lu, y)
+        z = sla.lu_solve(lu, y, check_finite=False)
         return z + mu @ (inverse @ (b.T @ z))
 
     return solve
 
 
-def _lowrank_residual_norm(a, z, w, g=None):
-    """|A Z Z^T + Z Z^T A^T + W W^T + Z G G^T Z^T|_F, from the thin factors.
+def _lowrank_residual_norm(az, z, w, g=None):
+    """|A Z Z^T + Z Z^T A^T + W W^T + Z G G^T Z^T|_F, from the thin factors and ``az = A Z``.
 
     The matrix is U M U^T with U = [A Z, Z, W], so its norm is that of
-    R M R^T with R the triangular factor of U.
+    R M R^T with R the triangular factor of U.  The factors may be given in
+    the coordinates of any orthonormal basis that holds them.
     """
     j, m = z.shape[1], w.shape[1]
     mid = np.zeros((2 * j + m, 2 * j + m))
@@ -533,7 +577,7 @@ def _lowrank_residual_norm(a, z, w, g=None):
     mid[2 * j :, 2 * j :] = np.eye(m)
     if g is not None:
         mid[j : 2 * j, j : 2 * j] = g @ g.T
-    rr = np.linalg.qr(np.hstack([a @ z, z, w]), mode="r")
+    rr = np.linalg.qr(np.hstack([az, z, w]), mode="r")
     return float(np.linalg.norm(rr @ mid @ rr.T))
 
 
@@ -576,8 +620,8 @@ def solve_riccati_control(a, b, *, schur=None):
       Woodbury correction, and factors anew (becoming the reference) only
       when the m x m capacitance is singular or too ill-conditioned.  These
       solves only shape the Krylov basis: its projected matrix and residual
-      use exact products with ``A_k``, applied as ``A^T V - K_k^T (B^T V)``
-      with no dense ``A_k``.
+      use exact products with ``A_k``, applied as the plain products
+      ``A^T V - K_k^T (B^T V)`` with no dense ``A_k``.
       When ``X + E`` is positive definite, the Lyapunov inertia theorem
       certifies that ``A_k`` is stable.  That is decided with no order-N
       factorization: each exact iterate is factored once, ``X_e = L L^T``,
@@ -587,8 +631,10 @@ def solve_riccati_control(a, b, *, schur=None):
       the rounding of the chain (about ``N eps cond(X_e)``), the Cholesky
       factorization of ``X + E`` decides instead.  X is then updated in
       place.  The new residual
-      ``R(X + E) = -W W^T + A_k^T E + E A_k - E B B^T E`` has rank at most
-      ``2 rank(Z) + rank(B)`` and is evaluated in that factored form.
+      ``R(X + E) = -W W^T + A_k^T E + E A_k - E B B^T E`` lies in the span
+      of the Krylov basis, where ``A_k^T Z`` is the projected matrix times the
+      projected factor, so its norm is read off the kernel's projected
+      matrices with no order-N product.
     - An exact step (Schur form, abscissa check, Bartels-Stewart with the
       full ``-R(X_k)``) is taken instead when the previous low-rank step
       failed to halve the residual (inner errors add up; this is the
@@ -628,9 +674,9 @@ def solve_riccati_control(a, b, *, schur=None):
     # ``res`` is the dense residual of ``x``, or None once a low-rank step
     # follows, whose factored norm is ``res_norm``.
     x = res = w = None
-    # Cholesky factor of the last exact iterate and the scaled low-rank
-    # corrections since (see _downdate_is_positive_definite).
-    chol = y = None
+    # Cholesky factor of the last exact iterate, the scaled low-rank
+    # corrections since and their Gram matrix (see _downdate_is_positive_definite).
+    chol = y = gram = None
     # LU of the transposed closed loop of a reference gain; later closed
     # loops differ from it by a rank-m term.
     lu = ref_gain = None
@@ -642,25 +688,25 @@ def solve_riccati_control(a, b, *, schur=None):
         lowrank = False
         if w is not None:
             res = None
-            # A_k^T = A^T - K_k^T B^T, applied without forming it.
-            acl_t = spla.aslinearoperator(a.T) - spla.aslinearoperator(gain.T) @ spla.aslinearoperator(b.T)
             # A_k^T = A_ref^T - (K_k - K_ref)^T B^T.  The first low-rank step,
             # or one whose capacitance is ill-conditioned, becomes the reference.
             solve = None if lu is None else _woodbury_solver(lu, (gain - ref_gain).T, b)
             if solve is None:
                 lu, ref_gain = sla.lu_factor(_closed_loop_t(a, b, gain), overwrite_a=True), gain
-                solve = functools.partial(sla.lu_solve, lu)
+                solve = functools.partial(sla.lu_solve, lu, check_finite=False)
             atol = min(_OUTER_SHARE * _RICCATI_TOL * x_norm, 0.1 * np.linalg.norm(w.T @ w))
-            z = _lowrank_lyap(acl_t, w, solve, atol=atol)
+            # A_k^T = A^T - K_k^T B^T, applied without forming it.
+            found = _lowrank_lyap(lambda v: a.T @ v - gain.T @ (b.T @ v), w, solve, atol=atol)
             # Inertia: A_k^T (X + E) + (X + E) A_k = -(I + K_k^T K_k), up to
             # the inner and carried-over residuals, so X + E > 0 certifies
             # that A_k is stable.
-            if z is not None:
-                lowrank, y = _downdate_is_positive_definite(x, chol, y, z)
+            if found is not None:
+                z, coords = found
+                lowrank, y, gram = _downdate_is_positive_definite(x, chol, y, gram, z)
         prev_norm = res_norm
         if lowrank:
             x -= z @ z.T
-            res_norm = _lowrank_residual_norm(acl_t, z, w, z.T @ b)
+            res_norm = _lowrank_residual_norm(*coords, z.T @ b)
         else:
             t, zs = seed or sla.schur(_closed_loop_t(a, b, gain), output="real", overwrite_a=True)
             seed = None
@@ -679,7 +725,7 @@ def solve_riccati_control(a, b, *, schur=None):
             exact_steps += 1
             res = _riccati_residual(a, b, x)
             res_norm = np.linalg.norm(res)
-            chol, y = _cholesky_or_none(x), np.empty((n, 0))
+            chol, y, gram = _cholesky_or_none(x), np.empty((n, 0)), np.empty((0, 0))
         x_norm = max(np.linalg.norm(x), 1e-300)
         # The factored norm does not see the residuals that earlier low-rank
         # steps carried over; the dense residual decides convergence.
@@ -827,10 +873,13 @@ def balanced_truncation(sys, r):
     n = sys.order
     check_reduced_order(r, n)
     lu = sla.lu_factor(sys.a)
-    zp = _lowrank_lyap(sys.a, sys.b, functools.partial(sla.lu_solve, lu), cap=n)
-    zq = _lowrank_lyap(sys.a.T, sys.c.T, functools.partial(sla.lu_solve, lu, trans=1), cap=n)
-    if zp is None or zq is None:
+    ctrb = _lowrank_lyap(sys.a.__matmul__, sys.b, functools.partial(sla.lu_solve, lu, check_finite=False), cap=n)
+    obsv = _lowrank_lyap(
+        sys.a.T.__matmul__, sys.c.T, functools.partial(sla.lu_solve, lu, trans=1, check_finite=False), cap=n
+    )
+    if ctrb is None or obsv is None:
         raise ValueError("balanced truncation requires a stable system")
+    (zp, _), (zq, _) = ctrb, obsv
     u, sv, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
     rank = int(np.sum(sv > max(sv[0], 1e-300) * 1e-13))
     if r >= rank:
@@ -840,6 +889,7 @@ def balanced_truncation(sys, r):
         # largest on non-minimal systems).
         zp = _psd_factor(solve_lyapunov(sys.a, sys.b @ sys.b.T))
         zq = _psd_factor(solve_lyapunov(sys.a.T, sys.c.T @ sys.c))
+        ctrb, obsv = (zp, (sys.a @ zp, zp, sys.b)), (zq, (sys.a.T @ zq, zq, sys.c.T))
         u, sv, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
     if r > rank:
         warnings.warn(f"requested order {r} exceeds numerical Hankel rank {rank}; clamping", stacklevel=2)
@@ -849,8 +899,8 @@ def balanced_truncation(sys, r):
     t_left = (u[:, :r] * scale).T @ zq.T
     reduced = StateSpace(a=t_left @ sys.a @ t_right, b=t_left @ sys.b, c=sys.c @ t_right)
     residuals = tuple(
-        _lowrank_residual_norm(op, z, rhs) / max(np.linalg.norm(rhs.T @ rhs), 1e-300)
-        for op, z, rhs in ((sys.a, zp, sys.b), (sys.a.T, zq, sys.c.T))
+        _lowrank_residual_norm(*coords) / max(np.linalg.norm(rhs.T @ rhs), 1e-300)
+        for (_, coords), rhs in ((ctrb, sys.b), (obsv, sys.c.T))
     )
     return BalancedReduction(
         system=reduced,

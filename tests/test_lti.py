@@ -451,7 +451,7 @@ def test_riccati_falls_back_to_exact_steps(denial, monkeypatch, schur_orders):
         monkeypatch.setattr(lti, "_KRYLOV_MAX_DIM", 2)
     else:
         # X + E is indefinite, so the step carries no inertia certificate.
-        monkeypatch.setattr(lti, "_lowrank_lyap", lambda a, w, solve, atol: -1e6 * np.eye(a.shape[0]))
+        monkeypatch.setattr(lti, "_lowrank_lyap", lambda apply, w, solve, atol: (-1e6 * np.eye(w.shape[0]), None))
     a, b, _ = riccati_problem(0)
     sol = lti.solve_riccati_control(a, b)
     # One exact step per iteration; the first uses the initializer's form.
@@ -508,8 +508,8 @@ def test_chain_verdict_matches_direct_cholesky(case, monkeypatch):
     verdict = lti._downdate_is_positive_definite
     agree = []
 
-    def compare(x, chol, y, z):
-        out = verdict(x, chol, y, z)
+    def compare(x, chol, y, gram, z):
+        out = verdict(x, chol, y, gram, z)
         agree.append(out[0] == (lti._cholesky_or_none(x - z @ z.T) is not None))
         return out
 
@@ -535,7 +535,7 @@ def test_chain_guard_takes_direct_cholesky_near_rounding(scale, positive, choles
     chol = np.linalg.cholesky(x)
     z = scale * chol[:, :1]
     cholesky_orders.clear()
-    verdict, y = lti._downdate_is_positive_definite(x, chol, np.empty((n, 0)), z)
+    verdict, y, _ = lti._downdate_is_positive_definite(x, chol, np.empty((n, 0)), np.empty((0, 0)), z)
     assert np.allclose(y, scale * np.eye(n)[:, :1], atol=1e-12)
     if positive is None:
         assert cholesky_orders == [n]
@@ -600,13 +600,13 @@ def lyapunov_residual(a, p, w):
 def test_lowrank_lyap_factor_meets_inner_tolerance(seed):
     a, b, _ = nonnormal_problem(seed)
     n = a.shape[0]
-    z = lti._lowrank_lyap(a, b, lu_solver(a))
+    z, _ = lti._lowrank_lyap(a.__matmul__, b, lu_solver(a)) or (None, None)
     assert z is not None and z.shape[1] < n // 2
     p = z @ z.T
     assert lyapunov_residual(a, p, b) < 1e-10
     p_ref = lti.solve_lyapunov(a, b @ b.T)
     assert np.linalg.norm(p - p_ref) < 1e-10 * np.linalg.norm(p_ref)
-    assert lti._lowrank_residual_norm(a, z, b) == pytest.approx(lyapunov_residual(a, p, b) * np.linalg.norm(b.T @ b), rel=1e-6)
+    assert lti._lowrank_residual_norm(a @ z, z, b) == pytest.approx(lyapunov_residual(a, p, b) * np.linalg.norm(b.T @ b), rel=1e-6)
 
 
 def test_lowrank_lyap_meets_absolute_target():
@@ -614,8 +614,8 @@ def test_lowrank_lyap_meets_absolute_target():
     # residual (read off the projected matrix) still meets the target.
     a, b, _ = nonnormal_problem(0)
     atol = 1e-6 * np.linalg.norm(b.T @ b)
-    tight = lti._lowrank_lyap(a, b, lu_solver(a))
-    loose = lti._lowrank_lyap(a, b, lu_solver(a), atol=atol)
+    tight, _ = lti._lowrank_lyap(a.__matmul__, b, lu_solver(a))
+    loose, _ = lti._lowrank_lyap(a.__matmul__, b, lu_solver(a), atol=atol)
     assert loose.shape[1] < tight.shape[1]
     p = loose @ loose.T
     assert np.linalg.norm(a @ p + p @ a.T + b @ b.T) <= atol * (1 + 1e-8)
@@ -627,21 +627,44 @@ def test_lowrank_lyap_stops_on_invariant_subspace():
     a = np.diag([-1.0, -3.0, -2.0, -5.0])
     a[0, 1] = 1.0
     w = np.array([[1.0], [1.0], [0.0], [0.0]])
-    z = lti._lowrank_lyap(a, w, lu_solver(a), cap=4)
+    z, _ = lti._lowrank_lyap(a.__matmul__, w, lu_solver(a), cap=4)
     assert z.shape[1] == 2
     p_ref = lyapunov_kron_oracle(a, w @ w.T)
     assert np.max(np.abs(z @ z.T - p_ref)) < 1e-14
 
 
+@pytest.mark.parametrize("seed, share", [(35, 1e-4), (35, 1e-10), (36, 1e-8)])
+def test_lowrank_lyap_checks_before_the_cap(seed, share, monkeypatch):
+    # Under the smallest cap at which a kernel that checks every step returns
+    # a factor, the target is met on the last step the cap allows.  The
+    # check schedule must not skip that step into the cap.
+    rng = np.random.default_rng(seed)
+    n = 80
+    a = random_stable(rng, n, shift=1.0 + rng.uniform())
+    w = rng.standard_normal((n, 1))
+    atol = share * np.linalg.norm(w.T @ w)
+
+    def kernel(cap):
+        return lti._lowrank_lyap(a.__matmul__, w, lu_solver(a), cap=cap, atol=atol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lti, "_MAX_SKIPPED_CHECKS", 0)
+        cap = next(c for c in range(1, n // 2 + 1) if kernel(c) is not None)
+    found = kernel(cap)
+    assert found is not None
+    p = found[0] @ found[0].T
+    assert np.linalg.norm(a @ p + p @ a.T + w @ w.T) <= atol * (1 + 1e-8)
+
+
 def test_lowrank_lyap_cap_returns_none():
     rng = np.random.default_rng(9)
     a = random_stable(rng, 12)
-    assert lti._lowrank_lyap(a, rng.standard_normal((12, 2)), lu_solver(a), cap=3) is None
+    assert lti._lowrank_lyap(a.__matmul__, rng.standard_normal((12, 2)), lu_solver(a), cap=3) is None
 
 
 def test_lowrank_lyap_unstable_full_space_returns_none():
     a = np.array([[0.5, 1.0], [0.0, -2.0]])
-    assert lti._lowrank_lyap(a, np.array([[1.0], [1.0]]), lu_solver(a), cap=2) is None
+    assert lti._lowrank_lyap(a.__matmul__, np.array([[1.0], [1.0]]), lu_solver(a), cap=2) is None
 
 
 def test_factored_residual_norm_matches_dense():
@@ -652,7 +675,7 @@ def test_factored_residual_norm_matches_dense():
     w = rng.standard_normal((n, 2))
     g = rng.standard_normal((4, 2))
     dense = a @ z @ z.T + z @ z.T @ a.T + w @ w.T + z @ g @ g.T @ z.T
-    assert lti._lowrank_residual_norm(a, z, w, g) == pytest.approx(np.linalg.norm(dense), rel=1e-12)
+    assert lti._lowrank_residual_norm(a @ z, z, w, g) == pytest.approx(np.linalg.norm(dense), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +792,27 @@ def test_bt_lowrank_matches_dense_hankel_values():
     assert max(red.gramian_residuals) < 1e-12
     grid = np.logspace(-2, 4, 60)
     assert lti.sample_frequency_error(sys, red.system, grid) <= red.error_bound * (1 + 1e-8)
+
+
+def test_bt_kernel_skips_checks_that_cannot_pass(monkeypatch):
+    # The Gramian bases of a 373-state system grow over dozens of steps: a
+    # check at every step takes 157 projected Schur forms.  The checks that
+    # the extrapolated residual rate skips leave at most 60, and the Hankel
+    # values keep 1e-8.
+    sys = diffusive_system(n=373)
+    r = 8
+    orders = []
+    real_schur = lti._real_schur
+
+    def recording(t):
+        orders.append(t.shape[0])
+        return real_schur(t)
+
+    monkeypatch.setattr(lti, "_real_schur", recording)
+    hsv = lti.balanced_truncation(sys, r).hankel_singular_values
+    assert len(orders) <= 60
+    ref = dense_hankel_values(sys)
+    assert np.max(np.abs(hsv[: r + 2] - ref[: r + 2]) / ref[: r + 2]) < 1e-8
 
 
 def test_bt_grows_to_full_space_at_resolved_order(monkeypatch):

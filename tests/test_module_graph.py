@@ -77,6 +77,16 @@ def test_import_loads_only_what_the_module_needs(module, loaded):
     assert ast.literal_eval(out.stdout) == sorted({"thermoreg"} | {f"thermoreg.{name}" for name in loaded})
 
 
+@pytest.mark.parametrize("module", ["lti", "controller"])
+def test_import_leaves_scipy_sparse_out(module):
+    # The dense numerics need scipy.linalg only; scipy.sparse is the flow's
+    # and the plant's.
+    code = f"import sys, thermoreg.{module}; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert ast.literal_eval(out.stdout) == []
+
+
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_parses_as_python_3_10(path):
     # pyproject.toml declares requires-python >= 3.10, so later syntax such as except* is out.
